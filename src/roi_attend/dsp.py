@@ -154,6 +154,9 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
     """Parse a RIFF/WAVE byte stream. Only PCM 16-bit mono is accepted.
 
     Samples are converted to float64 by dividing the int16 value by 32768.
+    A chunk shorter than its declared size (a cut-off file) and a data chunk
+    with an odd byte count (a partial sample) raise WavFormatError; bytes are
+    never dropped silently.
     """
     if len(data) < 12 or data[0:4] != b"RIFF":
         head = data[0:4].decode("ascii", errors="replace") if len(data) >= 4 else repr(data)
@@ -168,6 +171,10 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8 : pos + 8 + chunk_size]
+        if len(body) < chunk_size:
+            raise WavFormatError(
+                f"truncated {chunk_id!r} chunk: declares {chunk_size} bytes, {len(body)} present"
+            )
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise WavFormatError("fmt chunk too small")
@@ -189,7 +196,9 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
         raise UnsupportedWavError(f"only 16-bit samples are supported, got {bits}-bit")
     if len(payload) < 2:
         raise WavFormatError("data chunk holds no samples")
-    raw = np.frombuffer(payload[: len(payload) - (len(payload) % 2)], dtype="<i2")
+    if len(payload) % 2:
+        raise WavFormatError(f"data chunk of {len(payload)} bytes ends in a partial 16-bit sample")
+    raw = np.frombuffer(payload, dtype="<i2")
     return AudioClip(raw.astype(np.float64) / 32768.0, int(sample_rate), source_id=source_id)
 
 
@@ -382,6 +391,8 @@ def load_feature_cache(data: bytes, step: int) -> FeatureSequence:
     need = 16 + t * n * 8 + t
     if len(data) < need:
         raise FeatureCacheError(f"truncated feature cache ({len(data)} bytes, need {need})")
+    if len(data) > need:
+        raise FeatureCacheError(f"feature cache has {len(data) - need} trailing bytes")
     frames = np.frombuffer(data, dtype="<f8", count=t * n, offset=16).reshape(t, n).copy()
     mask = np.frombuffer(data, dtype=np.uint8, count=t, offset=16 + t * n * 8).astype(bool)
     return FeatureSequence(frames=frames, frame_times=np.arange(t, dtype=np.int64) * step, pad_mask=mask)

@@ -100,6 +100,8 @@ class GradCheckReport:
     rel_err: np.ndarray
     max_rel_err: float
     mean_rel_err: float
+    # roundoff scale of one fd entry: a one-ulp error in f, eps*max|f|, over h
+    fd_noise: float
 
 
 # Relative-error denominator floor; keeps near-zero gradients from blowing
@@ -123,6 +125,7 @@ def grad_check(f, theta, analytic, h: float = 1e-5) -> GradCheckReport:
     if h <= 0:
         raise ValueError("grad_check: step h must be positive")
     fd = np.zeros_like(theta)
+    f_max = 0.0
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + h
@@ -133,6 +136,7 @@ def grad_check(f, theta, analytic, h: float = 1e-5) -> GradCheckReport:
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise EvaluationError(f"grad_check: non-finite function value at coordinate {i}")
         fd[i] = (f_plus - f_minus) / (2.0 * h)
+        f_max = max(f_max, abs(f_plus), abs(f_minus))
     denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), REL_ERR_FLOOR)
     rel = np.abs(fd - analytic) / denom
     return GradCheckReport(
@@ -141,6 +145,7 @@ def grad_check(f, theta, analytic, h: float = 1e-5) -> GradCheckReport:
         rel_err=rel,
         max_rel_err=float(rel.max()) if rel.size else 0.0,
         mean_rel_err=float(rel.mean()) if rel.size else 0.0,
+        fd_noise=float(np.finfo(np.float64).eps) * f_max / h,
     )
 
 

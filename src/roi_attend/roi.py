@@ -205,36 +205,36 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
+_GREYS = ["#" + f"{s:02x}" * 3 for s in range(256)]
+
+
+def _bounds(n: int, parts: int) -> np.ndarray:
+    """Start index of each of `parts` near-equal slices of range(n)."""
+    return (np.arange(parts) * n) // parts
+
+
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """Space-separated `x,y` pairs, each number formatted as _f does."""
+    return " ".join(["%.2f,%.2f"] * px.shape[0]) % tuple(np.column_stack([px, py]).ravel().tolist())
+
+
 def _waveform_polyline(samples: np.ndarray, x0: float, y0: float, w: float, h: float) -> str:
-    """Min/max envelope per pixel column, drawn as one closed polygon."""
-    n = samples.shape[0]
+    """Min/max envelope per pixel column, drawn as one closed polygon. A column
+    narrower than one sample (n < w) shows the sample at its start."""
     cols = int(w)
     mid = y0 + h / 2.0
-    scale = h / 2.0
-    upper = []
-    lower = []
-    for c in range(cols):
-        a = (c * n) // cols
-        b = max(((c + 1) * n) // cols, a + 1)
-        seg = samples[a:b]
-        upper.append((x0 + c, mid - float(seg.max()) * scale))
-        lower.append((x0 + c, mid - float(seg.min()) * scale))
-    pts = upper + lower[::-1]
-    body = " ".join(f"{_f(px)},{_f(py)}" for px, py in pts)
+    starts = _bounds(samples.shape[0], cols)
+    upper = mid - np.maximum.reduceat(samples, starts) * (h / 2.0)
+    lower = mid - np.minimum.reduceat(samples, starts) * (h / 2.0)
+    px = x0 + np.arange(cols)
+    body = _points(np.concatenate([px, px[::-1]]), np.concatenate([upper, lower[::-1]]))
     return f'<polygon points="{body}" fill="#4a6fa5" stroke="none"/>'
 
 
-def _curve_polyline(values: np.ndarray, x0: float, y0: float, w: float, h: float, color: str, top: float | None = None) -> str:
-    n = values.shape[0]
-    if top is None:
-        top = float(values.max()) if n else 0.0
-    top = top if top > 0 else 1.0
-    pts = []
-    for i in range(n):
-        px = x0 + (w * i) / max(n - 1, 1)
-        py = y0 + h - (h * float(values[i]) / top)
-        pts.append(f"{_f(px)},{_f(py)}")
-    return f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+def _curve_polyline(values: np.ndarray, x0: float, y0: float, w: float, h: float, color: str, top: float) -> str:
+    px = x0 + (w * np.arange(values.shape[0])) / max(values.shape[0] - 1, 1)
+    py = y0 + h - (h * values / top)
+    return f'<polyline points="{_points(px, py)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
 def _region_rects(roi: RoiResult, n_samples: int, x0: float, y0: float, w: float, h: float) -> list:
@@ -249,6 +249,19 @@ def _region_rects(roi: RoiResult, n_samples: int, x0: float, y0: float, w: float
     return rects
 
 
+def _block_means(a: np.ndarray, row_starts: np.ndarray, col_starts: np.ndarray) -> np.ndarray:
+    """Mean of each block of `a` cut at the given starts, bit for bit equal to
+    `a[block].mean()`: that sums the block as one C-ordered run from -0.0."""
+    rows = np.searchsorted(row_starts, np.arange(a.shape[0]), "right") - 1
+    cols = np.searchsorted(col_starts, np.arange(a.shape[1]), "right") - 1
+    block = (rows[:, None] * col_starts.size + cols).ravel()
+    sizes = np.bincount(block)
+    starts = np.cumsum(sizes) - sizes
+    runs = np.insert(a.ravel()[np.argsort(block, kind="stable")], starts, -0.0)
+    sums = np.add.reduceat(runs, starts + np.arange(starts.size))
+    return (sums / sizes).reshape(row_starts.size, col_starts.size)
+
+
 def _spectrogram_rects(spec: np.ndarray, x0: float, y0: float, w: float, h: float) -> list:
     """Log-power heat map, darker = louder, coarse rects for byte economy."""
     frames, bins = spec.shape
@@ -257,24 +270,18 @@ def _spectrogram_rects(spec: np.ndarray, x0: float, y0: float, w: float, h: floa
     span = hi - lo if hi > lo else 1.0
     cols = min(frames, 180)
     rows = min(bins, 48)
-    rects = []
     cw = w / cols
     rh = h / rows
-    for ci in range(cols):
-        fa = (ci * frames) // cols
-        fb = max(((ci + 1) * frames) // cols, fa + 1)
-        for ri in range(rows):
-            ba = (ri * bins) // rows
-            bb = max(((ri + 1) * bins) // rows, ba + 1)
-            val = (float(logp[fa:fb, ba:bb].mean()) - lo) / span
-            shade = int(round(255 * (1.0 - val)))
-            color = f"#{shade:02x}{shade:02x}{shade:02x}"
-            ry = y0 + h - (ri + 1) * rh
-            rects.append(
-                f'<rect x="{_f(x0 + ci * cw)}" y="{_f(ry)}" width="{_f(cw + 0.5)}" '
-                f'height="{_f(rh + 0.5)}" fill="{color}" stroke="none"/>'
-            )
-    return rects
+    means = _block_means(logp, _bounds(frames, cols), _bounds(bins, rows))
+    shades = np.rint(255 * (1.0 - (means - lo) / span)).astype(int).tolist()
+    xs = [_f(x0 + ci * cw) for ci in range(cols)]
+    ys = [_f(y0 + h - (ri + 1) * rh) for ri in range(rows)]
+    size = f'width="{_f(cw + 0.5)}" height="{_f(rh + 0.5)}"'
+    return [
+        f'<rect x="{x}" y="{y}" {size} fill="{_GREYS[s]}" stroke="none"/>'
+        for x, col in zip(xs, shades)
+        for y, s in zip(ys, col)
+    ]
 
 
 def render_svg(samples: np.ndarray, amap: AttentionMap, roi: RoiResult, spectrogram: np.ndarray | None = None) -> str:

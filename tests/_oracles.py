@@ -1,9 +1,13 @@
 """Brute-force reference implementations used only by the tests.
 
-Everything here recomputes the MFCC front end from the textbook definitions
-with direct summation (explicit DFT sums, per-bin triangle geometry, cosine
-sums for the DCT) so none of it shares a code path or an FFT library with
-the package under test.
+The MFCC oracles recompute the front end from the textbook definitions with
+direct summation (explicit DFT sums, per-bin triangle geometry, cosine sums
+for the DCT) so none of it shares a code path or an FFT library with the
+package under test.
+
+The SVG oracles draw the waveform, the attention curve and the spectrogram
+one pixel column, sample and cell at a time; the package's array versions
+must produce the same bytes.
 """
 
 import math
@@ -99,3 +103,65 @@ def rel_err(a, b, floor: float = 1e-8) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def _f(v: float) -> str:
+    return f"{v:.2f}"
+
+
+def waveform_polyline(samples, x0, y0, w, h) -> str:
+    n = samples.shape[0]
+    cols = int(w)
+    mid = y0 + h / 2.0
+    scale = h / 2.0
+    upper = []
+    lower = []
+    for c in range(cols):
+        a = (c * n) // cols
+        b = max(((c + 1) * n) // cols, a + 1)
+        seg = samples[a:b]
+        upper.append((x0 + c, mid - float(seg.max()) * scale))
+        lower.append((x0 + c, mid - float(seg.min()) * scale))
+    pts = upper + lower[::-1]
+    body = " ".join(f"{_f(px)},{_f(py)}" for px, py in pts)
+    return f'<polygon points="{body}" fill="#4a6fa5" stroke="none"/>'
+
+
+def curve_polyline(values, x0, y0, w, h, color, top=None) -> str:
+    n = values.shape[0]
+    if top is None:
+        top = float(values.max()) if n else 0.0
+    top = top if top > 0 else 1.0
+    pts = []
+    for i in range(n):
+        px = x0 + (w * i) / max(n - 1, 1)
+        py = y0 + h - (h * float(values[i]) / top)
+        pts.append(f"{_f(px)},{_f(py)}")
+    return f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+
+
+def spectrogram_rects(spec, x0, y0, w, h) -> list:
+    frames, bins = spec.shape
+    logp = np.log10(np.maximum(spec, 1e-10))
+    lo, hi = float(logp.min()), float(logp.max())
+    span = hi - lo if hi > lo else 1.0
+    cols = min(frames, 180)
+    rows = min(bins, 48)
+    rects = []
+    cw = w / cols
+    rh = h / rows
+    for ci in range(cols):
+        fa = (ci * frames) // cols
+        fb = max(((ci + 1) * frames) // cols, fa + 1)
+        for ri in range(rows):
+            ba = (ri * bins) // rows
+            bb = max(((ri + 1) * bins) // rows, ba + 1)
+            val = (float(logp[fa:fb, ba:bb].mean()) - lo) / span
+            shade = int(round(255 * (1.0 - val)))
+            color = f"#{shade:02x}{shade:02x}{shade:02x}"
+            ry = y0 + h - (ri + 1) * rh
+            rects.append(
+                f'<rect x="{_f(x0 + ci * cw)}" y="{_f(ry)}" width="{_f(cw + 0.5)}" '
+                f'height="{_f(rh + 0.5)}" fill="{color}" stroke="none"/>'
+            )
+    return rects

@@ -76,6 +76,32 @@ class TestReadWav:
         with pytest.raises(WavFormatError):
             read_wav(wav_bytes([0, 1, 2, 3])[:20])
 
+    def test_short_data_chunk_rejected(self):
+        # 1000 samples declared, 750 present: refuse rather than return 750
+        data = wav_bytes(list(range(1000)))
+        with pytest.raises(WavFormatError, match="declares 2000 bytes, 1500 present"):
+            read_wav(data[: len(data) - 500])
+        for cut in (1, 2, 1999):
+            with pytest.raises(WavFormatError, match="truncated"):
+                read_wav(data[: len(data) - cut])
+
+    def test_short_trailing_chunk_rejected(self):
+        data = wav_bytes([0, 1, 2, 3]) + b"LIST" + struct.pack("<I", 10) + b"abc"
+        with pytest.raises(WavFormatError, match="truncated b'LIST' chunk"):
+            read_wav(data)
+
+    def test_complete_trailing_chunk_ignored(self):
+        data = wav_bytes([0, 16384]) + b"LIST" + struct.pack("<I", 3) + b"abc\x00"
+        np.testing.assert_array_equal(read_wav(data).samples, [0.0, 0.5])
+
+    def test_odd_data_chunk_rejected(self):
+        # a trailing odd byte is half a sample: refuse it rather than drop it
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", 5) + b"\x00\x00\x01\x00\x07\x00"
+        data = b"RIFF" + struct.pack("<I", len(body)) + body
+        with pytest.raises(WavFormatError, match="partial 16-bit sample"):
+            read_wav(data)
+
     def test_write_read_roundtrip_within_quantization(self):
         rng = np.random.default_rng(0)
         samples = rng.uniform(-0.99, 0.99, size=500)
@@ -301,3 +327,9 @@ class TestFeatureCache:
         data = save_feature_cache(self._seq())
         with pytest.raises(FeatureCacheError):
             load_feature_cache(data[:-3], step=160)
+
+    def test_trailing_bytes_rejected(self):
+        data = save_feature_cache(self._seq())
+        for extra in (b"\x00", b"junk" * 10):
+            with pytest.raises(FeatureCacheError, match="trailing"):
+                load_feature_cache(data + extra, step=160)

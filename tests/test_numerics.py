@@ -132,6 +132,10 @@ class TestGradCheck:
         assert report.max_rel_err == 0.0
         assert report.mean_rel_err == 0.0
 
+    def test_fd_noise_is_one_ulp_of_largest_value_over_h(self):
+        report = grad_check(lambda t: float(t.sum()) - 3.0, np.zeros(2), np.ones(2), h=1e-4)
+        assert report.fd_noise == np.finfo(np.float64).eps * (3.0 + 1e-4) / 1e-4
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             grad_check(lambda t: float(t.sum()), np.zeros(3), np.zeros(2))

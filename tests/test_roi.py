@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from roi_attend.dsp import FeatureSequence, FrameConfig
+import _oracles
+from roi_attend import roi as roi_mod
+from roi_attend.dsp import AudioClip, FeatureSequence, FrameConfig, power_spectrogram
 from roi_attend.model import ModelConfig, ModelParams, NoAttentionError, Variant, param_shapes
 from roi_attend.numerics import SeededRng
 from roi_attend.roi import (
@@ -318,3 +320,80 @@ class TestRenderSvg:
         m = amap([0.5, 0.5])
         with pytest.raises(ValueError, match="beyond"):
             render_svg(np.zeros(100), m, detect_roi(m))
+
+
+class TestRenderSvgMatchesScalarOracle:
+    """The array renderers must draw the same bytes as the per-column,
+    per-sample and per-cell reference loops in _oracles."""
+
+    @staticmethod
+    def _oracle_svg(monkeypatch, *args, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(roi_mod, "_waveform_polyline", _oracles.waveform_polyline)
+            m.setattr(roi_mod, "_curve_polyline", _oracles.curve_polyline)
+            m.setattr(roi_mod, "_spectrogram_rects", _oracles.spectrogram_rects)
+            return render_svg(*args, **kw)
+
+    @staticmethod
+    def _scene(n, peaks=(), seed=0):
+        samples = 0.3 * SeededRng(seed).normal(size=n)
+        x = (n - FRAME) // STEP + 1
+        w = np.ones(x)
+        for p in peaks:
+            w[int(p * (x - 1))] = 4.0 * x
+        m = AttentionMap(w / w.sum(), np.arange(x) * STEP, FRAME, np.zeros(x, dtype=bool))
+        return samples, m, detect_roi(m, ratio=2.0)
+
+    def _assert_same(self, monkeypatch, samples, m, roi, spec=None):
+        want = self._oracle_svg(monkeypatch, samples, m, roi, spectrogram=spec)
+        assert render_svg(samples, m, roi, spectrogram=spec) == want
+
+    @pytest.mark.parametrize("n", [500, 819, 820, 821, 1601, 8000, 12345])
+    def test_waveform_and_curve_for_every_column_split(self, monkeypatch, n):
+        samples, m, roi = self._scene(n, peaks=(0.5,), seed=n)
+        self._assert_same(monkeypatch, samples, m, roi)
+
+    @pytest.mark.parametrize("peaks,count", [((), 0), ((0.3,), 1), ((0.1, 0.5, 0.9), 3)])
+    def test_zero_one_and_several_regions(self, monkeypatch, peaks, count):
+        samples, m, roi = self._scene(8000, peaks=peaks)
+        assert len(roi.regions) == count
+        spec = SeededRng(7).uniform(size=(m.x, 257)) + 1e-3
+        self._assert_same(monkeypatch, samples, m, roi, spec)
+
+    def test_multi_frame_blocks_with_wide_bins(self, monkeypatch):
+        # 0.5 s at fft_size 1024: 513 bins, >= 10 per row block; 2 s: 196
+        # frames, so some column blocks hold two frames
+        cfg = FrameConfig(fft_size=1024)
+        for n in (8000, 32000):
+            samples, m, roi = self._scene(n, peaks=(0.4,), seed=n)
+            spec, _ = power_spectrogram(AudioClip(samples, 16000), cfg)
+            assert spec.shape[1] == 513
+            self._assert_same(monkeypatch, samples, m, roi, spec)
+        assert spec.shape[0] > 180
+
+    def test_long_spectrogram_random_blocks(self, monkeypatch):
+        samples, m, roi = self._scene(4000, peaks=(0.6,))
+        for shape in ((181, 20), (1000, 1025), (30, 9)):
+            spec = 10.0 ** SeededRng(shape[0]).uniform(-8, 2, size=shape)
+            self._assert_same(monkeypatch, samples, m, roi, spec)
+
+    def test_flat_spectrogram(self, monkeypatch):
+        samples, m, roi = self._scene(4000, peaks=(0.6,))
+        self._assert_same(monkeypatch, samples, m, roi, np.full((m.x, 40), 0.25))
+        assert 'fill="#ffffff" stroke="none"/>' in render_svg(samples, m, roi, spectrogram=np.zeros((m.x, 40)))
+
+    @pytest.mark.parametrize("shape", [(46, 257), (181, 257), (400, 513), (1700, 129), (3, 2)])
+    def test_block_means_equal_slice_means_bit_for_bit(self, shape):
+        a = SeededRng(shape[0]).normal(size=shape)
+        rows, cols = roi_mod._bounds(shape[0], min(shape[0], 180)), roi_mod._bounds(shape[1], min(shape[1], 48))
+        got = roi_mod._block_means(a, rows, cols)
+        r_ends, c_ends = np.append(rows[1:], shape[0]), np.append(cols[1:], shape[1])
+        want = [[a[r0:r1, c0:c1].mean() for c0, c1 in zip(cols, c_ends)] for r0, r1 in zip(rows, r_ends)]
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_silent_and_single_sample_clips(self, monkeypatch):
+        m = amap([1.0])
+        self._assert_same(monkeypatch, np.zeros(FRAME), m, detect_roi(m))
+        m = amap([1.0], frame_len=1)
+        self._assert_same(monkeypatch, np.array([0.5]), m, detect_roi(m))

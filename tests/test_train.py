@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import types
@@ -16,6 +17,7 @@ from roi_attend.model import (
 )
 from roi_attend.numerics import SeededRng, ShapeError, grad_check
 from roi_attend.training import (
+    GRAD_CHECK_TOL,
     Checkpoint,
     CheckpointFormatError,
     CheckpointVersionError,
@@ -29,6 +31,7 @@ from roi_attend.training import (
     block_relative_errors,
     cross_entropy,
     fit_standardizer,
+    gradient_check_suite,
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
@@ -152,6 +155,73 @@ class TestGradients:
         analytic = np.concatenate([grads[k].ravel() for k in params.names()])
         report = grad_check(f, params.to_vector(), analytic, h=1e-5)
         assert max(block_relative_errors(cfg, report).values()) < 1e-4
+
+
+class TestGradCheckGate:
+    """Seed 110 puts one ulp of loss roundoff into the bi_attention attn.b
+    block, whose true gradient is zero; the gate must read that as noise
+    and still fail real errors in that block and elsewhere."""
+
+    CFG = ModelConfig(variant=Variant.BI_ATTENTION, dec_steps=2, input_dim=13, enc_hidden=4,
+                      dec_hidden=4, dropout_rate=0.0, n_classes=6)
+
+    @pytest.fixture(scope="class")
+    def suite110(self):
+        return gradient_check_suite(seed=110)
+
+    def _bi_report(self, suite):
+        (report,) = [r for name, r, _ in suite if name == "bi_attention"]
+        return report
+
+    def _slice(self, name):
+        pos = 0
+        for block, shape in param_shapes(self.CFG).items():
+            size = int(np.prod(shape))
+            if block == name:
+                return slice(pos, pos + size)
+            pos += size
+
+    def _with_analytic(self, report, name, change):
+        analytic = report.analytic.copy()
+        analytic[self._slice(name)] = change(analytic[self._slice(name)])
+        return block_relative_errors(self.CFG, dataclasses.replace(report, analytic=analytic))
+
+    def test_seed_110_passes_on_roundoff_alone(self, suite110):
+        report = self._bi_report(suite110)
+        fd = report.fd[self._slice("attn.b")]
+        assert fd[0] != 0.0 and abs(fd[0]) < 1e-10  # roundoff, not a gradient
+        assert report.max_rel_err > GRAD_CHECK_TOL  # the per-coordinate ratio cannot tell
+        for _, _, blocks in suite110:
+            assert max(blocks.values()) < GRAD_CHECK_TOL
+
+    def test_gate_passes_through_cli(self, suite110, monkeypatch, capsys):
+        from roi_attend import cli
+
+        monkeypatch.setattr(cli, "gradient_check_suite", lambda seed=0: suite110)
+        assert cli.entrypoint(["gradcheck", "--train.seed=110"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_wrong_zero_gradient_block_still_fails(self, suite110):
+        blocks = self._with_analytic(self._bi_report(suite110), "attn.b", lambda g: g + 1e-6)
+        assert blocks["attn.b"] > GRAD_CHECK_TOL
+
+    def test_relative_error_in_large_block_still_fails(self, suite110):
+        blocks = self._with_analytic(self._bi_report(suite110), "dec.U", lambda g: g * (1 + 1e-3))
+        assert blocks["dec.U"] > GRAD_CHECK_TOL
+        assert blocks["attn.b"] < GRAD_CHECK_TOL
+
+    def test_noise_floor_scales_with_loss_and_step(self):
+        cfg = ModelConfig(variant=Variant.UNI_PLAIN, input_dim=1, enc_hidden=1, dec_hidden=1)
+        n = sum(int(np.prod(s)) for s in param_shapes(cfg).values())
+        zero = np.zeros(n)
+        report = grad_check(lambda t: 2.0, zero, zero, h=1e-5)
+        fd = zero.copy()
+        fd[-1] = 1e-10  # out.b: 6 entries, noise 8 * sqrt(6) * eps * 2 / 1e-5 = 8.7e-10
+        quiet = block_relative_errors(cfg, dataclasses.replace(report, fd=fd))
+        assert quiet["out.b"] < GRAD_CHECK_TOL
+        fd[-1] = 1e-8
+        loud = block_relative_errors(cfg, dataclasses.replace(report, fd=fd))
+        assert loud["out.b"] > GRAD_CHECK_TOL
 
 
 class TestOptimizers:
@@ -367,6 +437,35 @@ class TestCheckpointIO:
         data = save_checkpoint(self._checkpoint(Variant.UNI_PLAIN))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(data + b"x")
+
+    @pytest.mark.parametrize("good,bad", [
+        (b"input_dim=13", b"input_dim=ab"),  # not a number
+        (b"variant=uni_plain", b"variant=uni_plaiX"),  # unknown variant
+        (b"dec_steps=1", b"dec_steps=0"),  # out of range
+        (b"epochs=2", b"epochs=0"),  # train config out of range
+        (b"n_mfcc=13", b"n_mfcc=99"),  # frame config: n_mfcc > n_mels
+        (b"epoch=2\n", b"epoch=x\n"),  # meta
+        (b"enc_hidden=3", b"enc_hidden=4"),  # params no longer fit the config
+        (b"model_config", b"model_confi\xff"),  # section name not UTF-8
+    ])
+    def test_bad_values_raise_format_error(self, good, bad):
+        data = save_checkpoint(self._checkpoint(Variant.UNI_PLAIN))
+        assert data.count(good) == 1 and len(good) == len(bad)
+        with pytest.raises(CheckpointFormatError) as exc:
+            load_checkpoint(data.replace(good, bad))
+        assert type(exc.value) is CheckpointFormatError
+
+    def test_trailing_bytes_inside_sections_rejected(self):
+        ckpt = self._checkpoint()
+        data = save_checkpoint(ckpt)
+        # grow the optimizer section by one byte after its second moment blob
+        name = b"optimizer"
+        at = data.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+        (size,) = struct.unpack_from("<Q", data, at)
+        end = at + 8 + size
+        grown = data[:at] + struct.pack("<Q", size + 1) + data[at + 8 : end] + b"\x00" + data[end:]
+        with pytest.raises(CheckpointFormatError, match="optimizer section has 1 trailing bytes"):
+            load_checkpoint(grown)
 
     def test_sgd_checkpoint_roundtrip(self):
         train_set = synthetic_train_set(n_per_class=1)
