@@ -19,6 +19,7 @@ import hashlib
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,6 +58,8 @@ from .roi import attention_json, detect_roi, dump_attention_json, extract_attent
 from .training import (
     GRAD_CHECK_TOL,
     TrainConfig,
+    _config_text,
+    _frame_cfg_to_pairs,
     gradient_check_suite,
     load_checkpoint,
     save_checkpoint,
@@ -320,26 +323,33 @@ def _require(cfg: dict, key: str) -> str:
 
 def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
     """Manifest plus per-clip features, every clip zero-padded to the corpus
-    maximum. Cached .roif files are keyed by clip stem and pad target, so a
-    corpus change invalidates them naturally."""
+    maximum. Cached .roif files are named <stem>.<key>.roif, where the key is
+    a short SHA-256 over the canonical frame config, the pad target and the
+    WAV file's own SHA-256, so a changed clip, frame setting or pad target
+    never reads a stale file."""
     manifest, skipped = scan_corpus(corpus_dir)
     for name in skipped:
         print(f"skipping unparseable name: {name}", file=sys.stderr)
-    clips = [read_wav_file(e.path) for e in manifest.entries]
+    clips, digests = [], []
+    for e in manifest.entries:
+        hasher = hashlib.sha256()
+        clips.append(read_wav_file(e.path, hasher=hasher))
+        digests.append(hasher.digest())
     target = max(len(c) for c in clips)
-    step = frame_cfg.frame_step(frame_cfg.expected_sample_rate)
+    key_prefix = _config_text(_frame_cfg_to_pairs(frame_cfg)) + f"target={target}\n".encode("ascii")
     feats = []
     cache = Path(cache_dir) if cache_dir else None
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
-    for clip, entry in zip(clips, manifest.entries):
+    for clip, digest, entry in zip(clips, digests, manifest.entries):
         cpath = None
         if cache is not None:
             stem = Path(entry.path).stem
-            cpath = cache / f"{stem}.{target}.roif"
+            key = hashlib.sha256(key_prefix + digest).hexdigest()[:16]
+            cpath = cache / f"{stem}.{key}.roif"
             if cpath.exists():
                 try:
-                    seq = load_feature_cache(cpath.read_bytes(), step)
+                    seq = load_feature_cache(cpath.read_bytes(), frame_cfg.frame_step(clip.sample_rate))
                     if seq.n_mfcc == frame_cfg.n_mfcc:
                         feats.append(seq)
                         continue
@@ -440,18 +450,11 @@ def _cmd_eval_loso(cfg: dict) -> int:
     matrices: list[ConfusionMatrix] = []
     failed = None
     try:
-        if cfg["eval.parallel"] > 0:
-            with ProcessPoolExecutor(max_workers=cfg["eval.parallel"]) as pool:
-                results = pool.map(_fold_worker, payloads)
-                for subject, csv_text, counts in results:
-                    _write_atomic(out / f"fold-{subject}.csv", csv_text)
-                    completed.append(subject)
-                    matrices.append(ConfusionMatrix(counts))
-                    _write_atomic(out / "MANIFEST", "".join(s + "\n" for s in completed))
-                    print(f"fold {subject}: done ({len(completed)}/{len(folds)})")
-        else:
-            for payload in payloads:
-                subject, csv_text, counts = _fold_worker(payload)
+        with ExitStack() as stack:
+            fold_map = map
+            if cfg["eval.parallel"] > 0:
+                fold_map = stack.enter_context(ProcessPoolExecutor(max_workers=cfg["eval.parallel"])).map
+            for subject, csv_text, counts in fold_map(_fold_worker, payloads):
                 _write_atomic(out / f"fold-{subject}.csv", csv_text)
                 completed.append(subject)
                 matrices.append(ConfusionMatrix(counts))
@@ -514,8 +517,8 @@ def _cmd_explain(cfg: dict) -> int:
         )
     frame_cfg = ckpt.frame_cfg if ckpt.frame_cfg is not None else _frame_cfg(cfg)
     clip = read_wav_file(wav_path)
-    features = extract_features(clip, frame_cfg)
     spec, _ = power_spectrogram(clip, frame_cfg)
+    features = extract_features(clip, frame_cfg, power=spec)
     out = _run_dir("explain", cfg)
     maps = extract_attention(ckpt, features)
     for step_no, amap in enumerate(maps, start=1):

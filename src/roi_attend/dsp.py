@@ -8,6 +8,7 @@ log with floor, orthonormal DCT-II, first `n_mfcc` coefficients.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
@@ -202,9 +203,14 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
     return AudioClip(raw.astype(np.float64) / 32768.0, int(sample_rate), source_id=source_id)
 
 
-def read_wav_file(path) -> AudioClip:
+def read_wav_file(path, hasher=None) -> AudioClip:
+    """Read and parse a WAV file; `hasher` (a hashlib object), when given, is
+    fed the file's bytes, so callers can key on content without keeping it."""
     with open(path, "rb") as fh:
-        return read_wav(fh.read(), source_id=str(path))
+        data = fh.read()
+    if hasher is not None:
+        hasher.update(data)
+    return read_wav(data, source_id=str(path))
 
 
 def write_wav(samples: np.ndarray, sample_rate: int) -> bytes:
@@ -247,21 +253,48 @@ def pad_to_length(clips: list[AudioClip], target: int | None = None) -> list[Aud
     return out
 
 
-def frame_signal(clip: AudioClip, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Slice a clip into overlapping frames.
+def _read_only(maxsize=None):
+    """Memoize a table builder. Each cached array is frozen, so no caller can
+    change what the next one gets."""
 
-    Returns (frames, frame_times) where frames is T x L and frame i starts at
-    sample i*S. T = 1 + floor((N - L) / S); a trailing partial frame is dropped.
-    """
+    def decorate(fn):
+        @functools.lru_cache(maxsize=maxsize)
+        @functools.wraps(fn)
+        def cached(*key):
+            table = fn(*key)
+            table.flags.writeable = False
+            return table
+
+        return cached
+
+    return decorate
+
+
+def _frame_geometry(clip: AudioClip, cfg: FrameConfig) -> tuple[int, int, int]:
+    """(count, step, length) of the frames frame_signal cuts from `clip`."""
     _check_rate(clip, cfg)
     length = cfg.frame_len(clip.sample_rate)
     step = cfg.frame_step(clip.sample_rate)
     n = len(clip)
     if n < length:
         raise TooShortError(f"clip has {n} samples, shorter than one {length}-sample frame")
-    count = 1 + (n - length) // step
-    idx = np.arange(count)[:, None] * step + np.arange(length)[None, :]
-    return clip.samples[idx], np.arange(count, dtype=np.int64) * step
+    return 1 + (n - length) // step, step, length
+
+
+# Bounded: clip lengths vary when clips are not padded to a common target.
+@_read_only(maxsize=8)
+def _frame_index(count: int, step: int, length: int) -> np.ndarray:
+    return np.arange(count)[:, None] * step + np.arange(length)[None, :]
+
+
+def frame_signal(clip: AudioClip, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Slice a clip into overlapping frames.
+
+    Returns (frames, frame_times) where frames is T x L and frame i starts at
+    sample i*S. T = 1 + floor((N - L) / S); a trailing partial frame is dropped.
+    """
+    count, step, length = _frame_geometry(clip, cfg)
+    return clip.samples[_frame_index(count, step, length)], np.arange(count, dtype=np.int64) * step
 
 
 def _check_rate(clip: AudioClip, cfg: FrameConfig) -> None:
@@ -289,8 +322,13 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Triangular filters on the HTK mel scale, spanning 0 Hz to Nyquist.
 
     Triangles are sampled at the exact FFT bin frequencies (no bin snapping).
-    Returns an n_mels x (fft_size//2 + 1) weight matrix.
+    Returns a fresh n_mels x (fft_size//2 + 1) weight matrix.
     """
+    return _mel_filterbank(n_mels, fft_size, sample_rate).copy()
+
+
+@_read_only()
+def _mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2))
     bin_hz = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
     fb = np.zeros((n_mels, bin_hz.size))
@@ -302,13 +340,41 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
-def _preemphasize(frames: np.ndarray, coeff: float) -> np.ndarray:
-    # Applied within each frame: y[0] = x[0], y[n] = x[n] - a*x[n-1].
-    if coeff == 0.0:
-        return frames
-    out = frames.copy()
-    out[:, 1:] -= coeff * frames[:, :-1]
-    return out
+@_read_only()
+def _hamming(length: int) -> np.ndarray:
+    return np.hamming(length)
+
+
+def _power_spectrum(frames: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Pre-emphasis, Hamming window, rfft, |.|^2: one T x (fft_size//2 + 1) row
+    per frame."""
+    length = frames.shape[1]
+    if cfg.fft_size < length:
+        raise FrameConfigError(f"fft_size {cfg.fft_size} < frame length {length}")
+    # Pre-emphasis runs within each frame: y[0] = x[0], y[n] = x[n] - a*x[n-1].
+    windowed = frames.copy()
+    if cfg.preemphasis:
+        windowed[:, 1:] -= cfg.preemphasis * frames[:, :-1]
+    windowed *= _hamming(length)
+    return np.abs(np.fft.rfft(windowed, n=cfg.fft_size, axis=1)) ** 2
+
+
+def _cepstra(
+    power: np.ndarray,
+    sample_rate: int,
+    cfg: FrameConfig,
+    frame_times: np.ndarray,
+    frame_len: int,
+    original_len: int | None,
+) -> FeatureSequence:
+    """Mel energies, log with floor, DCT-II: the MFCCs of a power matrix."""
+    fb = _mel_filterbank(cfg.n_mels, cfg.fft_size, sample_rate)
+    logmel = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
+    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_mfcc]
+
+    times = np.asarray(frame_times, dtype=np.int64)
+    cutoff = original_len if original_len is not None else times[-1] + frame_len + 1
+    return FeatureSequence(frames=coeffs, frame_times=times, pad_mask=times >= cutoff)
 
 
 def mfcc(
@@ -327,26 +393,30 @@ def mfcc(
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("frames must be a non-empty T x L array")
     t, length = frames.shape
-    if cfg.fft_size < length:
-        raise FrameConfigError(f"fft_size {cfg.fft_size} < frame length {length}")
     if frame_times is None:
         frame_times = np.arange(t, dtype=np.int64) * cfg.frame_step(sample_rate)
-
-    windowed = _preemphasize(frames, cfg.preemphasis) * np.hamming(length)
-    power = np.abs(np.fft.rfft(windowed, n=cfg.fft_size, axis=1)) ** 2
-    fb = mel_filterbank(cfg.n_mels, cfg.fft_size, sample_rate)
-    logmel = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
-    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_mfcc]
-
-    times = np.asarray(frame_times, dtype=np.int64)
-    cutoff = original_len if original_len is not None else times[-1] + length + 1
-    return FeatureSequence(frames=coeffs, frame_times=times, pad_mask=times >= cutoff)
+    power = _power_spectrum(frames, cfg)
+    return _cepstra(power, sample_rate, cfg, frame_times, length, original_len)
 
 
-def extract_features(clip: AudioClip, cfg: FrameConfig) -> FeatureSequence:
-    """Full front end for one (possibly padded) clip."""
-    frames, times = frame_signal(clip, cfg)
-    return mfcc(frames, clip.sample_rate, cfg, frame_times=times, original_len=clip.original_len)
+def extract_features(clip: AudioClip, cfg: FrameConfig, power: np.ndarray | None = None) -> FeatureSequence:
+    """Full front end for one (possibly padded) clip.
+
+    `power`, when given, is the clip's power_spectrogram under the same `cfg`;
+    the MFCCs are then taken from it instead of framing and transforming the
+    clip a second time.
+    """
+    if power is None:
+        frames, times = frame_signal(clip, cfg)
+        return mfcc(frames, clip.sample_rate, cfg, frame_times=times, original_len=clip.original_len)
+    count, step, length = _frame_geometry(clip, cfg)
+    if power.shape != (count, cfg.fft_size // 2 + 1):
+        raise ValueError(
+            f"power matrix of shape {power.shape} does not fit this clip "
+            f"({count} frames x {cfg.fft_size // 2 + 1} bins)"
+        )
+    times = np.arange(count, dtype=np.int64) * step
+    return _cepstra(power, clip.sample_rate, cfg, times, length, clip.original_len)
 
 
 def extract_corpus_features(clips: list[AudioClip], cfg: FrameConfig, target: int | None = None) -> list[FeatureSequence]:
@@ -357,10 +427,7 @@ def extract_corpus_features(clips: list[AudioClip], cfg: FrameConfig, target: in
 def power_spectrogram(clip: AudioClip, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Windowed power spectra per frame (for plotting). Returns (T x K, frame_times)."""
     frames, times = frame_signal(clip, cfg)
-    if cfg.fft_size < frames.shape[1]:
-        raise FrameConfigError(f"fft_size {cfg.fft_size} < frame length {frames.shape[1]}")
-    windowed = _preemphasize(frames, cfg.preemphasis) * np.hamming(frames.shape[1])
-    return np.abs(np.fft.rfft(windowed, n=cfg.fft_size, axis=1)) ** 2, times
+    return _power_spectrum(frames, cfg), times
 
 
 # -- feature cache ("ROIF") ----------------------------------------------------

@@ -223,8 +223,10 @@ def _lstm_step(x, h_prev, c_prev, W, U, b):
     return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
 
 
-def _lstm_step_backward(cache, dh, dc, W, U, dW, dU, db):
-    """Reverse one step; accumulates weight grads in place, returns (dx, dh_prev, dc_prev)."""
+def _lstm_step_backward(cache, dh, dc, W, U, dW, dU, db, want_dx=True):
+    """Reverse one step; accumulates weight grads in place, returns (dx, dh_prev, dc_prev).
+
+    dx is None when want_dx is False (the input's gradient is not needed)."""
     x, h_prev, c_prev, i, f, g, o, tc = cache
     do = dh * tc
     dc = dc + dh * o * (1.0 - tc * tc)
@@ -239,7 +241,7 @@ def _lstm_step_backward(cache, dh, dc, W, U, dW, dU, db):
     dW += x.T @ dv
     dU += h_prev.T @ dv
     db += dv.sum(axis=0)
-    return dv @ W.T, dv @ U.T, dc_prev
+    return (dv @ W.T if want_dx else None), dv @ U.T, dc_prev
 
 
 def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True):
@@ -258,16 +260,18 @@ def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True):
     return outs, (h, c), caches
 
 
-def _lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, dh_last=None, dc_last=None):
-    """BPTT over a cached sequence. dH_out: (B, T, H) upstream gradient per step."""
+def _lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, dh_last=None, dc_last=None, want_dx=True):
+    """BPTT over a cached sequence. dH_out: (B, T, H) upstream gradient per step.
+
+    Returns (dX, dh, dc); dX is None when want_dx is False."""
     B, T, _ = dH_out.shape
-    din = W.shape[0]
-    dX = np.empty((B, T, din))
+    dX = np.empty((B, T, W.shape[0])) if want_dx else None
     dh = np.zeros((B, U.shape[0])) if dh_last is None else dh_last
     dc = np.zeros((B, U.shape[0])) if dc_last is None else dc_last
     for t in reversed(range(T)):
-        dx, dh, dc = _lstm_step_backward(caches[t], dH_out[:, t, :] + dh, dc, W, U, dW, dU, db)
-        dX[:, t, :] = dx
+        dx, dh, dc = _lstm_step_backward(caches[t], dH_out[:, t, :] + dh, dc, W, U, dW, dU, db, want_dx)
+        if want_dx:
+            dX[:, t, :] = dx
     return dX, dh, dc
 
 
@@ -288,6 +292,8 @@ def _encode_batch(X, params, cfg, want_cache=True):
 
 
 def _encode_backward(dp, enc_caches, params, cfg, grads):
+    """Accumulate the encoder's weight gradients; the gradient with respect to
+    the input features is never needed, so it is not computed."""
     cache_f, cache_b = enc_caches
     he = cfg.enc_hidden
     if cfg.variant.bidirectional:
@@ -295,13 +301,13 @@ def _encode_backward(dp, enc_caches, params, cfg, grads):
         dHb_rev = np.ascontiguousarray(dp[:, :, he:][:, ::-1, :])
         _lstm_seq_backward(
             cache_b, dHb_rev, params["enc_bw.W"], params["enc_bw.U"],
-            grads["enc_bw.W"], grads["enc_bw.U"], grads["enc_bw.b"],
+            grads["enc_bw.W"], grads["enc_bw.U"], grads["enc_bw.b"], want_dx=False,
         )
     else:
         dHf = dp
     _lstm_seq_backward(
         cache_f, np.ascontiguousarray(dHf), params["enc_fw.W"], params["enc_fw.U"],
-        grads["enc_fw.W"], grads["enc_fw.U"], grads["enc_fw.b"],
+        grads["enc_fw.W"], grads["enc_fw.U"], grads["enc_fw.b"], want_dx=False,
     )
 
 

@@ -5,6 +5,10 @@ direct summation (explicit DFT sums, per-bin triangle geometry, cosine sums
 for the DCT) so none of it shares a code path or an FFT library with the
 package under test.
 
+The front-end reference is the array code the package ran per clip before it
+cached its tables: it rebuilds the frame index, the Hamming window and the
+mel filterbank on every call. The package must still match it bit for bit.
+
 The SVG oracles draw the waveform, the attention curve and the spectrogram
 one pixel column, sample and cell at a time; the package's array versions
 must produce the same bytes.
@@ -13,6 +17,7 @@ must produce the same bytes.
 import math
 
 import numpy as np
+from scipy.fft import dct as scipy_dct
 
 LOG_FLOOR = 1e-10
 
@@ -97,6 +102,39 @@ def mfcc_oracle(
     energies = mel_energies(power, n_mels, fft_size, sample_rate)
     logmel = np.log(np.maximum(energies, LOG_FLOOR))
     return dct2_ortho(logmel)[:n_mfcc]
+
+
+def frontend_reference(samples, sample_rate: int, cfg, original_len=None):
+    """(power, frame_times, mfcc, pad_mask) for one clip under FrameConfig `cfg`,
+    computed with the per-clip code the package's cached path replaced."""
+    samples = np.asarray(samples, dtype=np.float64)
+    length = int(round(cfg.frame_len_ms * sample_rate / 1000.0))
+    step = int(round(cfg.step_ms * sample_rate / 1000.0))
+    count = 1 + (samples.size - length) // step
+    idx = np.arange(count)[:, None] * step + np.arange(length)[None, :]
+    frames = samples[idx]
+    times = np.arange(count, dtype=np.int64) * step
+
+    pre = frames
+    if cfg.preemphasis != 0.0:
+        pre = frames.copy()
+        pre[:, 1:] -= cfg.preemphasis * frames[:, :-1]
+    power = np.abs(np.fft.rfft(pre * np.hamming(length), n=cfg.fft_size, axis=1)) ** 2
+
+    to_mel = lambda f: 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+    edges_hz = 700.0 * (
+        10.0 ** (np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), cfg.n_mels + 2) / 2595.0) - 1.0
+    )
+    bin_hz = np.arange(cfg.fft_size // 2 + 1) * sample_rate / cfg.fft_size
+    fb = np.zeros((cfg.n_mels, bin_hz.size))
+    for m in range(cfg.n_mels):
+        lo, center, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
+        fb[m] = np.maximum(0.0, np.minimum((bin_hz - lo) / (center - lo), (hi - bin_hz) / (hi - center)))
+    logmel = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
+    coeffs = scipy_dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_mfcc]
+
+    cutoff = original_len if original_len is not None else times[-1] + length + 1
+    return power, times, coeffs, times >= cutoff
 
 
 def rel_err(a, b, floor: float = 1e-8) -> np.ndarray:

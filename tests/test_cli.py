@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import types
@@ -7,10 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _oracles
 from roi_attend import cli
 from roi_attend.cli import effective_config, entrypoint, run_id
 from roi_attend.dataset import SyntheticSpec, generate_synthetic, write_synthetic_corpus
+from roi_attend.dsp import (
+    FeatureSequence,
+    FrameConfig,
+    extract_features,
+    pad_to_length,
+    read_wav_file,
+    save_feature_cache,
+)
 from roi_attend.model import Variant
+from roi_attend.roi import attention_json, detect_roi, dump_attention_json, extract_attention, render_svg
 from roi_attend.training import load_checkpoint
 
 TINY_SPEC = SyntheticSpec(
@@ -35,6 +46,17 @@ def corpus(tmp_path_factory):
     return root
 
 
+def run_module(*args):
+    """Run `python -m roi_attend.cli` in a child interpreter that imports the
+    same package as this process, whether or not PYTHONPATH names it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "roi_attend.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def only_dir(root, prefix):
     hits = [p for p in Path(root).iterdir() if p.name.startswith(prefix + "-")]
     assert len(hits) == 1, f"expected one {prefix}-* dir, found {[p.name for p in hits]}"
@@ -43,18 +65,13 @@ def only_dir(root, prefix):
 
 class TestArgumentHandling:
     def test_help_exits_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "roi_attend.cli", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         for name in ("synth", "features", "train", "eval-loso", "explain", "gradcheck", "report"):
             assert name in proc.stdout
 
     def test_missing_command_exits_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "roi_attend.cli"], capture_output=True, text=True
-        )
+        proc = run_module()
         assert proc.returncode == 2
 
     def test_unknown_key_names_it(self, capsys):
@@ -201,6 +218,94 @@ class TestFeaturesCommand:
         assert len(list(cache.glob("*.roif"))) == 12
 
 
+def cache_state(cache):
+    """name -> (inode, mtime, bytes) of every cached feature file."""
+    return {
+        p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+        for p in Path(cache).glob("*.roif")
+    }
+
+
+class TestFeatureCacheKey:
+    """Cached features are keyed on every input they depend on."""
+
+    @pytest.mark.parametrize("override, frame_cfg, frames_t", [
+        ("--frame.n_mels=40", FrameConfig(n_mels=40), 24),
+        ("--frame.preemphasis=0", FrameConfig(preemphasis=0.0), 24),
+        ("--frame.step_ms=5", FrameConfig(step_ms=5.0), 47),
+    ])
+    def test_changed_frame_setting_recomputes(self, corpus, tmp_path, override, frame_cfg, frames_t):
+        cache = tmp_path / "cache"
+        argv = ["features", f"--paths.corpus_dir={corpus}", f"--paths.cache_dir={cache}",
+                f"--paths.output_dir={tmp_path}"]
+        assert entrypoint(argv) == 0
+        default_files = cache_state(cache)
+        assert entrypoint(argv + [override]) == 0
+        after = cache_state(cache)
+        assert {n: after[n] for n in default_files} == default_files
+        fresh = {n: v for n, v in after.items() if n not in default_files}
+        assert len(fresh) == 12
+
+        manifest, feats, target = cli._corpus_features(str(corpus), str(cache), frame_cfg)
+        assert cache_state(cache) == after
+        for entry, seq in zip(manifest.entries, feats):
+            want = extract_features(pad_to_length([read_wav_file(entry.path)], target)[0], frame_cfg)
+            assert seq.T == frames_t
+            np.testing.assert_array_equal(seq.frames, want.frames)
+            np.testing.assert_array_equal(seq.frame_times, want.frame_times)
+            np.testing.assert_array_equal(seq.pad_mask, want.pad_mask)
+            (name,) = [n for n in fresh if n.startswith(Path(entry.path).stem + ".")]
+            assert fresh[name][2] == save_feature_cache(want)
+
+    def test_warm_rerun_writes_nothing(self, corpus, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["features", f"--paths.corpus_dir={corpus}", f"--paths.cache_dir={cache}",
+                f"--paths.output_dir={tmp_path}", "--frame.step_ms=5"]
+        assert entrypoint(argv) == 0
+        before = cache_state(cache)
+        assert entrypoint(argv) == 0
+        assert cache_state(cache) == before
+        assert not list(cache.glob("*.tmp"))
+
+    def test_file_names_are_stem_and_short_key(self, corpus, tmp_path):
+        cache = tmp_path / "cache"
+        cli._corpus_features(str(corpus), str(cache), FrameConfig())
+        stems = sorted(p.stem for p in Path(corpus).glob("*.wav"))
+        names = sorted(cache_state(cache))
+        assert [n.split(".")[0] for n in names] == stems
+        for n in names:
+            _, key, ext = n.split(".")
+            assert ext == "roif" and len(key) == 16 and int(key, 16) >= 0
+
+    def test_changed_wav_recomputes(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_synthetic_corpus(generate_synthetic(TINY_SPEC), corpus)
+        cache = tmp_path / "cache"
+        cli._corpus_features(str(corpus), str(cache), FrameConfig())
+        before = cache_state(cache)
+        victim = sorted(corpus.glob("*.wav"))[0]
+        data = bytearray(victim.read_bytes())
+        data[-2:] = b"\x00\x40"  # last sample changes, length does not
+        victim.write_bytes(bytes(data))
+        _, feats, _ = cli._corpus_features(str(corpus), str(cache), FrameConfig())
+        after = cache_state(cache)
+        assert set(before) < set(after) and len(after) == len(before) + 1
+        want = extract_features(pad_to_length([read_wav_file(victim)], 4000)[0], FrameConfig())
+        np.testing.assert_array_equal(feats[0].frames, want.frames)
+
+    def test_old_format_files_ignored_and_kept(self, corpus, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        old = [cache / f"{p.stem}.4000.roif" for p in sorted(Path(corpus).glob("*.wav"))]
+        for p in old:
+            p.write_bytes(b"ROIF stale")
+        _, feats, target = cli._corpus_features(str(corpus), str(cache), FrameConfig())
+        assert target == 4000
+        assert all(p.read_bytes() == b"ROIF stale" for p in old)
+        assert len(cache_state(cache)) == 2 * len(old)
+        assert "recomputing" not in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_artifacts_and_checkpoint_contents(self, corpus, tmp_path, capsys):
         rc = entrypoint([
@@ -259,6 +364,17 @@ class TestEvalLosoCommand:
         assert only_dir(tmp_path, "eval-loso") == out
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert after == before
+
+    def test_parallel_folds_write_the_same_bytes(self, corpus, tmp_path):
+        serial_root, parallel_root = tmp_path / "serial", tmp_path / "parallel"
+        assert entrypoint(self._argv(corpus, serial_root)) == 0
+        assert entrypoint(self._argv(corpus, parallel_root, ["--parallel=2"])) == 0
+        serial = only_dir(serial_root, "eval-loso")
+        parallel = only_dir(parallel_root, "eval-loso")
+        assert (parallel / "MANIFEST").read_text() == "9001\n9002\n9003\n"
+        assert {p.name: p.read_bytes() for p in parallel.iterdir()} == {
+            p.name: p.read_bytes() for p in serial.iterdir()
+        }
 
     def test_folds_flag_limits_work(self, corpus, tmp_path):
         assert entrypoint(self._argv(corpus, tmp_path, ["--folds=1"])) == 0
@@ -341,6 +457,23 @@ class TestExplainCommand:
         assert svg.count("<g id=") == 3
         assert '<g id="spectrogram">' in svg
         assert "step 1:" in capsys.readouterr().out
+
+    def test_artifact_bytes_match_per_clip_front_end(self, corpus, attention_ckpt, tmp_path):
+        wav = sorted(Path(corpus).glob("*.wav"))[3]
+        assert entrypoint([
+            "explain", f"--paths.checkpoint={attention_ckpt}", f"--paths.wav={wav}",
+            f"--paths.output_dir={tmp_path}",
+        ]) == 0
+        out = only_dir(tmp_path, "explain")
+        ckpt = load_checkpoint(attention_ckpt.read_bytes())
+        clip = read_wav_file(wav)
+        power, times, coeffs, mask = _oracles.frontend_reference(clip.samples, 16000, ckpt.frame_cfg)
+        (amap,) = extract_attention(ckpt, FeatureSequence(coeffs, times, mask))
+        roi = detect_roi(amap, ratio=2.0)
+        assert (out / "attention-step1.json").read_text() == dump_attention_json(
+            attention_json(str(wav), amap, roi)
+        )
+        assert (out / "roi-step1.svg").read_text() == render_svg(clip.samples, amap, roi, spectrogram=power)
 
     def test_ratio_alias_changes_threshold(self, corpus, attention_ckpt, tmp_path):
         wav = sorted(Path(corpus).glob("*.wav"))[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import _oracles
+from roi_attend import dsp
 from roi_attend.dsp import (
     LOG_FLOOR,
     AudioClip,
@@ -24,6 +25,7 @@ from roi_attend.dsp import (
     mel_to_hz,
     mfcc,
     pad_to_length,
+    power_spectrogram,
     read_wav,
     save_feature_cache,
     write_wav,
@@ -267,6 +269,79 @@ class TestMfcc:
         )
         assert padded.T > plain.T
         np.testing.assert_array_equal(padded.frames[: plain.T], plain.frames)
+
+
+# One config per table or framing setting that the cached path keys on.
+FRONT_END_CFGS = {
+    "default": FrameConfig(),
+    "fft1024": FrameConfig(fft_size=1024),
+    "mels40": FrameConfig(n_mels=40, n_mfcc=20),
+    "no_preemphasis": FrameConfig(preemphasis=0.0),
+    "step5": FrameConfig(step_ms=5.0),
+}
+
+
+class TestCachedFrontEnd:
+    """The cached tables and the shared spectrum path change no output bit."""
+
+    @pytest.mark.parametrize("name", sorted(FRONT_END_CFGS))
+    @pytest.mark.parametrize("n, target", [(320, None), (321, None), (4000, None), (7999, None), (5600, 8000)])
+    def test_matches_per_clip_reference_bitwise(self, name, n, target):
+        cfg = FRONT_END_CFGS[name]
+        clip = AudioClip(np.random.default_rng(n).uniform(-0.9, 0.9, size=n), 16000)
+        if target is not None:
+            clip = pad_to_length([clip], target=target)[0]
+        power, times, coeffs, mask = _oracles.frontend_reference(clip.samples, 16000, cfg, clip.original_len)
+
+        spec, spec_times = power_spectrogram(clip, cfg)
+        np.testing.assert_array_equal(spec, power)
+        np.testing.assert_array_equal(spec_times, times)
+        for seq in (extract_features(clip, cfg), extract_features(clip, cfg, power=spec)):
+            np.testing.assert_array_equal(seq.frames, coeffs)
+            np.testing.assert_array_equal(seq.frame_times, times)
+            np.testing.assert_array_equal(seq.pad_mask, mask)
+
+    def test_filterbank_built_once_per_config(self):
+        dsp._mel_filterbank.cache_clear()
+        clips = [AudioClip(np.random.default_rng(i).normal(size=4000 + 160 * i), 16000) for i in range(3)]
+        for clip in clips:
+            extract_features(clip, FrameConfig())
+        info = dsp._mel_filterbank.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        for clip in clips:
+            extract_features(clip, FrameConfig(n_mels=40))
+        info = dsp._mel_filterbank.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
+    def test_cached_tables_are_read_only(self):
+        extract_features(AudioClip(np.zeros(800), 16000), FrameConfig())
+        for table in (dsp._mel_filterbank(26, 512, 16000), dsp._hamming(320), dsp._frame_index(4, 160, 320)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    def test_public_filterbank_is_a_writable_copy(self):
+        clip = AudioClip(np.random.default_rng(4).normal(size=1600), 16000)
+        before = extract_features(clip, FrameConfig()).frames
+        fb = mel_filterbank(26, 512, 16000)
+        assert fb.flags.writeable
+        fb[:] = 0.0
+        assert mel_filterbank(26, 512, 16000).max() > 0.0
+        np.testing.assert_array_equal(extract_features(clip, FrameConfig()).frames, before)
+
+    def test_inputs_left_untouched(self):
+        frames = np.random.default_rng(6).normal(size=(5, 320))
+        kept = frames.copy()
+        mfcc(frames, 16000, FrameConfig())
+        np.testing.assert_array_equal(frames, kept)
+
+    def test_power_of_another_shape_rejected(self):
+        clip = AudioClip(np.zeros(1600), 16000)
+        spec, _ = power_spectrogram(clip, FrameConfig())
+        with pytest.raises(ValueError, match="does not fit"):
+            extract_features(clip, FrameConfig(), power=spec[:-1])
+        with pytest.raises(ValueError, match="does not fit"):
+            extract_features(clip, FrameConfig(fft_size=1024), power=spec)
 
 
 class TestMelScale:

@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 
+from roi_attend import model
 from roi_attend.dataset import SyntheticSpec, generate_synthetic
 from roi_attend.dsp import FeatureSequence, FrameConfig, extract_corpus_features
 from roi_attend.model import (
@@ -133,6 +134,28 @@ class TestGradients:
         report = grad_check(f, params.to_vector(), analytic, h=1e-5)
         blocks = block_relative_errors(cfg, report)
         assert max(blocks.values()) < 1e-4
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_skipping_encoder_input_gradient_keeps_grads_bitwise(self, variant, monkeypatch):
+        cfg = tiny_cfg(variant, input_dim=13, enc_hidden=8, dec_hidden=6,
+                       dec_steps=2 if variant.has_attention else 1, dropout_rate=0.3)
+        rng = SeededRng(9)
+        X = rng.normal(size=(3, 10, 13))
+        pad = np.zeros((3, 10), dtype=bool)
+        pad[0, 7:] = True
+        y = np.array([0, 3, 5])
+        params = init_params(cfg, rng)
+        mask = model.make_dropout_mask(cfg, (3, 10), SeededRng(10))
+        loss, grads = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
+
+        full_bptt = model._lstm_seq_backward
+        monkeypatch.setattr(
+            model, "_lstm_seq_backward", lambda *a, want_dx=True, **k: full_bptt(*a, want_dx=True, **k)
+        )
+        loss_ref, grads_ref = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
+        assert loss == loss_ref
+        for name in params.names():
+            np.testing.assert_array_equal(grads[name], grads_ref[name])
 
     def test_dropout_mask_respected_in_backward(self):
         cfg = tiny_cfg(Variant.UNI_ATTENTION, dropout_rate=0.5)
