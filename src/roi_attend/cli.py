@@ -23,6 +23,8 @@ from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import (
     SyntheticSpec,
     generate_synthetic,
@@ -32,11 +34,14 @@ from .dataset import (
     write_synthetic_corpus,
 )
 from .dsp import (
+    PCM16_SCALE,
+    AudioClip,
     FeatureCacheError,
     FrameConfig,
     extract_features,
     load_feature_cache,
     pad_to_length,
+    pcm16_to_float,
     power_spectrogram,
     read_wav_file,
     save_feature_cache,
@@ -330,18 +335,22 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
     manifest, skipped = scan_corpus(corpus_dir)
     for name in skipped:
         print(f"skipping unparseable name: {name}", file=sys.stderr)
-    clips, digests = [], []
+    pcm, rates, digests = [], [], []
     for e in manifest.entries:
         hasher = hashlib.sha256()
-        clips.append(read_wav_file(e.path, hasher=hasher))
+        clip = read_wav_file(e.path, hasher=hasher)
+        # int16 holds each decoded sample exactly in a quarter of the memory;
+        # a clip is decoded again only when its features are not cached.
+        pcm.append((clip.samples * PCM16_SCALE).astype(np.int16))
+        rates.append(clip.sample_rate)
         digests.append(hasher.digest())
-    target = max(len(c) for c in clips)
+    target = max(p.shape[0] for p in pcm)
     key_prefix = _config_text(_frame_cfg_to_pairs(frame_cfg)) + f"target={target}\n".encode("ascii")
     feats = []
     cache = Path(cache_dir) if cache_dir else None
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
-    for clip, digest, entry in zip(clips, digests, manifest.entries):
+    for samples, rate, digest, entry in zip(pcm, rates, digests, manifest.entries):
         cpath = None
         if cache is not None:
             stem = Path(entry.path).stem
@@ -349,12 +358,13 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
             cpath = cache / f"{stem}.{key}.roif"
             if cpath.exists():
                 try:
-                    seq = load_feature_cache(cpath.read_bytes(), frame_cfg.frame_step(clip.sample_rate))
+                    seq = load_feature_cache(cpath.read_bytes(), frame_cfg.frame_step(rate))
                     if seq.n_mfcc == frame_cfg.n_mfcc:
                         feats.append(seq)
                         continue
                 except FeatureCacheError as exc:
                     print(f"recomputing {cpath.name}: {exc}", file=sys.stderr)
+        clip = AudioClip(pcm16_to_float(samples), rate, source_id=str(entry.path))
         seq = extract_features(pad_to_length([clip], target=target)[0], frame_cfg)
         if cpath is not None:
             _write_atomic(cpath, save_feature_cache(seq))
@@ -411,6 +421,24 @@ def _cmd_train(cfg: dict) -> int:
     return 0
 
 
+def _eval_mode(cfg: dict) -> str:
+    mode = cfg["eval.mode"]
+    if mode not in AGGREGATION_MODES:
+        raise UsageError(f"eval.mode must be one of {AGGREGATION_MODES}, got '{mode}'")
+    return mode
+
+
+def _write_aggregates(out: Path, matrices: list, mode: str, model_cfg: ModelConfig) -> None:
+    """One aggregate CSV per mode, plus the summary for the selected mode."""
+    for agg_mode in AGGREGATION_MODES:
+        _write_atomic(out / f"aggregate-{agg_mode}.csv", matrix_csv(aggregate(matrices, agg_mode).rates))
+    selected = aggregate(matrices, mode)
+    text = summary_text(selected) + "\n" + per_emotion_report(selected, model_cfg.variant.model_number)
+    _write_atomic(out / "summary.txt", text)
+    print(text, end="")
+    print(f"results: {out}")
+
+
 def _fold_worker(payload):
     subject, train_set, items, model_cfg, train_cfg, frame_cfg = payload
     ckpt = train(train_set, model_cfg, train_cfg, frame_cfg=frame_cfg)
@@ -420,9 +448,7 @@ def _fold_worker(payload):
 
 def _cmd_eval_loso(cfg: dict) -> int:
     corpus = _require(cfg, "paths.corpus_dir")
-    mode = cfg["eval.mode"]
-    if mode not in AGGREGATION_MODES:
-        raise UsageError(f"eval.mode must be one of {AGGREGATION_MODES}, got '{mode}'")
+    mode = _eval_mode(cfg)
     frame_cfg = _frame_cfg(cfg)
     model_cfg = _model_cfg(cfg)
     base_train_cfg = _train_cfg(cfg)
@@ -467,22 +493,13 @@ def _cmd_eval_loso(cfg: dict) -> int:
         print(f"evaluation stopped after {len(completed)}/{len(folds)} folds: {failed}", file=sys.stderr)
         return 1
 
-    for agg_mode in AGGREGATION_MODES:
-        report = aggregate(matrices, agg_mode)
-        _write_atomic(out / f"aggregate-{agg_mode}.csv", matrix_csv(report.rates))
-    selected = aggregate(matrices, mode)
-    text = summary_text(selected) + "\n" + per_emotion_report(selected, model_cfg.variant.model_number)
-    _write_atomic(out / "summary.txt", text)
-    print(text, end="")
-    print(f"results: {out}")
+    _write_aggregates(out, matrices, mode, model_cfg)
     return 0
 
 
 def _cmd_report(cfg: dict) -> int:
     folds_dir = Path(_require(cfg, "paths.folds_dir"))
-    mode = cfg["eval.mode"]
-    if mode not in AGGREGATION_MODES:
-        raise UsageError(f"eval.mode must be one of {AGGREGATION_MODES}, got '{mode}'")
+    mode = _eval_mode(cfg)
     fold_files = sorted(folds_dir.glob("fold-*.csv"))
     if not fold_files:
         raise FileNotFoundError(f"no fold-*.csv files under {folds_dir}")
@@ -493,16 +510,7 @@ def _cmd_report(cfg: dict) -> int:
         for t, p in zip(true, pred):
             cm.add(int(t), int(p))
         matrices.append(cm)
-    out = _run_dir("report", cfg)
-    for agg_mode in AGGREGATION_MODES:
-        report = aggregate(matrices, agg_mode)
-        _write_atomic(out / f"aggregate-{agg_mode}.csv", matrix_csv(report.rates))
-    selected = aggregate(matrices, mode)
-    model_cfg = _model_cfg(cfg)
-    text = summary_text(selected) + "\n" + per_emotion_report(selected, model_cfg.variant.model_number)
-    _write_atomic(out / "summary.txt", text)
-    print(text, end="")
-    print(f"results: {out}")
+    _write_aggregates(_run_dir("report", cfg), matrices, mode, _model_cfg(cfg))
     return 0
 
 

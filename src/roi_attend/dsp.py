@@ -149,6 +149,15 @@ class FeatureSequence:
 # -- WAV I/O ---------------------------------------------------------------
 
 _PCM_FORMAT = 1
+PCM16_SCALE = 32768.0
+
+
+def pcm16_to_float(raw: np.ndarray) -> np.ndarray:
+    """float64 samples from int16 PCM values: value / PCM16_SCALE. The scale is
+    a power of two, so multiplying by its reciprocal gives the same bits."""
+    out = raw.astype(np.float64)
+    out *= 1.0 / PCM16_SCALE
+    return out
 
 
 def read_wav(data: bytes, source_id: str = "") -> AudioClip:
@@ -195,12 +204,14 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
         raise UnsupportedWavError(f"only mono is supported, got {channels} channels (not downmixed)")
     if bits != 16:
         raise UnsupportedWavError(f"only 16-bit samples are supported, got {bits}-bit")
+    if sample_rate == 0:
+        raise WavFormatError("fmt chunk declares a sample rate of 0 Hz")
     if len(payload) < 2:
         raise WavFormatError("data chunk holds no samples")
     if len(payload) % 2:
         raise WavFormatError(f"data chunk of {len(payload)} bytes ends in a partial 16-bit sample")
     raw = np.frombuffer(payload, dtype="<i2")
-    return AudioClip(raw.astype(np.float64) / 32768.0, int(sample_rate), source_id=source_id)
+    return AudioClip(pcm16_to_float(raw), int(sample_rate), source_id=source_id)
 
 
 def read_wav_file(path, hasher=None) -> AudioClip:
@@ -216,7 +227,7 @@ def read_wav_file(path, hasher=None) -> AudioClip:
 def write_wav(samples: np.ndarray, sample_rate: int) -> bytes:
     """Encode float samples (clamped to [-1, 1]) as PCM 16-bit mono WAV."""
     clamped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
-    ints = np.clip(np.rint(clamped * 32768.0), -32768, 32767).astype("<i2")
+    ints = np.clip(np.rint(clamped * PCM16_SCALE), -32768, 32767).astype("<i2")
     payload = ints.tobytes()
     hdr = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     fmt = b"fmt " + struct.pack("<IHHIIHH", 16, _PCM_FORMAT, 1, sample_rate, sample_rate * 2, 2, 16)
@@ -461,5 +472,8 @@ def load_feature_cache(data: bytes, step: int) -> FeatureSequence:
     if len(data) > need:
         raise FeatureCacheError(f"feature cache has {len(data) - need} trailing bytes")
     frames = np.frombuffer(data, dtype="<f8", count=t * n, offset=16).reshape(t, n).copy()
-    mask = np.frombuffer(data, dtype=np.uint8, count=t, offset=16 + t * n * 8).astype(bool)
+    mask = np.frombuffer(data, dtype=np.uint8, count=t, offset=16 + t * n * 8)
+    if mask.max(initial=0) > 1:
+        raise FeatureCacheError("pad mask bytes must be 0 or 1")
+    mask = mask.astype(bool)
     return FeatureSequence(frames=frames, frame_times=np.arange(t, dtype=np.int64) * step, pad_mask=mask)

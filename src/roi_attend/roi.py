@@ -232,8 +232,16 @@ def _waveform_polyline(samples: np.ndarray, x0: float, y0: float, w: float, h: f
 
 
 def _curve_polyline(values: np.ndarray, x0: float, y0: float, w: float, h: float, color: str, top: float) -> str:
-    px = x0 + (w * np.arange(values.shape[0])) / max(values.shape[0] - 1, 1)
-    py = y0 + h - (h * values / top)
+    """One vertex per sample at the ends of each run of equal values. A sample
+    inside a run has the same y as both run ends and lies between them, so
+    dropping it leaves the drawn path unchanged."""
+    n = values.shape[0]
+    ends = values[1:] != values[:-1]
+    keep = np.ones(n, dtype=bool)
+    keep[1:-1] = ends[:-1] | ends[1:]
+    i = np.flatnonzero(keep)
+    px = x0 + (w * i) / max(n - 1, 1)
+    py = y0 + h - (h * values[i] / top)
     return f'<polyline points="{_points(px, py)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 

@@ -489,6 +489,20 @@ def _whole_named_arrays(data: bytes, what: str) -> dict:
     return out
 
 
+def _config_section(sections: dict, name: str, from_pairs, to_pairs):
+    """Parse a key=value section, accepting only the bytes save_checkpoint
+    writes for the parsed value: a damaged flag, number or name raises
+    instead of reading as a default or a nearby value."""
+    value = from_pairs(_parse_config_text(sections[name]))
+    if _config_text(to_pairs(value)) != sections[name]:
+        raise CheckpointFormatError(f"{name} section is not in canonical form")
+    return value
+
+
+def _rng_state_text(state) -> bytes:
+    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def save_checkpoint(ckpt: Checkpoint) -> bytes:
     sections: list[tuple[str, bytes]] = []
     sections.append(("model_config", _config_text(_model_cfg_to_pairs(ckpt.model_cfg))))
@@ -503,7 +517,7 @@ def save_checkpoint(ckpt: Checkpoint) -> bytes:
     sections.append(("optimizer", opt))
     sections.append(("meta", _config_text({"epoch": ckpt.epoch})))
     if ckpt.rng_state is not None:
-        sections.append(("rng_state", json.dumps(ckpt.rng_state, sort_keys=True, separators=(",", ":")).encode("utf-8")))
+        sections.append(("rng_state", _rng_state_text(ckpt.rng_state)))
     hist = np.asarray(ckpt.loss_history, dtype="<f8")
     sections.append(("loss_history", struct.pack("<I", hist.size) + hist.tobytes()))
     if ckpt.feature_stats is not None:
@@ -567,11 +581,11 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
         if required not in sections:
             raise CheckpointFormatError(f"checkpoint missing section {required!r}")
 
-    model_cfg = _model_cfg_from_pairs(_parse_config_text(sections["model_config"]))
-    train_cfg = _train_cfg_from_pairs(_parse_config_text(sections["train_config"]))
+    model_cfg = _config_section(sections, "model_config", _model_cfg_from_pairs, _model_cfg_to_pairs)
+    train_cfg = _config_section(sections, "train_config", _train_cfg_from_pairs, _train_cfg_to_pairs)
     frame_cfg = None
     if "frame_config" in sections:
-        frame_cfg = _frame_cfg_from_pairs(_parse_config_text(sections["frame_config"]))
+        frame_cfg = _config_section(sections, "frame_config", _frame_cfg_from_pairs, _frame_cfg_to_pairs)
 
     params = ModelParams(_whole_named_arrays(sections["params"], "params section"))
     params.validate_shapes(model_cfg)
@@ -583,8 +597,7 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     v_arrays = _unpack_named_arrays(ocur)
     ocur.finish()
 
-    meta = _parse_config_text(sections["meta"])
-    epoch = int(meta.get("epoch", "0"))
+    epoch = _config_section(sections, "meta", lambda pairs: int(pairs.get("epoch", "0")), lambda e: {"epoch": e})
 
     rng_state = None
     if "rng_state" in sections:
@@ -592,6 +605,8 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
             rng_state = json.loads(sections["rng_state"].decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise CheckpointFormatError(f"rng_state is not valid JSON: {exc}") from None
+        if _rng_state_text(rng_state) != sections["rng_state"]:
+            raise CheckpointFormatError("rng_state section is not in canonical form")
 
     hcur = _Cursor(sections["loss_history"], "loss history")
     n_hist = hcur.u32()

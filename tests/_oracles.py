@@ -11,7 +11,9 @@ mel filterbank on every call. The package must still match it bit for bit.
 
 The SVG oracles draw the waveform, the attention curve and the spectrogram
 one pixel column, sample and cell at a time; the package's array versions
-must produce the same bytes.
+must produce the same bytes. The package draws the attention curve from the
+ends of its runs of equal values, so the per-sample curve is kept as the
+reference its collapsed form is checked against.
 """
 
 import math
@@ -165,7 +167,8 @@ def waveform_polyline(samples, x0, y0, w, h) -> str:
     return f'<polygon points="{body}" fill="#4a6fa5" stroke="none"/>'
 
 
-def curve_polyline(values, x0, y0, w, h, color, top=None) -> str:
+def curve_vertices(values, x0, y0, w, h, top=None) -> list:
+    """One formatted `x,y` vertex per sample."""
     n = values.shape[0]
     if top is None:
         top = float(values.max()) if n else 0.0
@@ -175,7 +178,31 @@ def curve_polyline(values, x0, y0, w, h, color, top=None) -> str:
         px = x0 + (w * i) / max(n - 1, 1)
         py = y0 + h - (h * float(values[i]) / top)
         pts.append(f"{_f(px)},{_f(py)}")
+    return pts
+
+
+def collapsed_curve_vertices(values, x0, y0, w, h, top=None) -> list:
+    """The per-sample vertices, keeping vertex i only where i is 0 or n-1 or
+    values[i] differs from a neighbour: the ends of each run of equal values."""
+    pts = curve_vertices(values, x0, y0, w, h, top)
+    n = len(pts)
+    kept = []
+    for i in range(n):
+        if i == 0 or i == n - 1 or values[i] != values[i - 1] or values[i] != values[i + 1]:
+            kept.append(pts[i])
+    return kept
+
+
+def _polyline(pts, color) -> str:
     return f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+
+
+def curve_polyline(values, x0, y0, w, h, color, top=None) -> str:
+    return _polyline(curve_vertices(values, x0, y0, w, h, top), color)
+
+
+def collapsed_curve_polyline(values, x0, y0, w, h, color, top=None) -> str:
+    return _polyline(collapsed_curve_vertices(values, x0, y0, w, h, top), color)
 
 
 def spectrogram_rects(spec, x0, y0, w, h) -> list:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -304,6 +305,28 @@ class TestFeatureCacheKey:
         assert all(p.read_bytes() == b"ROIF stale" for p in old)
         assert len(cache_state(cache)) == 2 * len(old)
         assert "recomputing" not in capsys.readouterr().err
+
+
+class TestCorpusFeaturesMemory:
+    def test_passes_hold_less_than_the_decoded_corpus(self, tmp_path):
+        # the pad target is known only after every clip is read; until then
+        # the clips must not be held as float64 samples, which alone would
+        # take `decoded` bytes (int16 samples plus the features take ~0.5x)
+        spec = SyntheticSpec(n_clips_per_class=24, clip_len=8000, burst_len=800, n_actors=2, seed=3)
+        corpus = tmp_path / "corpus"
+        write_synthetic_corpus(generate_synthetic(spec), corpus)
+        decoded = 6 * spec.n_clips_per_class * spec.clip_len * 8
+        cli._corpus_features(str(corpus), str(tmp_path / "warm-up"), FrameConfig())  # builds the cached tables
+        cache = tmp_path / "cache"
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                _, feats, _ = cli._corpus_features(str(corpus), str(cache), FrameConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(feats) == 6 * spec.n_clips_per_class
+            assert peak < 0.8 * decoded
 
 
 class TestTrainCommand:

@@ -8,6 +8,7 @@ import _oracles
 from roi_attend import dsp
 from roi_attend.dsp import (
     LOG_FLOOR,
+    PCM16_SCALE,
     AudioClip,
     FeatureCacheError,
     FeatureSequence,
@@ -25,6 +26,7 @@ from roi_attend.dsp import (
     mel_to_hz,
     mfcc,
     pad_to_length,
+    pcm16_to_float,
     power_spectrogram,
     read_wav,
     save_feature_cache,
@@ -57,6 +59,13 @@ class TestReadWav:
         assert clip.sample_rate == 16000
         assert clip.source_id == "fixture"
         assert np.all(np.abs(clip.samples) <= 1.0)
+
+    def test_every_pcm_value_decodes_exactly_and_back(self):
+        raw = np.arange(-32768, 32768).astype("<i2")
+        samples = read_wav(wav_bytes(raw.tolist())).samples
+        assert samples.tobytes() == (raw.astype(np.float64) / 32768.0).tobytes()
+        np.testing.assert_array_equal(pcm16_to_float(raw), samples)
+        np.testing.assert_array_equal((samples * PCM16_SCALE).astype(np.int16), raw)
 
     def test_wrong_magic_rejected(self):
         with pytest.raises(WavFormatError):

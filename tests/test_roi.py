@@ -324,13 +324,13 @@ class TestRenderSvg:
 
 class TestRenderSvgMatchesScalarOracle:
     """The array renderers must draw the same bytes as the per-column,
-    per-sample and per-cell reference loops in _oracles."""
+    per-run-end and per-cell reference loops in _oracles."""
 
     @staticmethod
     def _oracle_svg(monkeypatch, *args, **kw):
         with monkeypatch.context() as m:
             m.setattr(roi_mod, "_waveform_polyline", _oracles.waveform_polyline)
-            m.setattr(roi_mod, "_curve_polyline", _oracles.curve_polyline)
+            m.setattr(roi_mod, "_curve_polyline", _oracles.collapsed_curve_polyline)
             m.setattr(roi_mod, "_spectrogram_rects", _oracles.spectrogram_rects)
             return render_svg(*args, **kw)
 
@@ -397,3 +397,71 @@ class TestRenderSvgMatchesScalarOracle:
         self._assert_same(monkeypatch, np.zeros(FRAME), m, detect_roi(m))
         m = amap([1.0], frame_len=1)
         self._assert_same(monkeypatch, np.array([0.5]), m, detect_roi(m))
+
+
+class TestCurveKeepsRunEnds:
+    """The attention curve lists only the ends of each run of equal saliency.
+    Against the per-sample oracle its vertices must be an ordered subsequence,
+    and every dropped vertex must have the same y as the kept vertices on
+    either side, so the drawn path is the same."""
+
+    @staticmethod
+    def _curve_points(svg):
+        return re.search(r'<g id="attention">.*?<polyline points="([^"]+)"', svg, re.S).group(1).split(" ")
+
+    def _check(self, monkeypatch, samples, m):
+        roi = detect_roi(m, ratio=2.0)
+        kept = self._curve_points(render_svg(samples, m, roi))
+        with monkeypatch.context() as mp:
+            mp.setattr(roi_mod, "_curve_polyline", _oracles.curve_polyline)
+            full = self._curve_points(render_svg(samples, m, roi))
+        assert len(full) == samples.shape[0]
+        assert kept[0] == full[0] and kept[-1] == full[-1]
+        # leftmost embedding of kept[1:-1] into full[1:-1]; the ends map to the ends
+        at = [0]
+        j = 1
+        for p in kept[1:-1]:
+            while j < len(full) - 1 and full[j] != p:
+                j += 1
+            assert j < len(full) - 1, f"vertex {p} is not in the per-sample curve in order"
+            at.append(j)
+            j += 1
+        if len(full) > 1:
+            at.append(len(full) - 1)
+        assert len(at) == len(kept)
+        y = lambda pt: pt.split(",")[1]
+        for a, b in zip(at, at[1:]):
+            for d in range(a + 1, b):
+                assert y(full[d]) == y(full[a]) == y(full[b]), f"dropped vertex {d} leaves the path"
+        return kept, full
+
+    @pytest.mark.parametrize("n", [500, 819, 820, 821, 8000, 12345])
+    def test_subsequence_for_every_column_split(self, monkeypatch, n):
+        samples, m, _ = TestRenderSvgMatchesScalarOracle._scene(n, peaks=(0.5,), seed=n)
+        kept, full = self._check(monkeypatch, samples, m)
+        assert len(kept) < len(full) // 10
+
+    def test_single_sample(self, monkeypatch):
+        kept, _ = self._check(monkeypatch, np.array([0.5]), amap([1.0], frame_len=1))
+        assert len(kept) == 1
+
+    def test_constant_saliency_is_two_vertices(self, monkeypatch):
+        kept, _ = self._check(monkeypatch, np.zeros(FRAME), amap([1.0]))
+        assert len(kept) == 2
+        x = 4
+        m = amap(np.full(x, 1.0 / x))  # uniform weights, overlapping frames
+        kept, _ = self._check(monkeypatch, 0.1 * SeededRng(1).normal(size=(x - 1) * STEP + FRAME), m)
+        assert len(kept) == 2
+
+    def test_samples_under_no_frame(self, monkeypatch):
+        m = AttentionMap(np.array([0.5, 0.5]), np.array([0, 8]), 4, np.zeros(2, dtype=bool))
+        kept, _ = self._check(monkeypatch, np.ones(12), m)
+        assert len(kept) == 6  # 0.5 run, zero run, 0.5 run
+        # a tail past the last frame's end stays at zero
+        kept, full = self._check(monkeypatch, np.ones(1000), amap(np.full(5, 0.2)))
+        assert full[959].split(",")[1] != full[960].split(",")[1] == full[-1].split(",")[1]
+
+    def test_padded_frames_beyond_the_clip(self, monkeypatch):
+        pad = [False] * 4 + [True] * 3
+        m = amap([0.1, 0.3, 0.2, 0.1, 0.1, 0.1, 0.1], pad=pad)
+        self._check(monkeypatch, 0.2 * SeededRng(2).normal(size=3 * STEP + FRAME), m)
