@@ -15,12 +15,16 @@ Exit codes: 0 success, 1 runtime failure, 2 bad usage or configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import math
 import os
 import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +67,9 @@ from .roi import attention_json, detect_roi, dump_attention_json, extract_attent
 from .training import (
     GRAD_CHECK_TOL,
     TrainConfig,
+    _config_fields,
+    _config_pairs,
     _config_text,
-    _frame_cfg_to_pairs,
     gradient_check_suite,
     load_checkpoint,
     save_checkpoint,
@@ -80,43 +85,30 @@ class UsageError(ValueError):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-# key -> (type tag, default). Model input width always follows frame.n_mfcc.
+# Sections whose keys are the settings of a config dataclass.
+_SECTIONS = {"frame": FrameConfig, "model": ModelConfig, "train": TrainConfig, "synth": SyntheticSpec}
+# Fields that are not keys: the model's input width follows frame.n_mfcc, and
+# the classifier is fixed to six classes.
+_NOT_KEYS = {"model.input_dim", "model.n_classes"}
+# Optional settings are plain numbers here; these values stand for None.
+_NONE_IF = {"train.grad_clip": lambda v: v <= 0, "synth.min_clip_len": lambda v: v == 0}
+
+
+def _dataclass_keys():
+    for section, cls in _SECTIONS.items():
+        for f, kind, _ in _config_fields(cls):
+            key = f"{section}.{f.name}"
+            if key in _NOT_KEYS:
+                continue
+            if issubclass(kind, Enum):
+                yield key, ("str", f.default.value)
+            else:  # a None default shows as the type's zero, which _NONE_IF maps back
+                yield key, (kind.__name__, kind() if f.default is None else kind(f.default))
+
+
+# key -> (type tag, default)
 _SCHEMA = {
-    "frame.frame_len_ms": ("float", 20.0),
-    "frame.step_ms": ("float", 10.0),
-    "frame.n_mfcc": ("int", 13),
-    "frame.n_mels": ("int", 26),
-    "frame.fft_size": ("int", 512),
-    "frame.preemphasis": ("float", 0.97),
-    "frame.expected_sample_rate": ("int", 16000),
-    "frame.allow_any_rate": ("bool", False),
-    "model.variant": ("str", "bi_attention"),
-    "model.enc_hidden": ("int", 64),
-    "model.dec_hidden": ("int", 64),
-    "model.attn_hidden": ("int", 0),
-    "model.dropout_rate": ("float", 0.1),
-    "model.dec_steps": ("int", 1),
-    "model.mask_padding": ("bool", False),
-    "train.lr": ("float", 1e-3),
-    "train.epochs": ("int", 30),
-    "train.batch_size": ("int", 16),
-    "train.optimizer": ("str", "adam"),
-    "train.beta1": ("float", 0.9),
-    "train.beta2": ("float", 0.999),
-    "train.eps": ("float", 1e-8),
-    "train.seed": ("int", 0),
-    "train.grad_clip": ("float", 5.0),
-    "train.shuffle": ("bool", True),
-    "train.standardize": ("bool", True),
-    "synth.n_clips_per_class": ("int", 10),
-    "synth.sample_rate": ("int", 16000),
-    "synth.clip_len": ("int", 8000),
-    "synth.burst_len": ("int", 1600),
-    "synth.noise_amplitude": ("float", 0.01),
-    "synth.seed": ("int", 0),
-    "synth.n_actors": ("int", 5),
-    "synth.actor_base": ("int", 9001),
-    "synth.min_clip_len": ("int", 0),
+    **dict(_dataclass_keys()),
     "eval.mode": ("str", "sum_then_normalize"),
     "eval.parallel": ("int", 0),
     "eval.folds": ("int", 0),
@@ -138,8 +130,6 @@ def _coerce(key: str, raw: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
         if kind == "bool":
             low = raw.lower()
             if low in ("true", "1", "yes"):
@@ -147,9 +137,14 @@ def _coerce(key: str, raw: str):
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return raw
+        if kind != "float":
+            return raw
+        val = float(raw)
     except ValueError:
         raise UsageError(f"bad value '{raw}' for key '{key}' (expected {kind})") from None
+    if not math.isfinite(val):
+        raise UsageError(f"non-finite value '{raw}' for key '{key}'")
+    return val
 
 
 def _defaults() -> dict:
@@ -158,8 +153,8 @@ def _defaults() -> dict:
 
 def _read_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -212,17 +207,9 @@ def effective_config(config_file: str | None, override_tokens: list) -> dict:
     return cfg
 
 
-def _canonical(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def run_id(command: str, cfg: dict) -> str:
-    blob = command + "\n" + "\n".join(f"{k}={_canonical(cfg[k])}" for k in sorted(cfg)) + "\n"
-    return f"{command}-{hashlib.sha256(blob.encode('utf-8')).hexdigest()[:12]}"
+    blob = command.encode("utf-8") + b"\n" + _config_text(cfg)
+    return f"{command}-{hashlib.sha256(blob).hexdigest()[:12]}"
 
 
 def _run_dir(command: str, cfg: dict) -> Path:
@@ -244,20 +231,21 @@ def _write_atomic(path: Path, data) -> None:
 # -- config -> dataclasses -----------------------------------------------------
 
 
-def _frame_cfg(cfg: dict) -> FrameConfig:
+def _settings(cfg: dict, section: str, **fixed):
+    """The section's config dataclass built from its keys in cfg; `fixed`
+    sets fields directly."""
+    cls = _SECTIONS[section]
+    kwargs = {}
+    for f, _, _ in _config_fields(cls):
+        key = f"{section}.{f.name}"
+        if key in _SCHEMA:
+            val = cfg[key]
+            kwargs[f.name] = None if key in _NONE_IF and _NONE_IF[key](val) else val
+    kwargs.update(fixed)
     try:
-        return FrameConfig(
-            frame_len_ms=cfg["frame.frame_len_ms"],
-            step_ms=cfg["frame.step_ms"],
-            n_mfcc=cfg["frame.n_mfcc"],
-            n_mels=cfg["frame.n_mels"],
-            fft_size=cfg["frame.fft_size"],
-            preemphasis=cfg["frame.preemphasis"],
-            expected_sample_rate=cfg["frame.expected_sample_rate"],
-            allow_any_rate=cfg["frame.allow_any_rate"],
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise UsageError(f"bad frame settings: {exc}") from None
+        raise UsageError(f"bad {section} settings: {exc}") from None
 
 
 def _model_cfg(cfg: dict) -> ModelConfig:
@@ -265,55 +253,7 @@ def _model_cfg(cfg: dict) -> ModelConfig:
         variant = Variant.parse(cfg["model.variant"])
     except ValueError as exc:
         raise UsageError(f"bad value for key 'model.variant': {exc}") from None
-    try:
-        return ModelConfig(
-            variant=variant,
-            input_dim=cfg["frame.n_mfcc"],
-            enc_hidden=cfg["model.enc_hidden"],
-            dec_hidden=cfg["model.dec_hidden"],
-            attn_hidden=cfg["model.attn_hidden"],
-            dropout_rate=cfg["model.dropout_rate"],
-            dec_steps=cfg["model.dec_steps"],
-            mask_padding=cfg["model.mask_padding"],
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad model settings: {exc}") from None
-
-
-def _train_cfg(cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(
-            lr=cfg["train.lr"],
-            epochs=cfg["train.epochs"],
-            batch_size=cfg["train.batch_size"],
-            optimizer=cfg["train.optimizer"],
-            beta1=cfg["train.beta1"],
-            beta2=cfg["train.beta2"],
-            eps=cfg["train.eps"],
-            seed=cfg["train.seed"],
-            grad_clip=cfg["train.grad_clip"] if cfg["train.grad_clip"] > 0 else None,
-            shuffle=cfg["train.shuffle"],
-            standardize=cfg["train.standardize"],
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad training settings: {exc}") from None
-
-
-def _synth_spec(cfg: dict) -> SyntheticSpec:
-    try:
-        return SyntheticSpec(
-            n_clips_per_class=cfg["synth.n_clips_per_class"],
-            sample_rate=cfg["synth.sample_rate"],
-            clip_len=cfg["synth.clip_len"],
-            burst_len=cfg["synth.burst_len"],
-            noise_amplitude=cfg["synth.noise_amplitude"],
-            seed=cfg["synth.seed"],
-            n_actors=cfg["synth.n_actors"],
-            actor_base=cfg["synth.actor_base"],
-            min_clip_len=cfg["synth.min_clip_len"] or None,
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad synthesis settings: {exc}") from None
+    return _settings(cfg, "model", variant=variant, input_dim=cfg["frame.n_mfcc"])
 
 
 def _require(cfg: dict, key: str) -> str:
@@ -345,7 +285,7 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
         rates.append(clip.sample_rate)
         digests.append(hasher.digest())
     target = max(p.shape[0] for p in pcm)
-    key_prefix = _config_text(_frame_cfg_to_pairs(frame_cfg)) + f"target={target}\n".encode("ascii")
+    key_prefix = _config_text(_config_pairs(frame_cfg)) + f"target={target}\n".encode("ascii")
     feats = []
     cache = Path(cache_dir) if cache_dir else None
     if cache is not None:
@@ -377,7 +317,7 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
 
 def _cmd_synth(cfg: dict) -> int:
     out = _run_dir("synth", cfg)
-    clips = generate_synthetic(_synth_spec(cfg))
+    clips = generate_synthetic(_settings(cfg, "synth"))
     write_synthetic_corpus(clips, out)
     print(f"wrote {len(clips)} clips to {out}")
     return 0
@@ -386,7 +326,7 @@ def _cmd_synth(cfg: dict) -> int:
 def _cmd_features(cfg: dict) -> int:
     corpus = _require(cfg, "paths.corpus_dir")
     cache = _require(cfg, "paths.cache_dir")
-    frame_cfg = _frame_cfg(cfg)
+    frame_cfg = _settings(cfg, "frame")
     out = _run_dir("features", cfg)
     manifest, feats, target = _corpus_features(corpus, cache, frame_cfg)
     _write_atomic(out / "manifest.csv", manifest_csv(manifest))
@@ -406,9 +346,9 @@ def _train_one(entries, feats, model_cfg, train_cfg, frame_cfg, verbose=True):
 
 def _cmd_train(cfg: dict) -> int:
     corpus = _require(cfg, "paths.corpus_dir")
-    frame_cfg = _frame_cfg(cfg)
+    frame_cfg = _settings(cfg, "frame")
     model_cfg = _model_cfg(cfg)
-    train_cfg = _train_cfg(cfg)
+    train_cfg = _settings(cfg, "train")
     out = _run_dir("train", cfg)
     manifest, feats, _ = _corpus_features(corpus, cfg["paths.cache_dir"], frame_cfg)
     ckpt = _train_one(manifest.entries, feats, model_cfg, train_cfg, frame_cfg)
@@ -449,9 +389,9 @@ def _fold_worker(payload):
 def _cmd_eval_loso(cfg: dict) -> int:
     corpus = _require(cfg, "paths.corpus_dir")
     mode = _eval_mode(cfg)
-    frame_cfg = _frame_cfg(cfg)
+    frame_cfg = _settings(cfg, "frame")
     model_cfg = _model_cfg(cfg)
-    base_train_cfg = _train_cfg(cfg)
+    base_train_cfg = _settings(cfg, "train")
     out = _run_dir("eval-loso", cfg)
     manifest, feats, _ = _corpus_features(corpus, cfg["paths.cache_dir"], frame_cfg)
     folds = loso_folds(manifest)
@@ -523,7 +463,7 @@ def _cmd_explain(cfg: dict) -> int:
             f"checkpoint holds variant '{ckpt.model_cfg.variant.value}' "
             f"(model {ckpt.model_cfg.variant.model_number}), which produces no attention weights"
         )
-    frame_cfg = ckpt.frame_cfg if ckpt.frame_cfg is not None else _frame_cfg(cfg)
+    frame_cfg = ckpt.frame_cfg if ckpt.frame_cfg is not None else _settings(cfg, "frame")
     clip = read_wav_file(wav_path)
     spec, _ = power_spectrogram(clip, frame_cfg)
     features = extract_features(clip, frame_cfg, power=spec)
@@ -566,11 +506,17 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    epilog = (
+        "Every setting is a --section.key=value flag or a key=value line of a --config file.\n"
+        "Keys and their defaults:\n" + textwrap.indent(_config_text(_defaults()).decode("utf-8"), "  ")
+    )
     parser = argparse.ArgumentParser(
         prog="roi-attend",
         description="Attention-based region-of-interest detection for speech emotion recognition.",
-        epilog="All settings are --section.key=value overrides; see README for the key list.",
+        epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {

@@ -10,10 +10,13 @@ is nonzero). Same seed + same data = bit-identical loss history.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
+from enum import Enum
 
 import numpy as np
 
@@ -81,7 +84,7 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    grad_clip: float = 5.0
+    grad_clip: float | None = 5.0
     shuffle: bool = True
     standardize: bool = True
 
@@ -335,100 +338,63 @@ def _parse_config_text(data: bytes) -> dict:
     return out
 
 
-def _model_cfg_to_pairs(cfg: ModelConfig) -> dict:
-    return {
-        "variant": cfg.variant.value,
-        "input_dim": cfg.input_dim,
-        "enc_hidden": cfg.enc_hidden,
-        "dec_hidden": cfg.dec_hidden,
-        "attn_hidden": cfg.attn_hidden,
-        "dropout_rate": float(cfg.dropout_rate),
-        "n_classes": cfg.n_classes,
-        "dec_steps": cfg.dec_steps,
-        "mask_padding": cfg.mask_padding,
-    }
+@functools.cache
+def _config_fields(cls) -> tuple:
+    """(field, type, optional) for each setting of a config dataclass, the
+    type resolved from the annotation once per class (`T | None` gives T and
+    optional=True). Settings are the fields of scalar or Enum type; others,
+    such as SyntheticSpec.class_signatures, are not."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        args = typing.get_args(kind)
+        optional = type(None) in args
+        if optional:
+            (kind,) = (a for a in args if a is not type(None))
+        if isinstance(kind, type) and issubclass(kind, (int, float, str, Enum)):
+            out.append((f, kind, optional))
+    return tuple(out)
 
 
-def _model_cfg_from_pairs(pairs: dict) -> ModelConfig:
-    try:
-        return ModelConfig(
-            variant=Variant.parse(pairs["variant"]),
-            input_dim=int(pairs["input_dim"]),
-            enc_hidden=int(pairs["enc_hidden"]),
-            dec_hidden=int(pairs["dec_hidden"]),
-            attn_hidden=int(pairs["attn_hidden"]),
-            dropout_rate=float(pairs["dropout_rate"]),
-            n_classes=int(pairs["n_classes"]),
-            dec_steps=int(pairs["dec_steps"]),
-            mask_padding=pairs["mask_padding"] == "true",
-        )
-    except KeyError as exc:
-        raise CheckpointFormatError(f"model config missing key {exc}") from None
+def _config_pairs(cfg) -> dict:
+    """A config dataclass's settings for _config_text, each value in its
+    field's declared type; None is written 'none' and an Enum by value."""
+    out = {}
+    for f, kind, _ in _config_fields(type(cfg)):
+        val = getattr(cfg, f.name)
+        if val is None:
+            out[f.name] = "none"
+        elif issubclass(kind, Enum):
+            out[f.name] = val.value
+        else:
+            out[f.name] = kind(val)
+    return out
 
 
-def _train_cfg_to_pairs(cfg: TrainConfig) -> dict:
-    return {
-        "lr": float(cfg.lr),
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "optimizer": cfg.optimizer,
-        "beta1": float(cfg.beta1),
-        "beta2": float(cfg.beta2),
-        "eps": float(cfg.eps),
-        "seed": cfg.seed,
-        "grad_clip": float(cfg.grad_clip) if cfg.grad_clip is not None else "none",
-        "shuffle": cfg.shuffle,
-        "standardize": cfg.standardize,
-    }
-
-
-def _train_cfg_from_pairs(pairs: dict) -> TrainConfig:
-    try:
-        clip = pairs["grad_clip"]
-        return TrainConfig(
-            lr=float(pairs["lr"]),
-            epochs=int(pairs["epochs"]),
-            batch_size=int(pairs["batch_size"]),
-            optimizer=pairs["optimizer"],
-            beta1=float(pairs["beta1"]),
-            beta2=float(pairs["beta2"]),
-            eps=float(pairs["eps"]),
-            seed=int(pairs["seed"]),
-            grad_clip=None if clip == "none" else float(clip),
-            shuffle=pairs["shuffle"] == "true",
-            standardize=pairs["standardize"] == "true",
-        )
-    except KeyError as exc:
-        raise CheckpointFormatError(f"train config missing key {exc}") from None
-
-
-def _frame_cfg_to_pairs(cfg: FrameConfig) -> dict:
-    return {
-        "frame_len_ms": float(cfg.frame_len_ms),
-        "step_ms": float(cfg.step_ms),
-        "n_mfcc": cfg.n_mfcc,
-        "n_mels": cfg.n_mels,
-        "fft_size": cfg.fft_size,
-        "preemphasis": float(cfg.preemphasis),
-        "expected_sample_rate": cfg.expected_sample_rate,
-        "allow_any_rate": cfg.allow_any_rate,
-    }
-
-
-def _frame_cfg_from_pairs(pairs: dict) -> FrameConfig:
-    try:
-        return FrameConfig(
-            frame_len_ms=float(pairs["frame_len_ms"]),
-            step_ms=float(pairs["step_ms"]),
-            n_mfcc=int(pairs["n_mfcc"]),
-            n_mels=int(pairs["n_mels"]),
-            fft_size=int(pairs["fft_size"]),
-            preemphasis=float(pairs["preemphasis"]),
-            expected_sample_rate=int(pairs["expected_sample_rate"]),
-            allow_any_rate=pairs["allow_any_rate"] == "true",
-        )
-    except KeyError as exc:
-        raise CheckpointFormatError(f"frame config missing key {exc}") from None
+def _config_section(sections: dict, name: str, cls):
+    """Parse a key=value section into a config dataclass (an Enum through its
+    `parse`), accepting only the bytes save_checkpoint writes for the parsed
+    value: a damaged flag, number or name raises instead of reading as a
+    default or a nearby value."""
+    pairs = _parse_config_text(sections[name])
+    kwargs = {}
+    for f, kind, optional in _config_fields(cls):
+        if f.name not in pairs:
+            raise CheckpointFormatError(f"{name} missing key '{f.name}'")
+        raw = pairs[f.name]
+        if optional and raw == "none":
+            kwargs[f.name] = None
+        elif kind is bool:
+            kwargs[f.name] = raw == "true"
+        elif issubclass(kind, Enum):
+            kwargs[f.name] = kind.parse(raw)
+        else:
+            kwargs[f.name] = kind(raw)
+    value = cls(**kwargs)
+    if _config_text(_config_pairs(value)) != sections[name]:
+        raise CheckpointFormatError(f"{name} section is not in canonical form")
+    return value
 
 
 def _pack_named_arrays(arrays: dict) -> bytes:
@@ -489,26 +455,16 @@ def _whole_named_arrays(data: bytes, what: str) -> dict:
     return out
 
 
-def _config_section(sections: dict, name: str, from_pairs, to_pairs):
-    """Parse a key=value section, accepting only the bytes save_checkpoint
-    writes for the parsed value: a damaged flag, number or name raises
-    instead of reading as a default or a nearby value."""
-    value = from_pairs(_parse_config_text(sections[name]))
-    if _config_text(to_pairs(value)) != sections[name]:
-        raise CheckpointFormatError(f"{name} section is not in canonical form")
-    return value
-
-
 def _rng_state_text(state) -> bytes:
     return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def save_checkpoint(ckpt: Checkpoint) -> bytes:
     sections: list[tuple[str, bytes]] = []
-    sections.append(("model_config", _config_text(_model_cfg_to_pairs(ckpt.model_cfg))))
-    sections.append(("train_config", _config_text(_train_cfg_to_pairs(ckpt.train_cfg))))
+    sections.append(("model_config", _config_text(_config_pairs(ckpt.model_cfg))))
+    sections.append(("train_config", _config_text(_config_pairs(ckpt.train_cfg))))
     if ckpt.frame_cfg is not None:
-        sections.append(("frame_config", _config_text(_frame_cfg_to_pairs(ckpt.frame_cfg))))
+        sections.append(("frame_config", _config_text(_config_pairs(ckpt.frame_cfg))))
     sections.append(("params", _pack_named_arrays(ckpt.params.arrays)))
     opt = struct.pack("<I", len(ckpt.optimizer_kind)) + ckpt.optimizer_kind.encode("utf-8")
     opt += struct.pack("<Q", ckpt.optimizer_t)
@@ -549,7 +505,8 @@ _KNOWN_SECTIONS = {
 def load_checkpoint(data: bytes) -> Checkpoint:
     """Inverse of save_checkpoint. Malformed bytes or values (a bad number,
     an unknown variant, a field out of range, shapes that do not fit the
-    config) raise CheckpointFormatError."""
+    config, feature stats that are not finite or whose std is not positive)
+    raise CheckpointFormatError."""
     try:
         return _load_checkpoint(data)
     except CheckpointFormatError:
@@ -581,11 +538,11 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
         if required not in sections:
             raise CheckpointFormatError(f"checkpoint missing section {required!r}")
 
-    model_cfg = _config_section(sections, "model_config", _model_cfg_from_pairs, _model_cfg_to_pairs)
-    train_cfg = _config_section(sections, "train_config", _train_cfg_from_pairs, _train_cfg_to_pairs)
+    model_cfg = _config_section(sections, "model_config", ModelConfig)
+    train_cfg = _config_section(sections, "train_config", TrainConfig)
     frame_cfg = None
     if "frame_config" in sections:
-        frame_cfg = _config_section(sections, "frame_config", _frame_cfg_from_pairs, _frame_cfg_to_pairs)
+        frame_cfg = _config_section(sections, "frame_config", FrameConfig)
 
     params = ModelParams(_whole_named_arrays(sections["params"], "params section"))
     params.validate_shapes(model_cfg)
@@ -597,7 +554,9 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     v_arrays = _unpack_named_arrays(ocur)
     ocur.finish()
 
-    epoch = _config_section(sections, "meta", lambda pairs: int(pairs.get("epoch", "0")), lambda e: {"epoch": e})
+    epoch = int(_parse_config_text(sections["meta"]).get("epoch", "0"))
+    if _config_text({"epoch": epoch}) != sections["meta"]:
+        raise CheckpointFormatError("meta section is not in canonical form")
 
     rng_state = None
     if "rng_state" in sections:
@@ -618,6 +577,13 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
         stats = _whole_named_arrays(sections["feature_stats"], "feature stats")
         if set(stats) != {"mean", "std"}:
             raise CheckpointFormatError("feature stats must hold exactly 'mean' and 'std'")
+        mean, std = stats["mean"], stats["std"]
+        if mean.shape != (model_cfg.input_dim,) or std.shape != (model_cfg.input_dim,):
+            raise CheckpointFormatError(
+                f"feature stats shapes {mean.shape}/{std.shape} do not fit input_dim {model_cfg.input_dim}"
+            )
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise CheckpointFormatError("feature stats must be finite with a positive std")
 
     return Checkpoint(
         model_cfg=model_cfg,

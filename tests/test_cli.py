@@ -154,6 +154,150 @@ class TestConfigResolution:
         assert run_id("train", cfg) != a
 
 
+# Every key with its type tag and default, and the run directories they hash
+# to, as fixed before the keys were derived from the config dataclasses. A
+# renamed key, a changed default or a changed hash moves every run directory.
+PINNED_SCHEMA = {
+    "frame.frame_len_ms": ("float", 20.0),
+    "frame.step_ms": ("float", 10.0),
+    "frame.n_mfcc": ("int", 13),
+    "frame.n_mels": ("int", 26),
+    "frame.fft_size": ("int", 512),
+    "frame.preemphasis": ("float", 0.97),
+    "frame.expected_sample_rate": ("int", 16000),
+    "frame.allow_any_rate": ("bool", False),
+    "model.variant": ("str", "bi_attention"),
+    "model.enc_hidden": ("int", 64),
+    "model.dec_hidden": ("int", 64),
+    "model.attn_hidden": ("int", 0),
+    "model.dropout_rate": ("float", 0.1),
+    "model.dec_steps": ("int", 1),
+    "model.mask_padding": ("bool", False),
+    "train.lr": ("float", 1e-3),
+    "train.epochs": ("int", 30),
+    "train.batch_size": ("int", 16),
+    "train.optimizer": ("str", "adam"),
+    "train.beta1": ("float", 0.9),
+    "train.beta2": ("float", 0.999),
+    "train.eps": ("float", 1e-8),
+    "train.seed": ("int", 0),
+    "train.grad_clip": ("float", 5.0),
+    "train.shuffle": ("bool", True),
+    "train.standardize": ("bool", True),
+    "synth.n_clips_per_class": ("int", 10),
+    "synth.sample_rate": ("int", 16000),
+    "synth.clip_len": ("int", 8000),
+    "synth.burst_len": ("int", 1600),
+    "synth.noise_amplitude": ("float", 0.01),
+    "synth.seed": ("int", 0),
+    "synth.n_actors": ("int", 5),
+    "synth.actor_base": ("int", 9001),
+    "synth.min_clip_len": ("int", 0),
+    "eval.mode": ("str", "sum_then_normalize"),
+    "eval.parallel": ("int", 0),
+    "eval.folds": ("int", 0),
+    "roi.ratio": ("float", 2.0),
+    "paths.corpus_dir": ("str", ""),
+    "paths.cache_dir": ("str", ""),
+    "paths.output_dir": ("str", "runs"),
+    "paths.checkpoint": ("str", ""),
+    "paths.wav": ("str", ""),
+    "paths.folds_dir": ("str", ""),
+}
+
+PINNED_RUN_IDS = {
+    "synth": "synth-62f696c66835",
+    "features": "features-6352c97aeaf3",
+    "train": "train-570ecb83c508",
+    "eval-loso": "eval-loso-49911e0dc442",
+    "explain": "explain-6199d0509ff3",
+    "gradcheck": "gradcheck-bc15f2c848cc",
+    "report": "report-9e8bb5e3fc20",
+}
+
+
+def _key_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestConfigSchemaPinned:
+    def test_keys_defaults_types_and_tags(self):
+        defaults = cli._defaults()
+        assert defaults == {key: default for key, (_, default) in PINNED_SCHEMA.items()}
+        for key, (tag, default) in PINNED_SCHEMA.items():
+            assert type(defaults[key]) is type(default), key
+            assert cli._SCHEMA[key][0] == tag, key
+
+    def test_run_id_at_defaults(self):
+        assert {cmd: run_id(cmd, cli._defaults()) for cmd in cli.COMMANDS} == PINNED_RUN_IDS
+
+    @pytest.mark.parametrize("command,flags,expected", [
+        ("train", ["--train.grad_clip=0", "--frame.n_mels=30"], "train-d38b544ebb33"),
+        ("train", ["--train.lr=1", "--train.shuffle=no"], "train-42eea2b54ff6"),
+        ("eval-loso", ["--model.variant=Bi_Attention"], "eval-loso-355db41fe454"),
+        ("synth", ["--synth.min_clip_len=6000", "--synth.noise_amplitude=1e-3"], "synth-fbdb0beada7f"),
+    ])
+    def test_run_id_with_overrides(self, monkeypatch, command, flags, expected):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        assert run_id(command, effective_config(None, flags)) == expected
+
+    def test_derived_settings(self):
+        cfg = effective_config(None, ["--frame.n_mfcc=20", "--frame.n_mels=30", "--model.variant=UNI_plain"])
+        model_cfg = cli._model_cfg(cfg)
+        assert model_cfg.input_dim == 20 and model_cfg.variant is Variant.UNI_PLAIN
+        assert cfg["model.variant"] == "UNI_plain"  # the spelling is hashed into run_id
+        assert cli._settings(effective_config(None, ["--train.grad_clip=-1"]), "train").grad_clip is None
+        assert cli._settings(effective_config(None, []), "synth").min_clip_len is None
+        assert cli._settings(effective_config(None, ["--synth.min_clip_len=6000"]), "synth").min_clip_len == 6000
+
+    def test_negative_min_clip_len_still_rejected(self, tmp_path):
+        assert entrypoint(["synth", "--synth.min_clip_len=-1", f"--paths.output_dir={tmp_path}"]) == 2
+
+    def test_help_lists_every_key_with_its_default(self):
+        proc = run_module("--help")
+        assert proc.returncode == 0
+        lines = {line.strip() for line in proc.stdout.splitlines()}
+        for key, (_, default) in PINNED_SCHEMA.items():
+            assert f"{key}={_key_text(default)}" in lines, key
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+
+NON_FINITE = [
+    "train.grad_clip=nan",
+    "train.lr=nan",
+    "train.lr=inf",
+    "train.lr=1e999",
+    "synth.noise_amplitude=nan",
+    "roi.ratio=-inf",
+]
+
+
+class TestConfigInputRejected:
+    @pytest.mark.parametrize("setting", NON_FINITE)
+    def test_non_finite_flag(self, setting, tmp_path, capsys):
+        assert entrypoint(["synth", f"--{setting}", f"--paths.output_dir={tmp_path}"]) == 2
+        assert setting.partition("=")[0] in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("setting", NON_FINITE)
+    def test_non_finite_config_file_line(self, setting, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"synth.seed=1\n{setting}\n")
+        assert entrypoint(["synth", "--config", str(conf), f"--paths.output_dir={tmp_path}"]) == 2
+        assert setting.partition("=")[0] in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes("synth.seed=1\n# café\n".encode("latin-1"))
+        assert entrypoint(["synth", "--config", str(conf), f"--paths.output_dir={tmp_path}"]) == 2
+        assert "config" in capsys.readouterr().err
+
+
 class TestSynthCommand:
     def test_writes_corpus_and_region_table(self, tmp_path, capsys):
         rc = entrypoint([

@@ -1,4 +1,5 @@
-"""Truncated and byte-mutated WAV, ROIF and ROIC blobs.
+"""Truncated and byte-mutated WAV, ROIF and ROIC blobs, and arbitrary or
+byte-mutated --config files.
 
 Each parser must either return a value or raise its format's named error;
 no IndexError, struct.error or other exception may escape. A strict prefix of
@@ -9,14 +10,19 @@ serialize back to exactly the bytes it was read from: the parser returned
 what was written, not a default or a nearby value. WAV is an interchange
 format whose readers skip fields they do not use (RIFF size, byte rate,
 block align, unknown chunks), so a parsed WAV mutant need only be a
-well-formed clip.
+well-formed clip. A config file is hand-written text read leniently
+(spaces, `yes`/`no`), so one that parses need only hold every schema key
+with a value of the key's declared type, floats finite.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from roi_attend.cli import _SCHEMA, UsageError, effective_config
 from roi_attend.dsp import (
     AudioClip,
     FeatureCacheError,
@@ -157,3 +163,65 @@ def test_non_canonical_checkpoint_config_rejected(field, odd):
     assert field in ROIC and len(odd) == len(field)
     with pytest.raises(CheckpointFormatError, match="canonical"):
         load_checkpoint(ROIC.replace(field, odd))
+
+
+CONF = (
+    b"# run settings\n\nframe.n_mels = 30\nmodel.variant=uni_attention\ntrain.lr=0.01\n"
+    b"train.shuffle=no\nsynth.min_clip_len=6000\npaths.output_dir=runs/x\n"
+)
+TAG_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+@pytest.fixture(scope="module")
+def conf_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("conf") / "run.conf"
+
+
+def _check_config(path, data: bytes):
+    """effective_config on a file holding `data` raises UsageError or
+    returns every schema key with a value of its declared type."""
+    path.write_bytes(data)
+    try:
+        cfg = effective_config(str(path), [])
+    except UsageError:
+        return
+    assert set(cfg) == set(_SCHEMA)
+    for key, val in cfg.items():
+        assert type(val) is TAG_TYPES[_SCHEMA[key][0]], key
+        assert not isinstance(val, float) or math.isfinite(val), key
+
+
+def test_valid_config_parses(conf_path):
+    conf_path.write_bytes(CONF)
+    cfg = effective_config(str(conf_path), [])
+    assert (cfg["frame.n_mels"], cfg["train.lr"], cfg["train.shuffle"]) == (30, 0.01, False)
+
+
+@given(pos=st.integers(0, len(CONF) - 1), byte=st.integers(0, 255))
+def test_single_byte_config_mutation(conf_path, pos, byte):
+    _check_config(conf_path, CONF[:pos] + bytes([byte]) + CONF[pos + 1 :])
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["nan", "-inf", "1e999", "1e-999", "-0", "0x10", "1_0", "\uff11\uff12", "yes", "bi_attention", ""]),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.builds(
+        lambda key, sep, val: key + sep + val,
+        st.one_of(st.sampled_from(sorted(_SCHEMA)), st.text(max_size=12)),
+        st.sampled_from(["=", " = ", "==", ":"]),
+        _VALUES,
+    ),
+    st.text(max_size=24),
+)
+
+
+@given(lines=st.lists(_LINES, max_size=6), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_config_text(conf_path, lines, newline):
+    _check_config(conf_path, newline.join(lines).encode("utf-8"))
+
+
+@given(data=st.binary(max_size=64))
+def test_config_bytes(conf_path, data):
+    _check_config(conf_path, data)

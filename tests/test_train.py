@@ -478,6 +478,42 @@ class TestCheckpointIO:
             load_checkpoint(data.replace(good, bad))
         assert type(exc.value) is CheckpointFormatError
 
+    @pytest.mark.parametrize("mean,std", [
+        (np.zeros(14), np.ones(14)),  # shapes do not fit input_dim 13
+        (np.zeros(13), np.zeros(13)),  # zero std
+        (np.zeros(13), np.r_[np.ones(12), np.nan]),  # NaN std
+    ], ids=["shape", "zero-std", "nan-std"])
+    def test_bad_feature_stats_raise_format_error(self, mean, std):
+        ckpt = dataclasses.replace(self._checkpoint(Variant.UNI_PLAIN), feature_stats={"mean": mean, "std": std})
+        with pytest.raises(CheckpointFormatError) as exc:
+            load_checkpoint(save_checkpoint(ckpt))
+        assert type(exc.value) is CheckpointFormatError
+
+    def test_config_sections_pinned(self):
+        # the section bytes the hand-written serializers produced: values in
+        # the field's declared type (dropout_rate=0 -> 0.0, lr=1 -> 1.0), None
+        # as 'none', the variant by value
+        sections = {
+            b"model_config": b"attn_hidden=0\ndec_hidden=64\ndec_steps=1\ndropout_rate=0.0\nenc_hidden=64\n"
+            b"input_dim=13\nmask_padding=false\nn_classes=6\nvariant=bi_attention\n",
+            b"train_config": b"batch_size=16\nbeta1=0.9\nbeta2=0.999\nepochs=30\neps=1e-08\ngrad_clip=none\n"
+            b"lr=1.0\noptimizer=adam\nseed=0\nshuffle=true\nstandardize=true\n",
+            b"frame_config": b"allow_any_rate=false\nexpected_sample_rate=16000\nfft_size=512\nframe_len_ms=20.0\n"
+            b"n_mels=26\nn_mfcc=13\npreemphasis=0.97\nstep_ms=10.0\n",
+        }
+        model_cfg = ModelConfig(dropout_rate=0)
+        ckpt = Checkpoint(
+            model_cfg=model_cfg,
+            params=init_params(model_cfg, SeededRng(0)),
+            train_cfg=TrainConfig(grad_clip=None, lr=1),
+            frame_cfg=FrameConfig(),
+        )
+        data = save_checkpoint(ckpt)
+        for name, text in sections.items():
+            assert struct.pack("<I", len(name)) + name + struct.pack("<Q", len(text)) + text in data, name
+        back = load_checkpoint(data)
+        assert (back.model_cfg, back.train_cfg, back.frame_cfg) == (ckpt.model_cfg, ckpt.train_cfg, ckpt.frame_cfg)
+
     def test_trailing_bytes_inside_sections_rejected(self):
         ckpt = self._checkpoint()
         data = save_checkpoint(ckpt)
