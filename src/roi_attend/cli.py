@@ -334,16 +334,6 @@ def _cmd_features(cfg: dict) -> int:
     return 0
 
 
-def _train_one(entries, feats, model_cfg, train_cfg, frame_cfg, verbose=True):
-    train_set = [(f, int(e.emotion)) for e, f in zip(entries, feats)]
-    hook = None
-    if verbose:
-        def hook(epoch, mean_loss, params, stats):
-            print(f"epoch {epoch + 1}/{train_cfg.epochs} loss {mean_loss:.6f}")
-            return False
-    return train(train_set, model_cfg, train_cfg, frame_cfg=frame_cfg, on_epoch=hook)
-
-
 def _cmd_train(cfg: dict) -> int:
     corpus = _require(cfg, "paths.corpus_dir")
     frame_cfg = _settings(cfg, "frame")
@@ -351,7 +341,12 @@ def _cmd_train(cfg: dict) -> int:
     train_cfg = _settings(cfg, "train")
     out = _run_dir("train", cfg)
     manifest, feats, _ = _corpus_features(corpus, cfg["paths.cache_dir"], frame_cfg)
-    ckpt = _train_one(manifest.entries, feats, model_cfg, train_cfg, frame_cfg)
+    train_set = [(f, int(e.emotion)) for e, f in zip(manifest.entries, feats)]
+
+    def report_epoch(epoch, mean_loss, params, stats):
+        print(f"epoch {epoch + 1}/{train_cfg.epochs} loss {mean_loss:.6f}")
+
+    ckpt = train(train_set, model_cfg, train_cfg, frame_cfg=frame_cfg, on_epoch=report_epoch)
     _write_atomic(out / "checkpoint.roic", save_checkpoint(ckpt))
     hist = "epoch,loss\n" + "".join(
         f"{i + 1},{repr(v)}\n" for i, v in enumerate(ckpt.loss_history)
@@ -445,7 +440,8 @@ def _cmd_report(cfg: dict) -> int:
         raise FileNotFoundError(f"no fold-*.csv files under {folds_dir}")
     matrices = []
     for path in fold_files:
-        _, true, pred, _ = parse_fold_csv(path.read_text())
+        with open(path, newline="") as fh:  # keep line breaks inside quoted paths
+            _, true, pred, _ = parse_fold_csv(fh.read())
         cm = ConfusionMatrix()
         for t, p in zip(true, pred):
             cm.add(int(t), int(p))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -243,6 +244,8 @@ class SyntheticSpec:
             raise ValueError("min_clip_len must lie in [burst_len, clip_len]")
         if self.n_actors < 1:
             raise ValueError("need at least one pseudo-actor")
+        if not math.isfinite(self.noise_amplitude):
+            raise ValueError(f"noise_amplitude must be finite, got {self.noise_amplitude}")
 
 
 @dataclass

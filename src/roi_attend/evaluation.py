@@ -8,6 +8,8 @@ Two aggregation modes, kept separate on purpose:
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,7 @@ from .training import Checkpoint, apply_standardizer
 __all__ = [
     "ConfigMismatchError",
     "EmptyReportError",
+    "FoldCsvError",
     "EvalItem",
     "ConfusionMatrix",
     "FoldResult",
@@ -38,6 +41,7 @@ __all__ = [
 
 N_CLASSES = 6
 CODES = [lab.code for lab in EmotionLabel]
+FOLD_CSV_HEADER = ["path", "true", "pred"] + [f"p_{c}" for c in CODES]
 
 AGGREGATION_MODES = ("sum_then_normalize", "mean_of_normalized")
 
@@ -68,6 +72,10 @@ class ConfigMismatchError(ValueError):
 
 class EmptyReportError(ValueError):
     """Aggregation over zero predictions."""
+
+
+class FoldCsvError(ValueError):
+    """Fold CSV text is not a header plus rows as fold_csv writes them."""
 
 
 @dataclass
@@ -230,29 +238,44 @@ def aggregate(folds, mode: str = "sum_then_normalize") -> AggregateReport:
 # -- text artifacts --------------------------------------------------------------
 
 
+def _csv_field(text: str) -> str:
+    """One CSV field: quoted, inner quotes doubled, when it holds a comma, a
+    quote or a line break. csv.writer with a "\\n" terminator would leave a
+    "\\r" unquoted, and csv.reader ends a record there."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def fold_csv(result: FoldResult) -> str:
-    lines = ["path,true,pred," + ",".join(f"p_{c}" for c in CODES)]
+    lines = [",".join(FOLD_CSV_HEADER)]
     for path, t, p, row in zip(result.paths, result.true_labels, result.pred_labels, result.probs):
         probs = ",".join(repr(float(v)) for v in row)
-        lines.append(f"{path},{CODES[t]},{CODES[p]},{probs}")
+        lines.append(f"{_csv_field(path)},{CODES[t]},{CODES[p]},{probs}")
     return "\n".join(lines) + "\n"
 
 
 def parse_fold_csv(text: str):
-    """Rebuild (paths, true, pred, probs) from fold_csv output."""
-    lines = [ln for ln in text.splitlines() if ln]
-    header = "path,true,pred," + ",".join(f"p_{c}" for c in CODES)
-    if not lines or lines[0] != header:
-        raise ValueError(f"unexpected fold csv header: {lines[0] if lines else '<empty>'!r}")
+    """Rebuild (paths, true, pred, probs) from fold_csv output. Text read
+    from a file must keep its line breaks (open it with newline=""), since a
+    quoted path may hold any of them. Malformed text raises FoldCsvError."""
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    except csv.Error as exc:
+        raise FoldCsvError(f"malformed fold csv: {exc}") from None
+    if not rows or rows[0] != FOLD_CSV_HEADER:
+        raise FoldCsvError(f"unexpected fold csv header: {rows[0] if rows else '<empty>'!r}")
     paths, true, pred, probs = [], [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3 + N_CLASSES:
-            raise ValueError(f"bad fold csv row: {ln!r}")
-        paths.append(parts[0])
-        true.append(CODES.index(parts[1]))
-        pred.append(CODES.index(parts[2]))
-        probs.append([float(v) for v in parts[3:]])
+    for row in rows[1:]:
+        if len(row) != len(FOLD_CSV_HEADER):
+            raise FoldCsvError(f"bad fold csv row: {row!r}")
+        try:
+            true.append(CODES.index(row[1]))
+            pred.append(CODES.index(row[2]))
+            probs.append([float(v) for v in row[3:]])
+        except ValueError:
+            raise FoldCsvError(f"bad fold csv row: {row!r}") from None
+        paths.append(row[0])
     return paths, np.asarray(true, dtype=np.int64), np.asarray(pred, dtype=np.int64), np.asarray(probs)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "EncoderOutput",
-    "DecoderState",
     "AttentionTrace",
     "ForwardResult",
     "NumericError",
@@ -153,9 +152,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.arrays
-
     def names(self) -> list[str]:
         return list(self.arrays)
 
@@ -260,19 +256,19 @@ def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True):
     return outs, (h, c), caches
 
 
-def _lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, dh_last=None, dc_last=None, want_dx=True):
+def _lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, want_dx=True):
     """BPTT over a cached sequence. dH_out: (B, T, H) upstream gradient per step.
 
-    Returns (dX, dh, dc); dX is None when want_dx is False."""
+    Returns dX, or None when want_dx is False."""
     B, T, _ = dH_out.shape
     dX = np.empty((B, T, W.shape[0])) if want_dx else None
-    dh = np.zeros((B, U.shape[0])) if dh_last is None else dh_last
-    dc = np.zeros((B, U.shape[0])) if dc_last is None else dc_last
+    dh = np.zeros((B, U.shape[0]))
+    dc = np.zeros((B, U.shape[0]))
     for t in reversed(range(T)):
         dx, dh, dc = _lstm_step_backward(caches[t], dH_out[:, t, :] + dh, dc, W, U, dW, dU, db, want_dx)
         if want_dx:
             dX[:, t, :] = dx
-    return dX, dh, dc
+    return dX
 
 
 # -- encoder -----------------------------------------------------------------
@@ -416,17 +412,11 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
     cache = None
     if want_cache:
         cache = {
-            "X": X,
-            "pad": pad,
-            "p_enc": p_enc,
             "p": p,
-            "dropout_mask": dropout_mask,
             "enc_caches": enc_caches,
             "att_caches": att_caches,
             "dec_caches": dec_caches,
             "h_final": h_final,
-            "probs": probs,
-            "cfg": cfg,
         }
     return probs, trace, cache
 
@@ -456,17 +446,6 @@ class EncoderOutput:
     @property
     def width(self) -> int:
         return self.p.shape[1]
-
-
-@dataclass
-class DecoderState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @property
-    def o(self) -> np.ndarray:
-        """Decoder output; for a standard LSTM cell this is the hidden state."""
-        return self.h
 
 
 @dataclass

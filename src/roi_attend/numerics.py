@@ -1,8 +1,9 @@
-"""Dense float64 kernels, activations, seeded randomness, and a gradient checker.
+"""Softmax and sigmoid, seeded randomness, and a finite-difference gradient
+checker.
 
-Conventions used across the package: a "matrix" is a 2-D C-contiguous float64
-numpy array, a "vector" is 1-D float64. All public operations keep values
-finite; anything that would produce NaN/Inf raises instead of propagating it.
+Arrays are float64. softmax gives exactly zero weight to -inf scores;
+grad_check raises EvaluationError when the function it probes returns a
+non-finite value.
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ __all__ = [
     "EvaluationError",
     "GradCheckReport",
     "SeededRng",
-    "as_matrix",
-    "matmul",
     "softmax",
     "sigmoid",
-    "tanh",
-    "activation",
     "grad_check",
 ]
 
@@ -34,30 +31,6 @@ class ShapeError(ValueError):
 
 class EvaluationError(RuntimeError):
     """A numeric operation produced or encountered a non-finite value."""
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a 2-D float64 matrix, rejecting other ranks."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got array of rank {a.ndim}")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking.
-
-    Raises ShapeError naming both shapes when a.cols != b.rows, and
-    EvaluationError if the product contains NaN/Inf.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("matmul produced non-finite entries")
-    return out
 
 
 def softmax(v, axis: int = -1) -> np.ndarray:
@@ -76,19 +49,6 @@ def softmax(v, axis: int = -1) -> np.ndarray:
 
 def sigmoid(v) -> np.ndarray:
     return expit(np.asarray(v, dtype=np.float64))
-
-
-def tanh(v) -> np.ndarray:
-    return np.tanh(np.asarray(v, dtype=np.float64))
-
-
-def activation(v, kind: str) -> np.ndarray:
-    """Elementwise nonlinearity, kind is 'sigmoid' or 'tanh'."""
-    if kind == "sigmoid":
-        return sigmoid(v)
-    if kind == "tanh":
-        return tanh(v)
-    raise ValueError(f"unknown activation kind '{kind}' (expected 'sigmoid' or 'tanh')")
 
 
 @dataclass

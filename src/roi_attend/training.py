@@ -89,6 +89,10 @@ class TrainConfig:
     standardize: bool = True
 
     def __post_init__(self):
+        for name in ("lr", "beta1", "beta2", "eps", "grad_clip"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.lr <= 0:
@@ -121,16 +125,14 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
     """Forward + full backward on one batch. Returns (loss, grads dict)."""
     B = X.shape[0]
     probs, _, cache = _forward_batch(X, pad, params, cfg, dropout_mask=dropout_mask, want_cache=True)
-    y = np.asarray(y, dtype=np.int64)
-    picked = probs[np.arange(B), y]
-    loss = float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+    loss = cross_entropy(probs, y)
 
     grads = params.zeros_like()
     dlogits = probs.copy()
     dlogits[np.arange(B), y] -= 1.0
     dlogits /= B
     # rows where the picked probability hit the floor have locally constant loss
-    dlogits[picked <= PROB_FLOOR] = 0.0
+    dlogits[probs[np.arange(B), y] <= PROB_FLOOR] = 0.0
 
     h_final = cache["h_final"]
     grads["out.W"] += h_final.T @ dlogits
@@ -157,7 +159,7 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
     else:
         dH_out = np.zeros_like(p[:, :, : cfg.dec_hidden])
         dH_out[:, -1, :] = dh_final
-        dp, _, _ = _lstm_seq_backward(
+        dp = _lstm_seq_backward(
             cache["dec_caches"], dH_out,
             params["dec.W"], params["dec.U"],
             grads["dec.W"], grads["dec.U"], grads["dec.b"],
@@ -503,10 +505,11 @@ _KNOWN_SECTIONS = {
 
 
 def load_checkpoint(data: bytes) -> Checkpoint:
-    """Inverse of save_checkpoint. Malformed bytes or values (a bad number,
-    an unknown variant, a field out of range, shapes that do not fit the
-    config, feature stats that are not finite or whose std is not positive)
-    raise CheckpointFormatError."""
+    """Inverse of save_checkpoint. Malformed bytes or values (a bad or
+    non-finite number, an unknown variant, a field out of range, an optimizer
+    kind other than train_config's, shapes that do not fit the config,
+    feature stats that are not finite or whose std is not positive) raise
+    CheckpointFormatError."""
     try:
         return _load_checkpoint(data)
     except CheckpointFormatError:
@@ -553,6 +556,8 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     m_arrays = _unpack_named_arrays(ocur)
     v_arrays = _unpack_named_arrays(ocur)
     ocur.finish()
+    if kind != train_cfg.optimizer:  # TrainConfig holds it to 'adam' or 'sgd'
+        raise CheckpointFormatError(f"optimizer section holds {kind!r}, train_config says {train_cfg.optimizer!r}")
 
     epoch = int(_parse_config_text(sections["meta"]).get("epoch", "0"))
     if _config_text({"epoch": epoch}) != sections["meta"]:

@@ -1,0 +1,48 @@
+"""The benchmark's per-layer tracer (bench/tracing.py) wraps roi_attend
+functions by name and argument position. Renaming or deleting one of them
+would silently drop a layer from the benchmark, so the tracer must find every
+name it patches, and the LSTM spans must still resolve which weights they
+ran on."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import roi_attend
+import roi_attend.cli
+from roi_attend import model, training
+from roi_attend.numerics import SeededRng
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+)
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
+
+
+def test_tracer_finds_every_boundary_and_unpatches():
+    originals = (training.loss_and_grads, training._forward_batch, model._lstm_seq_backward, roi_attend.cli.main)
+    tracer = tracing.Tracer()
+    tracing.install(tracer, roi_attend)
+    try:
+        assert tracer.missing == []
+        cfg = model.ModelConfig(variant=model.Variant.BI_PLAIN, input_dim=3, enc_hidden=2, dec_hidden=2)
+        rng = SeededRng(0)
+        X = rng.normal(size=(2, 4, 3))
+        training.loss_and_grads(X, np.zeros((2, 4), dtype=bool), [0, 5], model.init_params(cfg, rng), cfg)
+        names = {s[tracing.NAME] for s in tracer.spans}
+    finally:
+        tracer.unpatch()
+    assert {
+        "training.loss_and_grads",
+        "model.forward_batch",
+        "model.lstm_seq.enc_fw",
+        "model.lstm_seq.enc_bw",
+        "model.lstm_seq.dec",
+        "model.lstm_seq_backward.dec",
+        "model.lstm_seq_backward.enc_fw",
+        "model.lstm_seq_backward.enc_bw",
+        "model.encode_backward",
+    } <= names
+    assert (training.loss_and_grads, training._forward_batch, model._lstm_seq_backward, roi_attend.cli.main) == originals

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ import _oracles
 from roi_attend import cli
 from roi_attend.cli import effective_config, entrypoint, run_id
 from roi_attend.dataset import SyntheticSpec, generate_synthetic, write_synthetic_corpus
+from roi_attend.evaluation import parse_fold_csv
 from roi_attend.dsp import (
     FeatureSequence,
     FrameConfig,
@@ -581,6 +583,32 @@ class TestReportCommand:
             "report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={report_dir}",
         ])
         assert rc == 0
+        report_out = only_dir(report_dir, "report")
+        for mode in ("sum_then_normalize", "mean_of_normalized"):
+            assert (report_out / f"aggregate-{mode}.csv").read_bytes() == (
+                eval_out / f"aggregate-{mode}.csv"
+            ).read_bytes()
+
+    def test_rebuild_with_comma_quote_and_line_breaks_in_clip_paths(self, corpus, tmp_path, monkeypatch):
+        odd = tmp_path / 'odd,"dir"\nwith\rbreaks'
+        shutil.copytree(corpus, odd)
+        eval_argv = ["eval-loso", f"--paths.corpus_dir={odd}", f"--paths.output_dir={tmp_path}", "--folds=1", *FAST]
+        assert entrypoint(eval_argv) == 0
+        eval_out = only_dir(tmp_path, "eval-loso")
+        with open(eval_out / "fold-9001.csv", newline="") as fh:
+            paths, _, _, _ = parse_fold_csv(fh.read())
+        assert paths and all(p.startswith(str(odd) + os.sep) for p in paths)
+        read_back = []
+
+        def recording_parse(text):
+            parsed = parse_fold_csv(text)
+            read_back.extend(parsed[0])
+            return parsed
+
+        monkeypatch.setattr(cli, "parse_fold_csv", recording_parse)
+        report_dir = tmp_path / "rebuilt"
+        assert entrypoint(["report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={report_dir}"]) == 0
+        assert read_back == paths  # report read the paths with their "\r" intact
         report_out = only_dir(report_dir, "report")
         for mode in ("sum_then_normalize", "mean_of_normalized"):
             assert (report_out / f"aggregate-{mode}.csv").read_bytes() == (

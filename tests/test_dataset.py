@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -219,6 +220,11 @@ class TestGenerateSynthetic:
             SyntheticSpec(min_clip_len=100, burst_len=1600)
         with pytest.raises(ValueError):
             SyntheticSpec(n_actors=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, value):
+        with pytest.raises(ValueError, match="noise_amplitude must be finite"):
+            SyntheticSpec(noise_amplitude=value)
 
 
 class TestWriteSyntheticCorpus:

@@ -9,6 +9,7 @@ from roi_attend.evaluation import (
     ConfusionMatrix,
     EmptyReportError,
     EvalItem,
+    FoldCsvError,
     FoldResult,
     REFERENCE_RECALL,
     aggregate,
@@ -300,6 +301,25 @@ class TestTextArtifacts:
         good = fold_csv(self._result())
         with pytest.raises(ValueError, match="row"):
             parse_fold_csv(good + "only,three,fields\n")
+
+    def test_fold_csv_bytes_for_ordinary_paths_pinned(self):
+        result = FoldResult(
+            subject="0001", confusion=ConfusionMatrix(), paths=["corpus/03-01-05-01-01-01-01.wav", "a b/c.wav"],
+            true_labels=np.array([ANG, SAD]), pred_labels=np.array([ANG, FEA]),
+            probs=np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0], [1e-05, 0.1, 0.7, 0.0, 0.0, 0.19999]]),
+        )
+        assert fold_csv(result) == (
+            "path,true,pred,p_ANG,p_DIS,p_FEA,p_HAP,p_NEU,p_SAD\n"
+            "corpus/03-01-05-01-01-01-01.wav,ANG,ANG,0.5,0.25,0.125,0.0625,0.0625,0.0\n"
+            "a b/c.wav,SAD,FEA,1e-05,0.1,0.7,0.0,0.0,0.19999\n"
+        )
+
+    @pytest.mark.parametrize("old,new", [(",ANG,ANG,", ",ANG,ANX,"), (",SAD,", ",sad,"), (",0.1", ",0.x")])
+    def test_bad_code_or_number_is_a_fold_csv_error(self, old, new):
+        good = fold_csv(self._result())
+        assert old in good
+        with pytest.raises(FoldCsvError, match="row"):
+            parse_fold_csv(good.replace(old, new, 1))
 
     def test_matrix_csv_layout(self):
         rates = np.zeros((6, 6))

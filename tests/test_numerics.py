@@ -7,52 +7,10 @@ from roi_attend.numerics import (
     EvaluationError,
     SeededRng,
     ShapeError,
-    activation,
     grad_check,
-    matmul,
     sigmoid,
     softmax,
-    tanh,
 )
-
-
-class TestMatmul:
-    def test_hand_expanded_product(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_identity_left_factor(self):
-        m = np.arange(12, dtype=np.float64).reshape(3, 4)
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_zero_matrix_annihilates(self):
-        out = matmul(np.zeros((2, 3)), np.ones((3, 4)))
-        assert out.shape == (2, 4)
-        assert not out.any()
-
-    def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError) as exc:
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
-        assert "(2, 3)" in str(exc.value)
-        assert "(4, 2)" in str(exc.value)
-
-    def test_rejects_vectors(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones(3), np.ones((3, 2)))
-
-    def test_associativity_on_random_matrices(self):
-        rng = SeededRng(7)
-        for _ in range(20):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 5))
-            c = rng.normal(size=(5, 2))
-            np.testing.assert_allclose(
-                matmul(matmul(a, b), c), matmul(a, matmul(b, c)), atol=1e-9
-            )
-
-    def test_overflow_is_an_error_not_inf(self):
-        with np.errstate(over="ignore"), pytest.raises(EvaluationError):
-            matmul([[1e308, 1e308]], [[1e308], [1e308]])
 
 
 class TestSoftmax:
@@ -92,26 +50,13 @@ class TestActivations:
     def test_sigmoid_at_zero(self):
         assert sigmoid(0.0) == 0.5
 
-    def test_tanh_at_zero(self):
-        assert tanh(0.0) == 0.0
-
     def test_sigmoid_symmetry(self):
         assert sigmoid(2.5) + sigmoid(-2.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_open_interval_ranges(self):
         v = np.linspace(-8, 8, 33)
         s = sigmoid(v)
-        t = tanh(v)
         assert np.all((s > 0) & (s < 1))
-        assert np.all((t > -1) & (t < 1))
-
-    def test_activation_dispatch(self):
-        np.testing.assert_array_equal(activation([0.3], "sigmoid"), sigmoid([0.3]))
-        np.testing.assert_array_equal(activation([0.3], "tanh"), tanh([0.3]))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            activation([0.0], "relu")
 
 
 class TestGradCheck:

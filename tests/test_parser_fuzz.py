@@ -1,5 +1,5 @@
-"""Truncated and byte-mutated WAV, ROIF and ROIC blobs, and arbitrary or
-byte-mutated --config files.
+"""Truncated and byte-mutated WAV, ROIF and ROIC blobs, arbitrary or
+byte-mutated --config files, and fold CSVs.
 
 Each parser must either return a value or raise its format's named error;
 no IndexError, struct.error or other exception may escape. A strict prefix of
@@ -12,7 +12,9 @@ format whose readers skip fields they do not use (RIFF size, byte rate,
 block align, unknown chunks), so a parsed WAV mutant need only be a
 well-formed clip. A config file is hand-written text read leniently
 (spaces, `yes`/`no`), so one that parses need only hold every schema key
-with a value of the key's declared type, floats finite.
+with a value of the key's declared type, floats finite. A fold CSV must
+give back exactly the paths and probabilities it was written from, whatever
+characters the paths hold; a mutated one parses or raises FoldCsvError.
 """
 
 import math
@@ -35,6 +37,7 @@ from roi_attend.dsp import (
     save_feature_cache,
     write_wav,
 )
+from roi_attend.evaluation import ConfusionMatrix, FoldCsvError, FoldResult, fold_csv, parse_fold_csv
 from roi_attend.model import ModelConfig, Variant, init_params
 from roi_attend.numerics import SeededRng
 from roi_attend.training import Checkpoint, CheckpointFormatError, TrainConfig, load_checkpoint, save_checkpoint
@@ -225,3 +228,45 @@ def test_config_text(conf_path, lines, newline):
 @given(data=st.binary(max_size=64))
 def test_config_bytes(conf_path, data):
     _check_config(conf_path, data)
+
+
+def _fold(paths, true, pred, probs) -> FoldResult:
+    return FoldResult(
+        subject="9001", confusion=ConfusionMatrix(), paths=list(paths),
+        true_labels=np.asarray(true, dtype=np.int64), pred_labels=np.asarray(pred, dtype=np.int64),
+        probs=np.asarray(probs, dtype=np.float64).reshape(-1, 6),
+    )
+
+
+_FOLD_ROWS = st.lists(
+    st.tuples(st.text(), st.integers(0, 5), st.integers(0, 5), st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)),
+    min_size=1, max_size=4,
+)
+
+
+@given(rows=_FOLD_ROWS)
+@example(rows=[('a,b\nc\rd\r\n"e",', 0, 5, [0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0])])
+@example(rows=[("", 1, 2, [0.0, 1.0, 5e-324, 0.1, 1e-05, 0.3])])
+def test_fold_csv_roundtrip(rows):
+    result = _fold(*zip(*rows))
+    text = fold_csv(result)
+    paths, true, pred, probs = parse_fold_csv(text)
+    assert paths == result.paths
+    np.testing.assert_array_equal(true, result.true_labels)
+    np.testing.assert_array_equal(pred, result.pred_labels)
+    np.testing.assert_array_equal(probs, result.probs)
+    assert fold_csv(_fold(paths, true, pred, probs)) == text
+
+
+FOLD = fold_csv(_fold(['clips/a,"b"\n.wav'], [0], [3], [0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0]))
+
+
+def test_every_single_character_fold_csv_mutation():
+    for pos in range(len(FOLD)):
+        for code in range(256):
+            if chr(code) != FOLD[pos]:
+                try:
+                    paths, true, pred, probs = parse_fold_csv(FOLD[:pos] + chr(code) + FOLD[pos + 1 :])
+                except FoldCsvError:
+                    continue
+                assert len(paths) == len(true) == len(pred) == len(probs)

@@ -306,6 +306,12 @@ class TestTrainConfig:
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["lr", "beta1", "beta2", "eps", "grad_clip"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
 
 class TestStackAndStandardize:
     def test_stacking_shapes(self):
@@ -488,6 +494,25 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointFormatError) as exc:
             load_checkpoint(save_checkpoint(ckpt))
         assert type(exc.value) is CheckpointFormatError
+
+    @pytest.mark.parametrize("name,value", [("lr", math.nan), ("grad_clip", math.inf)])
+    def test_non_finite_train_config_raises_format_error(self, name, value):
+        ckpt = self._checkpoint(Variant.UNI_PLAIN)
+        setattr(ckpt.train_cfg, name, value)  # what a writer that skips TrainConfig's check would save
+        data = save_checkpoint(ckpt)
+        assert f"{name}={value!r}\n".encode() in data
+        with pytest.raises(CheckpointFormatError, match=f"{name} must be finite"):
+            load_checkpoint(data)
+
+    def test_optimizer_kind_checked(self):
+        data = save_checkpoint(self._checkpoint(Variant.UNI_PLAIN))
+        kind = struct.pack("<I", 4) + b"adam"  # the optimizer section's length-prefixed kind
+        assert data.count(kind) == 1
+        with pytest.raises(CheckpointFormatError, match="'adxm'"):
+            load_checkpoint(data.replace(kind, struct.pack("<I", 4) + b"adxm"))
+        sgd_kind = dataclasses.replace(self._checkpoint(Variant.UNI_PLAIN), optimizer_kind="sgd")
+        with pytest.raises(CheckpointFormatError, match="train_config says 'adam'"):
+            load_checkpoint(save_checkpoint(sgd_kind))
 
     def test_config_sections_pinned(self):
         # the section bytes the hand-written serializers produced: values in
