@@ -69,6 +69,7 @@ from .training import (
     TrainConfig,
     _config_fields,
     _config_pairs,
+    _config_section,
     _config_text,
     gradient_check_suite,
     load_checkpoint,
@@ -77,6 +78,7 @@ from .training import (
 )
 
 CACHE_ENV = "ROI_ATTEND_CACHE"
+MODEL_CONFIG_FILE = "model_config.txt"
 
 COMMANDS = ("synth", "features", "train", "eval-loso", "explain", "gradcheck", "report")
 
@@ -388,6 +390,8 @@ def _cmd_eval_loso(cfg: dict) -> int:
     model_cfg = _model_cfg(cfg)
     base_train_cfg = _settings(cfg, "train")
     out = _run_dir("eval-loso", cfg)
+    # `report` reads the variant back from here; the bytes are a checkpoint's model_config section
+    _write_atomic(out / MODEL_CONFIG_FILE, _config_text(_config_pairs(model_cfg)))
     manifest, feats, _ = _corpus_features(corpus, cfg["paths.cache_dir"], frame_cfg)
     folds = loso_folds(manifest)
     limit = cfg["eval.folds"]
@@ -446,7 +450,12 @@ def _cmd_report(cfg: dict) -> int:
         for t, p in zip(true, pred):
             cm.add(int(t), int(p))
         matrices.append(cm)
-    _write_aggregates(_run_dir("report", cfg), matrices, mode, _model_cfg(cfg))
+    saved = folds_dir / MODEL_CONFIG_FILE
+    if saved.exists():
+        model_cfg = _config_section({"model_config": saved.read_bytes()}, "model_config", ModelConfig)
+    else:  # a run dir written before eval-loso saved its model config
+        model_cfg = _model_cfg(cfg)
+    _write_aggregates(_run_dir("report", cfg), matrices, mode, model_cfg)
     return 0
 
 
@@ -464,7 +473,7 @@ def _cmd_explain(cfg: dict) -> int:
     spec, _ = power_spectrogram(clip, frame_cfg)
     features = extract_features(clip, frame_cfg, power=spec)
     out = _run_dir("explain", cfg)
-    maps = extract_attention(ckpt, features)
+    maps = extract_attention(ckpt, features, frame_len=frame_cfg.frame_len(clip.sample_rate))
     for step_no, amap in enumerate(maps, start=1):
         roi = detect_roi(amap, ratio=cfg["roi.ratio"])
         payload = attention_json(wav_path, amap, roi)

@@ -9,6 +9,7 @@ log with floor, orthonormal DCT-II, first `n_mfcc` coefficients.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -96,6 +97,9 @@ class FrameConfig:
     allow_any_rate: bool = False
 
     def __post_init__(self):
+        for name in ("frame_len_ms", "step_ms", "preemphasis"):
+            if not math.isfinite(getattr(self, name)):
+                raise FrameConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.step_ms <= self.frame_len_ms:
             raise FrameConfigError(
                 f"step_ms must satisfy 0 < step ({self.step_ms}) <= frame length ({self.frame_len_ms})"
@@ -264,21 +268,18 @@ def pad_to_length(clips: list[AudioClip], target: int | None = None) -> list[Aud
     return out
 
 
-def _read_only(maxsize=None):
+def _read_only(fn):
     """Memoize a table builder. Each cached array is frozen, so no caller can
     change what the next one gets."""
 
-    def decorate(fn):
-        @functools.lru_cache(maxsize=maxsize)
-        @functools.wraps(fn)
-        def cached(*key):
-            table = fn(*key)
-            table.flags.writeable = False
-            return table
+    @functools.cache
+    @functools.wraps(fn)
+    def cached(*key):
+        table = fn(*key)
+        table.flags.writeable = False
+        return table
 
-        return cached
-
-    return decorate
+    return cached
 
 
 def _frame_geometry(clip: AudioClip, cfg: FrameConfig) -> tuple[int, int, int]:
@@ -292,20 +293,16 @@ def _frame_geometry(clip: AudioClip, cfg: FrameConfig) -> tuple[int, int, int]:
     return 1 + (n - length) // step, step, length
 
 
-# Bounded: clip lengths vary when clips are not padded to a common target.
-@_read_only(maxsize=8)
-def _frame_index(count: int, step: int, length: int) -> np.ndarray:
-    return np.arange(count)[:, None] * step + np.arange(length)[None, :]
-
-
 def frame_signal(clip: AudioClip, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Slice a clip into overlapping frames.
 
     Returns (frames, frame_times) where frames is T x L and frame i starts at
     sample i*S. T = 1 + floor((N - L) / S); a trailing partial frame is dropped.
+    frames is a read-only strided view of the clip's samples, not a copy.
     """
     count, step, length = _frame_geometry(clip, cfg)
-    return clip.samples[_frame_index(count, step, length)], np.arange(count, dtype=np.int64) * step
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, length)[::step][:count]
+    return frames, np.arange(count, dtype=np.int64) * step
 
 
 def _check_rate(clip: AudioClip, cfg: FrameConfig) -> None:
@@ -338,7 +335,7 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     return _mel_filterbank(n_mels, fft_size, sample_rate).copy()
 
 
-@_read_only()
+@_read_only
 def _mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2))
     bin_hz = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
@@ -351,7 +348,7 @@ def _mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
-@_read_only()
+@_read_only
 def _hamming(length: int) -> np.ndarray:
     return np.hamming(length)
 
@@ -375,7 +372,6 @@ def _cepstra(
     sample_rate: int,
     cfg: FrameConfig,
     frame_times: np.ndarray,
-    frame_len: int,
     original_len: int | None,
 ) -> FeatureSequence:
     """Mel energies, log with floor, DCT-II: the MFCCs of a power matrix."""
@@ -384,8 +380,8 @@ def _cepstra(
     coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_mfcc]
 
     times = np.asarray(frame_times, dtype=np.int64)
-    cutoff = original_len if original_len is not None else times[-1] + frame_len + 1
-    return FeatureSequence(frames=coeffs, frame_times=times, pad_mask=times >= cutoff)
+    pad_mask = times >= original_len if original_len is not None else np.zeros(times.shape, dtype=bool)
+    return FeatureSequence(frames=coeffs, frame_times=times, pad_mask=pad_mask)
 
 
 def mfcc(
@@ -403,11 +399,9 @@ def mfcc(
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("frames must be a non-empty T x L array")
-    t, length = frames.shape
     if frame_times is None:
-        frame_times = np.arange(t, dtype=np.int64) * cfg.frame_step(sample_rate)
-    power = _power_spectrum(frames, cfg)
-    return _cepstra(power, sample_rate, cfg, frame_times, length, original_len)
+        frame_times = np.arange(frames.shape[0], dtype=np.int64) * cfg.frame_step(sample_rate)
+    return _cepstra(_power_spectrum(frames, cfg), sample_rate, cfg, frame_times, original_len)
 
 
 def extract_features(clip: AudioClip, cfg: FrameConfig, power: np.ndarray | None = None) -> FeatureSequence:
@@ -418,16 +412,15 @@ def extract_features(clip: AudioClip, cfg: FrameConfig, power: np.ndarray | None
     clip a second time.
     """
     if power is None:
-        frames, times = frame_signal(clip, cfg)
-        return mfcc(frames, clip.sample_rate, cfg, frame_times=times, original_len=clip.original_len)
-    count, step, length = _frame_geometry(clip, cfg)
+        power, _ = power_spectrogram(clip, cfg)
+    count, step, _ = _frame_geometry(clip, cfg)
     if power.shape != (count, cfg.fft_size // 2 + 1):
         raise ValueError(
             f"power matrix of shape {power.shape} does not fit this clip "
             f"({count} frames x {cfg.fft_size // 2 + 1} bins)"
         )
     times = np.arange(count, dtype=np.int64) * step
-    return _cepstra(power, clip.sample_rate, cfg, times, length, clip.original_len)
+    return _cepstra(power, clip.sample_rate, cfg, times, clip.original_len)
 
 
 def extract_corpus_features(clips: list[AudioClip], cfg: FrameConfig, target: int | None = None) -> list[FeatureSequence]:

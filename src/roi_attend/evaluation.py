@@ -247,18 +247,22 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def fold_csv(result: FoldResult) -> str:
+def _fold_csv_text(paths, true, pred, probs) -> str:
     lines = [",".join(FOLD_CSV_HEADER)]
-    for path, t, p, row in zip(result.paths, result.true_labels, result.pred_labels, result.probs):
-        probs = ",".join(repr(float(v)) for v in row)
-        lines.append(f"{_csv_field(path)},{CODES[t]},{CODES[p]},{probs}")
+    for path, t, p, row in zip(paths, true, pred, probs):
+        lines.append(f"{_csv_field(path)},{CODES[t]},{CODES[p]}," + ",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def fold_csv(result: FoldResult) -> str:
+    return _fold_csv_text(result.paths, result.true_labels, result.pred_labels, result.probs)
 
 
 def parse_fold_csv(text: str):
     """Rebuild (paths, true, pred, probs) from fold_csv output. Text read
     from a file must keep its line breaks (open it with newline=""), since a
-    quoted path may hold any of them. Malformed text raises FoldCsvError."""
+    quoted path may hold any of them. Malformed text, and text other than
+    what fold_csv writes for the rows it holds, raises FoldCsvError."""
     try:
         rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     except csv.Error as exc:
@@ -276,6 +280,8 @@ def parse_fold_csv(text: str):
         except ValueError:
             raise FoldCsvError(f"bad fold csv row: {row!r}") from None
         paths.append(row[0])
+    if _fold_csv_text(paths, true, pred, probs) != text:
+        raise FoldCsvError("fold csv is not in canonical form")
     return paths, np.asarray(true, dtype=np.int64), np.asarray(pred, dtype=np.int64), np.asarray(probs)
 
 

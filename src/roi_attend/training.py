@@ -157,7 +157,7 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
                 dh = dh_prev + do_prev
                 dc = dc_prev
     else:
-        dH_out = np.zeros_like(p[:, :, : cfg.dec_hidden])
+        dH_out = np.zeros((B, p.shape[1], cfg.dec_hidden))
         dH_out[:, -1, :] = dh_final
         dp = _lstm_seq_backward(
             cache["dec_caches"], dH_out,
@@ -188,24 +188,18 @@ def _clip_grads(grads, clip) -> float:
 
 
 class _Sgd:
-    kind = "sgd"
-
     def __init__(self, cfg: TrainConfig):
         self.lr = cfg.lr
         self.t = 0
+        self.m = self.v = {}
 
     def step(self, params: ModelParams, grads):
         self.t += 1
         for name, arr in params.arrays.items():
             arr -= self.lr * grads[name]
 
-    def state_arrays(self):
-        return {}, {}
-
 
 class _Adam:
-    kind = "adam"
-
     def __init__(self, cfg: TrainConfig, params: ModelParams):
         self.lr = cfg.lr
         self.b1 = cfg.beta1
@@ -228,9 +222,6 @@ class _Adam:
             v *= self.b2
             v += (1.0 - self.b2) * g * g
             arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def state_arrays(self):
-        return self.m, self.v
 
 
 def _make_optimizer(cfg: TrainConfig, params: ModelParams):
@@ -306,7 +297,7 @@ class Checkpoint:
     frame_cfg: FrameConfig | None = None
     epoch: int = 0
     loss_history: list = field(default_factory=list)
-    rng_state: dict | None = None
+    rng_state: str | None = None  # SeededRng.get_state() JSON text
     feature_stats: dict | None = None
     optimizer_kind: str = "adam"
     optimizer_t: int = 0
@@ -643,7 +634,6 @@ def train(train_set, model_cfg: ModelConfig, train_cfg: TrainConfig, frame_cfg=N
         if on_epoch is not None and on_epoch(epoch, mean_loss, params, stats):
             break
 
-    m, v = opt.state_arrays()
     return Checkpoint(
         model_cfg=model_cfg,
         params=params,
@@ -653,10 +643,10 @@ def train(train_set, model_cfg: ModelConfig, train_cfg: TrainConfig, frame_cfg=N
         loss_history=loss_history,
         rng_state=rng.get_state(),
         feature_stats=stats,
-        optimizer_kind=opt.kind,
+        optimizer_kind=train_cfg.optimizer,
         optimizer_t=opt.t,
-        optimizer_m=m,
-        optimizer_v=v,
+        optimizer_m=opt.m,
+        optimizer_v=opt.v,
     )
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,11 @@ from roi_attend.dsp import (
     pad_to_length,
     read_wav_file,
     save_feature_cache,
+    write_wav_file,
 )
-from roi_attend.model import Variant
+from roi_attend.model import ModelConfig, Variant
 from roi_attend.roi import attention_json, detect_roi, dump_attention_json, extract_attention, render_svg
-from roi_attend.training import load_checkpoint
+from roi_attend.training import _config_section, load_checkpoint, save_checkpoint
 
 TINY_SPEC = SyntheticSpec(
     n_clips_per_class=2, clip_len=4000, burst_len=800, n_actors=3, seed=7
@@ -615,6 +617,27 @@ class TestReportCommand:
                 eval_out / f"aggregate-{mode}.csv"
             ).read_bytes()
 
+    def test_report_shows_the_variant_the_folds_were_trained_with(self, corpus, tmp_path):
+        eval_argv = [
+            "eval-loso", f"--paths.corpus_dir={corpus}", f"--paths.output_dir={tmp_path}",
+            "--model.variant=uni_plain", *FAST,
+        ]
+        assert entrypoint(eval_argv) == 0
+        eval_out = only_dir(tmp_path, "eval-loso")
+        saved = (eval_out / "model_config.txt").read_bytes()
+        assert _config_section({"model_config": saved}, "model_config", ModelConfig).variant is Variant.UNI_PLAIN
+        report_dir = tmp_path / "rebuilt"
+        assert entrypoint(["report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={report_dir}"]) == 0
+        summary = (eval_out / "summary.txt").read_bytes()
+        assert (only_dir(report_dir, "report") / "summary.txt").read_bytes() == summary
+        # a run dir from before model_config.txt: --model.variant names the variant
+        (eval_out / "model_config.txt").unlink()
+        older = tmp_path / "older"
+        assert entrypoint([
+            "report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={older}", "--model.variant=uni_plain",
+        ]) == 0
+        assert (only_dir(older, "report") / "summary.txt").read_bytes() == summary
+
     def test_empty_folds_dir_is_runtime_failure(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -680,6 +703,37 @@ class TestExplainCommand:
         payload = json.loads((only_dir(tmp_path, "explain") / "attention-step1.json").read_text())
         # every frame beats half the uniform share, so one region spans the clip
         assert len(payload["regions"]) == 1
+
+    def test_frame_len_follows_the_clip_rate(self, corpus, tmp_path):
+        root = tmp_path / "any-rate"
+        assert entrypoint([
+            "train", f"--paths.corpus_dir={corpus}", f"--paths.output_dir={root}",
+            "--model.variant=bi_attention", "--frame.allow_any_rate=true", *FAST,
+        ]) == 0
+        ckpt_path = only_dir(root, "train") / "checkpoint.roic"
+        wav = tmp_path / "8k.wav"
+        write_wav_file(wav, read_wav_file(sorted(Path(corpus).glob("*.wav"))[0]).samples[::2], 8000)
+        assert entrypoint([
+            "explain", f"--paths.checkpoint={ckpt_path}", f"--paths.wav={wav}", f"--paths.output_dir={tmp_path}",
+        ]) == 0
+        text = (only_dir(tmp_path, "explain") / "attention-step1.json").read_text()
+        assert json.loads(text)["frame_len"] == 160  # 20 ms at 8 kHz
+        ckpt = load_checkpoint(ckpt_path.read_bytes())
+        (amap,) = extract_attention(ckpt, extract_features(read_wav_file(wav), ckpt.frame_cfg), frame_len=160)
+        assert text == dump_attention_json(attention_json(str(wav), amap, detect_roi(amap, ratio=2.0)))
+
+    def test_checkpoint_without_frame_settings_uses_frame_keys(self, corpus, attention_ckpt, tmp_path):
+        bare = tmp_path / "bare.roic"
+        bare.write_bytes(save_checkpoint(replace(load_checkpoint(attention_ckpt.read_bytes()), frame_cfg=None)))
+        wav = sorted(Path(corpus).glob("*.wav"))[0]
+        outputs = {}
+        for name, ckpt in (("stored", attention_ckpt), ("bare", bare)):
+            assert entrypoint([
+                "explain", f"--paths.checkpoint={ckpt}", f"--paths.wav={wav}",
+                f"--paths.output_dir={tmp_path / name}",
+            ]) == 0
+            outputs[name] = {p.name: p.read_bytes() for p in only_dir(tmp_path / name, "explain").iterdir()}
+        assert outputs["bare"] == outputs["stored"]
 
     def test_plain_checkpoint_is_usage_error(self, corpus, tmp_path, capsys):
         root = tmp_path / "plain"

@@ -211,6 +211,12 @@ class TestFrameConfig:
         with pytest.raises(FrameConfigError):
             FrameConfig(preemphasis=1.0)
 
+    @pytest.mark.parametrize("name", ["frame_len_ms", "step_ms", "preemphasis"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(FrameConfigError, match=f"{name} must be finite"):
+            FrameConfig(**{name: value})
+
 
 class TestMfcc:
     def test_all_zero_frame_is_dct_of_log_floor(self):
@@ -323,8 +329,10 @@ class TestCachedFrontEnd:
         assert (info.misses, info.hits) == (2, 4)
 
     def test_cached_tables_are_read_only(self):
-        extract_features(AudioClip(np.zeros(800), 16000), FrameConfig())
-        for table in (dsp._mel_filterbank(26, 512, 16000), dsp._hamming(320), dsp._frame_index(4, 160, 320)):
+        clip = AudioClip(np.zeros(800), 16000)
+        extract_features(clip, FrameConfig())
+        frames, _ = frame_signal(clip, FrameConfig())
+        for table in (dsp._mel_filterbank(26, 512, 16000), dsp._hamming(320), frames):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1

@@ -302,17 +302,33 @@ class TestTextArtifacts:
         with pytest.raises(ValueError, match="row"):
             parse_fold_csv(good + "only,three,fields\n")
 
+    PINNED = (
+        "path,true,pred,p_ANG,p_DIS,p_FEA,p_HAP,p_NEU,p_SAD\n"
+        "corpus/03-01-05-01-01-01-01.wav,ANG,ANG,0.5,0.25,0.125,0.0625,0.0625,0.0\n"
+        "a b/c.wav,SAD,FEA,1e-05,0.1,0.7,0.0,0.0,0.19999\n"
+    )
+
     def test_fold_csv_bytes_for_ordinary_paths_pinned(self):
         result = FoldResult(
             subject="0001", confusion=ConfusionMatrix(), paths=["corpus/03-01-05-01-01-01-01.wav", "a b/c.wav"],
             true_labels=np.array([ANG, SAD]), pred_labels=np.array([ANG, FEA]),
             probs=np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0], [1e-05, 0.1, 0.7, 0.0, 0.0, 0.19999]]),
         )
-        assert fold_csv(result) == (
-            "path,true,pred,p_ANG,p_DIS,p_FEA,p_HAP,p_NEU,p_SAD\n"
-            "corpus/03-01-05-01-01-01-01.wav,ANG,ANG,0.5,0.25,0.125,0.0625,0.0625,0.0\n"
-            "a b/c.wav,SAD,FEA,1e-05,0.1,0.7,0.0,0.0,0.19999\n"
-        )
+        assert fold_csv(result) == self.PINNED
+
+    @pytest.mark.parametrize("old,new", [
+        (",0.25,", ", 0.25 ,"),  # spaces around a number
+        (",0.7,", ",0.70,"),  # a number not in repr form
+        ("a b/c.wav", '"a b/c.wav"'),  # quotes the writer does not add
+        ("\n", "\r\n"),  # another line ending
+        ("0.19999\n", "0.19999\n\n"),  # a blank line
+        ("0.19999\n", "0.19999"),  # no final line break
+    ])
+    def test_non_canonical_fold_csv_is_a_fold_csv_error(self, old, new):
+        assert old in self.PINNED
+        parse_fold_csv(self.PINNED)
+        with pytest.raises(FoldCsvError, match="canonical"):
+            parse_fold_csv(self.PINNED.replace(old, new, 1))
 
     @pytest.mark.parametrize("old,new", [(",ANG,ANG,", ",ANG,ANX,"), (",SAD,", ",sad,"), (",0.1", ",0.x")])
     def test_bad_code_or_number_is_a_fold_csv_error(self, old, new):

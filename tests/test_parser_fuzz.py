@@ -265,8 +265,9 @@ def test_every_single_character_fold_csv_mutation():
     for pos in range(len(FOLD)):
         for code in range(256):
             if chr(code) != FOLD[pos]:
+                mutant = FOLD[:pos] + chr(code) + FOLD[pos + 1 :]
                 try:
-                    paths, true, pred, probs = parse_fold_csv(FOLD[:pos] + chr(code) + FOLD[pos + 1 :])
+                    parsed = parse_fold_csv(mutant)
                 except FoldCsvError:
                     continue
-                assert len(paths) == len(true) == len(pred) == len(probs)
+                assert fold_csv(_fold(*parsed)) == mutant

@@ -135,6 +135,25 @@ class TestGradients:
         blocks = block_relative_errors(cfg, report)
         assert max(blocks.values()) < 1e-4
 
+    @pytest.mark.parametrize("variant", [Variant.UNI_PLAIN, Variant.BI_PLAIN])
+    def test_plain_decoder_wider_than_encoder(self, variant):
+        # the plain decoder's upstream gradient is dec_hidden wide, not enc_width
+        cfg = tiny_cfg(variant, enc_hidden=2, dec_hidden=8)
+        rng = SeededRng(7)
+        X = rng.normal(size=(2, 5, 5))
+        pad = np.zeros((2, 5), dtype=bool)
+        y = np.array([1, 4])
+        params = init_params(cfg, rng)
+
+        def f(vec):
+            loss, _ = loss_and_grads(X, pad, y, ModelParams.from_vector(cfg, vec), cfg)
+            return loss
+
+        _, grads = loss_and_grads(X, pad, y, params, cfg)
+        analytic = np.concatenate([grads[k].ravel() for k in params.names()])
+        report = grad_check(f, params.to_vector(), analytic, h=1e-5)
+        assert max(block_relative_errors(cfg, report).values()) < GRAD_CHECK_TOL
+
     @pytest.mark.parametrize("variant", list(Variant))
     def test_skipping_encoder_input_gradient_keeps_grads_bitwise(self, variant, monkeypatch):
         cfg = tiny_cfg(variant, input_dim=13, enc_hidden=8, dec_hidden=6,
@@ -499,6 +518,17 @@ class TestCheckpointIO:
     def test_non_finite_train_config_raises_format_error(self, name, value):
         ckpt = self._checkpoint(Variant.UNI_PLAIN)
         setattr(ckpt.train_cfg, name, value)  # what a writer that skips TrainConfig's check would save
+        data = save_checkpoint(ckpt)
+        assert f"{name}={value!r}\n".encode() in data
+        with pytest.raises(CheckpointFormatError, match=f"{name} must be finite"):
+            load_checkpoint(data)
+
+    @pytest.mark.parametrize(
+        "name,value", [("frame_len_ms", math.inf), ("step_ms", math.nan), ("preemphasis", -math.inf)]
+    )
+    def test_non_finite_frame_config_raises_format_error(self, name, value):
+        ckpt = self._checkpoint(Variant.UNI_PLAIN)
+        setattr(ckpt.frame_cfg, name, value)  # what a writer that skips FrameConfig's check would save
         data = save_checkpoint(ckpt)
         assert f"{name}={value!r}\n".encode() in data
         with pytest.raises(CheckpointFormatError, match=f"{name} must be finite"):
