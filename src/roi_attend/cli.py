@@ -38,6 +38,7 @@ from .dataset import (
     write_synthetic_corpus,
 )
 from .dsp import (
+    FRONT_END_REVISION,
     PCM16_SCALE,
     AudioClip,
     FeatureCacheError,
@@ -271,9 +272,9 @@ def _require(cfg: dict, key: str) -> str:
 def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
     """Manifest plus per-clip features, every clip zero-padded to the corpus
     maximum. Cached .roif files are named <stem>.<key>.roif, where the key is
-    a short SHA-256 over the canonical frame config, the pad target and the
-    WAV file's own SHA-256, so a changed clip, frame setting or pad target
-    never reads a stale file."""
+    a short SHA-256 over the front-end revision, the canonical frame config,
+    the pad target and the WAV file's own SHA-256, so a changed clip, frame
+    setting, pad target or feature computation never reads a stale file."""
     manifest, skipped = scan_corpus(corpus_dir)
     for name in skipped:
         print(f"skipping unparseable name: {name}", file=sys.stderr)
@@ -287,7 +288,11 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
         rates.append(clip.sample_rate)
         digests.append(hasher.digest())
     target = max(p.shape[0] for p in pcm)
-    key_prefix = _config_text(_config_pairs(frame_cfg)) + f"target={target}\n".encode("ascii")
+    key_prefix = (
+        f"front_end={FRONT_END_REVISION}\n".encode("ascii")
+        + _config_text(_config_pairs(frame_cfg))
+        + f"target={target}\n".encode("ascii")
+    )
     feats = []
     cache = Path(cache_dir) if cache_dir else None
     if cache is not None:
@@ -462,7 +467,7 @@ def _cmd_report(cfg: dict) -> int:
 def _cmd_explain(cfg: dict) -> int:
     ckpt_path = _require(cfg, "paths.checkpoint")
     wav_path = _require(cfg, "paths.wav")
-    ckpt = load_checkpoint(Path(ckpt_path).read_bytes())
+    ckpt = load_checkpoint(Path(ckpt_path).read_bytes(), optimizer_state=False)
     if not ckpt.model_cfg.variant.has_attention:
         raise UsageError(
             f"checkpoint holds variant '{ckpt.model_cfg.variant.value}' "

@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import dct
 
 __all__ = [
     "WavFormatError",
@@ -317,6 +316,12 @@ def _check_rate(clip: AudioClip, cfg: FrameConfig) -> None:
 
 LOG_FLOOR = 1e-10
 
+# Revision of the numbers extract_features computes, raised whenever the same
+# clip and FrameConfig give different bits. The CLI's feature cache keys on it,
+# so features from an earlier front end are recomputed, never served.
+# 2: the DCT-II is a product with a cosine table (revision 1 used SciPy's DCT).
+FRONT_END_REVISION = 2
+
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -353,6 +358,20 @@ def _hamming(length: int) -> np.ndarray:
     return np.hamming(length)
 
 
+@_read_only
+def _dct_table(n_mels: int, n_mfcc: int) -> np.ndarray:
+    """Orthonormal DCT-II as an n_mels x n_mfcc matrix, so that
+    `logmel @ table` gives the first n_mfcc coefficients: entry (m, k) is
+    cos(pi * k * (2m + 1) / (2 * n_mels)) times sqrt(1/n_mels) for k = 0 and
+    sqrt(2/n_mels) otherwise."""
+    table = np.empty((n_mels, n_mfcc))
+    for k in range(n_mfcc):
+        scale = math.sqrt((1.0 if k == 0 else 2.0) / n_mels)
+        for m in range(n_mels):
+            table[m, k] = math.cos(math.pi * k * (2 * m + 1) / (2 * n_mels)) * scale
+    return table
+
+
 def _power_spectrum(frames: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Pre-emphasis, Hamming window, rfft, |.|^2: one T x (fft_size//2 + 1) row
     per frame."""
@@ -377,7 +396,7 @@ def _cepstra(
     """Mel energies, log with floor, DCT-II: the MFCCs of a power matrix."""
     fb = _mel_filterbank(cfg.n_mels, cfg.fft_size, sample_rate)
     logmel = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
-    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_mfcc]
+    coeffs = logmel @ _dct_table(cfg.n_mels, cfg.n_mfcc)
 
     times = np.asarray(frame_times, dtype=np.int64)
     pad_mask = times >= original_len if original_len is not None else np.zeros(times.shape, dtype=bool)

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .dsp import FeatureSequence
-from .numerics import SeededRng, ShapeError, sigmoid, softmax
+from .numerics import SeededRng, ShapeError, raw_sigmoid, softmax
 
 __all__ = [
     "Variant",
@@ -206,13 +206,17 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
 
 
 def _lstm_step(x, h_prev, c_prev, W, U, b):
-    """One gate update. x: (B, d), h_prev/c_prev: (B, H). Returns (h, c, cache)."""
+    """One gate update. x: (B, d), h_prev/c_prev: (B, H). Returns (h, c, cache).
+
+    Callers enter np.errstate(over="ignore") around their loop of steps, so a
+    saturated gate gives 0.0 without an overflow warning (see raw_sigmoid)."""
     hid = h_prev.shape[1]
     v = x @ W + h_prev @ U + b
-    i = sigmoid(v[:, :hid])
-    f = sigmoid(v[:, hid : 2 * hid])
+    i_f = raw_sigmoid(v[:, : 2 * hid])  # the i and f gates are one contiguous block
+    i = i_f[:, :hid]
+    f = i_f[:, hid:]
     g = np.tanh(v[:, 2 * hid : 3 * hid])
-    o = sigmoid(v[:, 3 * hid :])
+    o = raw_sigmoid(v[:, 3 * hid :])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -248,11 +252,12 @@ def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True):
     c = np.zeros((B, hid)) if c0 is None else c0
     outs = np.empty((B, T, hid))
     caches = [] if want_cache else None
-    for t in range(T):
-        h, c, cache = _lstm_step(X[:, t, :], h, c, W, U, b)
-        outs[:, t, :] = h
-        if want_cache:
-            caches.append(cache)
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            h, c, cache = _lstm_step(X[:, t, :], h, c, W, U, b)
+            outs[:, t, :] = h
+            if want_cache:
+                caches.append(cache)
     return outs, (h, c), caches
 
 
@@ -390,7 +395,8 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
         ctx_steps = np.empty((B, cfg.dec_steps, cfg.enc_width))
         for step in range(cfg.dec_steps):
             a, context, e, att_cache = _attention_forward(o_prev, p, pad, params, cfg)
-            h, c, dec_cache = _lstm_step(context, h, c, params["dec.W"], params["dec.U"], params["dec.b"])
+            with np.errstate(over="ignore"):
+                h, c, dec_cache = _lstm_step(context, h, c, params["dec.W"], params["dec.U"], params["dec.b"])
             o_prev = h
             e_steps[:, step, :] = e
             a_steps[:, step, :] = a

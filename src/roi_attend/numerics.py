@@ -2,8 +2,8 @@
 checker.
 
 Arrays are float64. softmax gives exactly zero weight to -inf scores;
-grad_check raises EvaluationError when the function it probes returns a
-non-finite value.
+sigmoid saturates to exactly 0.0 and 1.0; grad_check raises EvaluationError
+when the function it probes returns a non-finite value.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "ShapeError",
@@ -21,6 +20,7 @@ __all__ = [
     "SeededRng",
     "softmax",
     "sigmoid",
+    "raw_sigmoid",
     "grad_check",
 ]
 
@@ -48,7 +48,17 @@ def softmax(v, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(v) -> np.ndarray:
-    return expit(np.asarray(v, dtype=np.float64))
+    """Logistic function 1 / (1 + exp(-v)), elementwise in float64. Large
+    negative inputs give exactly 0.0 without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return raw_sigmoid(np.asarray(v, dtype=np.float64))
+
+
+def raw_sigmoid(x: np.ndarray) -> np.ndarray:
+    """sigmoid of a float64 array without its warning guard, for loops that
+    enter np.errstate(over="ignore") once around many calls: exp(-x)
+    overflows to inf for x below about -709, and 1 / (1 + inf) is 0.0."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass

@@ -85,7 +85,11 @@ class RoiResult:
 
 def extract_attention(ckpt: Checkpoint, features: FeatureSequence, frame_len: int | None = None):
     """Attention maps for one clip, one per decoder step, using the
-    checkpoint's stored standardization. Plain variants have none."""
+    checkpoint's stored standardization. Plain variants have none.
+
+    `frame_len` (samples per frame) may be left out only when the checkpoint's
+    frame settings fix the sample rate: FeatureSequence does not record the
+    clip's rate, so under allow_any_rate it cannot be derived."""
     cfg = ckpt.model_cfg
     if not cfg.variant.has_attention:
         raise NoAttentionError(
@@ -94,8 +98,11 @@ def extract_attention(ckpt: Checkpoint, features: FeatureSequence, frame_len: in
     if features.n_mfcc != cfg.input_dim:
         raise ValueError(f"features have {features.n_mfcc} coefficients, checkpoint expects {cfg.input_dim}")
     if frame_len is None:
-        if ckpt.frame_cfg is None:
-            raise ValueError("frame_len is required when the checkpoint stores no frame settings")
+        if ckpt.frame_cfg is None or ckpt.frame_cfg.allow_any_rate:
+            raise ValueError(
+                "frame_len is required unless the checkpoint's frame settings fix the sample rate "
+                "(pass frame_cfg.frame_len(clip.sample_rate))"
+            )
         frame_len = ckpt.frame_cfg.frame_len(ckpt.frame_cfg.expected_sample_rate)
     X = apply_standardizer(features.frames[None, :, :], ckpt.feature_stats)
     _, trace, _ = _forward_batch(X, features.pad_mask[None, :], ckpt.params, cfg)

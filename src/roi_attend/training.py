@@ -319,9 +319,9 @@ def _config_text(pairs: dict) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_config_text(data: bytes) -> dict:
+def _parse_config_text(data) -> dict:
     out = {}
-    for line in data.decode("utf-8").splitlines():
+    for line in str(data, "utf-8").splitlines():
         if not line:
             continue
         if "=" not in line:
@@ -397,20 +397,21 @@ def _pack_named_arrays(arrays: dict) -> bytes:
         a = np.ascontiguousarray(arr, dtype="<f8")
         chunks.append(struct.pack("<I", len(nb)))
         chunks.append(nb)
-        chunks.append(struct.pack("<I", a.ndim))
-        if a.ndim:
-            chunks.append(struct.pack(f"<{a.ndim}I", *a.shape))
+        chunks.append(struct.pack(f"<{1 + a.ndim}I", a.ndim, *a.shape))  # ascontiguousarray gives ndim >= 1
         chunks.append(a.tobytes(order="C"))
     return b"".join(chunks)
 
 
 class _Cursor:
-    def __init__(self, data: bytes, what: str):
-        self.data = data
+    """Reads a byte string front to back. take() hands out zero-copy
+    memoryview slices; whoever keeps the bytes copies them."""
+
+    def __init__(self, data, what: str):
+        self.data = memoryview(data)
         self.pos = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointFormatError(f"truncated {self.what}: wanted {n} more bytes at offset {self.pos}")
         out = self.data[self.pos : self.pos + n]
@@ -428,20 +429,25 @@ class _Cursor:
             raise CheckpointFormatError(f"{self.what} has {len(self.data) - self.pos} trailing bytes")
 
 
-def _unpack_named_arrays(cur: _Cursor) -> dict:
+def _unpack_named_arrays(cur: _Cursor, keep: bool = True) -> dict:
     """Read one _pack_named_arrays blob at the cursor, leaving the cursor
-    just past it (so blobs can sit back to back)."""
+    just past it (so blobs can sit back to back). With keep=False the framing
+    is checked all the same, but no array is copied out and {} is returned."""
     count = cur.u32()
     out = {}
     for _ in range(count):
-        name = cur.take(cur.u32()).decode("utf-8")
+        name = str(cur.take(cur.u32()), "utf-8")
         ndim = cur.u32()
+        if ndim == 0:  # the writer stores a 0-d array as shape (1,)
+            raise CheckpointFormatError(f"{cur.what}: array {name!r} has no dimensions")
         shape = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
-        out[name] = np.frombuffer(cur.take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        body = cur.take(8 * math.prod(shape))
+        if keep:
+            out[name] = np.frombuffer(body, dtype="<f8").reshape(shape).copy()
     return out
 
 
-def _whole_named_arrays(data: bytes, what: str) -> dict:
+def _whole_named_arrays(data, what: str) -> dict:
     cur = _Cursor(data, what)
     out = _unpack_named_arrays(cur)
     cur.finish()
@@ -495,21 +501,25 @@ _KNOWN_SECTIONS = {
 }
 
 
-def load_checkpoint(data: bytes) -> Checkpoint:
+def load_checkpoint(data: bytes, *, optimizer_state: bool = True) -> Checkpoint:
     """Inverse of save_checkpoint. Malformed bytes or values (a bad or
     non-finite number, an unknown variant, a field out of range, an optimizer
     kind other than train_config's, shapes that do not fit the config,
     feature stats that are not finite or whose std is not positive) raise
-    CheckpointFormatError."""
+    CheckpointFormatError.
+
+    optimizer_state=False is for callers that only run the model: the Adam
+    moments are checked as strictly but not copied out, so optimizer_m and
+    optimizer_v come back empty and the result cannot resume training."""
     try:
-        return _load_checkpoint(data)
+        return _load_checkpoint(data, optimizer_state)
     except CheckpointFormatError:
         raise
     except ValueError as exc:
         raise CheckpointFormatError(f"malformed checkpoint: {exc}") from exc
 
 
-def _load_checkpoint(data: bytes) -> Checkpoint:
+def _load_checkpoint(data: bytes, optimizer_state: bool) -> Checkpoint:
     if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad checkpoint magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
     cur = _Cursor(data, "checkpoint")
@@ -518,9 +528,9 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"checkpoint version {version} not supported (expected {CHECKPOINT_VERSION})")
     n_sections = cur.u32()
-    sections: dict[str, bytes] = {}
+    sections: dict[str, memoryview] = {}
     for _ in range(n_sections):
-        name = cur.take(cur.u32()).decode("utf-8")
+        name = str(cur.take(cur.u32()), "utf-8")
         payload = cur.take(cur.u64())
         if name not in _KNOWN_SECTIONS:
             raise CheckpointFormatError(f"unknown checkpoint section {name!r}")
@@ -542,10 +552,10 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     params.validate_shapes(model_cfg)
 
     ocur = _Cursor(sections["optimizer"], "optimizer section")
-    kind = ocur.take(ocur.u32()).decode("utf-8")
+    kind = str(ocur.take(ocur.u32()), "utf-8")
     opt_t = ocur.u64()
-    m_arrays = _unpack_named_arrays(ocur)
-    v_arrays = _unpack_named_arrays(ocur)
+    m_arrays = _unpack_named_arrays(ocur, keep=optimizer_state)
+    v_arrays = _unpack_named_arrays(ocur, keep=optimizer_state)
     ocur.finish()
     if kind != train_cfg.optimizer:  # TrainConfig holds it to 'adam' or 'sgd'
         raise CheckpointFormatError(f"optimizer section holds {kind!r}, train_config says {train_cfg.optimizer!r}")
@@ -557,7 +567,7 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     rng_state = None
     if "rng_state" in sections:
         try:
-            rng_state = json.loads(sections["rng_state"].decode("utf-8"))
+            rng_state = json.loads(str(sections["rng_state"], "utf-8"))
         except json.JSONDecodeError as exc:
             raise CheckpointFormatError(f"rng_state is not valid JSON: {exc}") from None
         if _rng_state_text(rng_state) != sections["rng_state"]:

@@ -6,8 +6,11 @@ for the DCT) so none of it shares a code path or an FFT library with the
 package under test.
 
 The front-end reference is the array code the package ran per clip before it
-cached its tables: it rebuilds the frame index, the Hamming window and the
-mel filterbank on every call. The package must still match it bit for bit.
+cached its tables: it rebuilds the frame index, the Hamming window, the mel
+filterbank and the DCT-II table on every call. The DCT-II table is written
+out from the definition, as dct2_ortho is, so it holds the same bits as the
+package's cached one without sharing its code. The package must still match
+the reference bit for bit.
 
 The SVG oracles draw the waveform, the attention curve and the spectrogram
 one pixel column, sample and cell at a time; the package's array versions
@@ -19,7 +22,6 @@ reference its collapsed form is checked against.
 import math
 
 import numpy as np
-from scipy.fft import dct as scipy_dct
 
 LOG_FLOOR = 1e-10
 
@@ -91,6 +93,18 @@ def dct2_ortho(x) -> np.ndarray:
     return out
 
 
+def dct2_ortho_table(n: int, keep: int) -> np.ndarray:
+    """n x keep matrix whose column k is dct2_ortho's cosine for coefficient k
+    times its scale, so x @ table gives dct2_ortho(x)[:keep] up to rounding."""
+    return np.array(
+        [
+            [math.cos(math.pi * k * (2 * m + 1) / (2 * n)) * (math.sqrt(1.0 / n) if k == 0 else math.sqrt(2.0 / n))
+             for k in range(keep)]
+            for m in range(n)
+        ]
+    )
+
+
 def mfcc_oracle(
     frame,
     sample_rate: int = 16000,
@@ -133,7 +147,7 @@ def frontend_reference(samples, sample_rate: int, cfg, original_len=None):
         lo, center, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         fb[m] = np.maximum(0.0, np.minimum((bin_hz - lo) / (center - lo), (hi - bin_hz) / (hi - center)))
     logmel = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
-    coeffs = scipy_dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_mfcc]
+    coeffs = logmel @ dct2_ortho_table(cfg.n_mels, cfg.n_mfcc)
 
     cutoff = original_len if original_len is not None else times[-1] + length + 1
     return power, times, coeffs, times >= cutoff

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -27,7 +28,7 @@ from roi_attend.dsp import (
 )
 from roi_attend.model import ModelConfig, Variant
 from roi_attend.roi import attention_json, detect_roi, dump_attention_json, extract_attention, render_svg
-from roi_attend.training import _config_section, load_checkpoint, save_checkpoint
+from roi_attend.training import _config_pairs, _config_section, _config_text, load_checkpoint, save_checkpoint
 
 TINY_SPEC = SyntheticSpec(
     n_clips_per_class=2, clip_len=4000, burst_len=800, n_actors=3, seed=7
@@ -441,6 +442,37 @@ class TestFeatureCacheKey:
         assert set(before) < set(after) and len(after) == len(before) + 1
         want = extract_features(pad_to_length([read_wav_file(victim)], 4000)[0], FrameConfig())
         np.testing.assert_array_equal(feats[0].frames, want.frames)
+
+    # The name the front end before FRONT_END_REVISION 2 (SciPy's DCT) gave the
+    # cached features of the corpus fixture's first clip, default frame config.
+    PRE_REVISION_NAME = "9001_S000_ANG_XX.7c164e755e93fbf0.roif"
+
+    def test_features_of_an_earlier_front_end_are_not_served(self, corpus, tmp_path, monkeypatch):
+        first = sorted(Path(corpus).glob("*.wav"))[0]
+        # that key hashed the same inputs without the front-end revision line
+        unrevised = _config_text(_config_pairs(FrameConfig())) + b"target=4000\n"
+        key = hashlib.sha256(unrevised + hashlib.sha256(first.read_bytes()).digest()).hexdigest()[:16]
+        assert f"{first.stem}.{key}.roif" == self.PRE_REVISION_NAME
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        want = extract_features(pad_to_length([read_wav_file(first)], 4000)[0], FrameConfig())
+        stale = save_feature_cache(replace(want, frames=want.frames + 1.0))
+        (cache / self.PRE_REVISION_NAME).write_bytes(stale)
+        _, feats, _ = cli._corpus_features(str(corpus), str(cache), FrameConfig())
+        np.testing.assert_array_equal(feats[0].frames, want.frames)
+        written = cache_state(cache)
+        assert written[self.PRE_REVISION_NAME][2] == stale
+        (fresh,) = [n for n in written if n.startswith(first.stem + ".") and n != self.PRE_REVISION_NAME]
+        assert written[fresh][2] == save_feature_cache(want)
+
+        # features this front end wrote are served: nothing recomputed or rewritten
+        computed = []
+        monkeypatch.setattr(cli, "extract_features", lambda *a, **k: computed.append(a) or extract_features(*a, **k))
+        _, warm, _ = cli._corpus_features(str(corpus), str(cache), FrameConfig())
+        assert computed == []
+        assert cache_state(cache) == written
+        np.testing.assert_array_equal(warm[0].frames, want.frames)
 
     def test_old_format_files_ignored_and_kept(self, corpus, tmp_path, capsys):
         cache = tmp_path / "cache"

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.fft import dct as scipy_dct
 
 import _oracles
 from roi_attend import dsp
@@ -359,6 +360,46 @@ class TestCachedFrontEnd:
             extract_features(clip, FrameConfig(), power=spec[:-1])
         with pytest.raises(ValueError, match="does not fit"):
             extract_features(clip, FrameConfig(fft_size=1024), power=spec)
+
+
+class TestDctTable:
+    """The MFCCs' DCT-II is one product with a cached n_mels x n_mfcc table."""
+
+    def test_matches_scipy_dct_to_rounding(self):
+        # A product of n terms rounds by at most about n ulps of ||x||; SciPy's
+        # own cosines are not all correctly rounded, so the two only agree to
+        # that level.
+        rng = np.random.default_rng(64)
+        for n in range(1, 65):
+            x = rng.normal(scale=5.0, size=(40, n))
+            got = x @ dsp._dct_table(n, n)
+            want = scipy_dct(x, type=2, norm="ortho", axis=1)
+            bound = 2 * n * np.finfo(np.float64).eps * np.linalg.norm(x, axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= bound), n
+
+    def test_keeps_only_the_requested_coefficients(self):
+        for n_mels, n_mfcc in ((26, 13), (40, 20), (5, 1), (7, 7)):
+            table = dsp._dct_table(n_mels, n_mfcc)
+            assert table.shape == (n_mels, n_mfcc)
+            np.testing.assert_array_equal(table, dsp._dct_table(n_mels, n_mels)[:, :n_mfcc])
+
+    def test_built_once_per_config_and_read_only(self):
+        dsp._dct_table.cache_clear()
+        clips = [AudioClip(np.random.default_rng(i).normal(size=4000 + 160 * i), 16000) for i in range(3)]
+        for clip in clips:
+            extract_features(clip, FrameConfig())
+        info = dsp._dct_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        table = dsp._dct_table(26, 13)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+    def test_matches_definition_oracle(self):
+        table = dsp._dct_table(26, 13)
+        np.testing.assert_array_equal(table, _oracles.dct2_ortho_table(26, 13))
+        x = np.random.default_rng(3).normal(size=26)
+        np.testing.assert_allclose(x @ table, _oracles.dct2_ortho(x)[:13], rtol=0, atol=1e-13)
 
 
 class TestMelScale:

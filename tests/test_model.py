@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,19 @@ class TestLstmForward:
         assert h[0] == pytest.approx(h_want, abs=1e-12)
         assert c_want == pytest.approx(0.231059, abs=1e-6)
         assert h_want == pytest.approx(0.113516, abs=1e-6)
+
+    def test_saturated_gates_are_exact_and_silent(self):
+        # every gate preactivation is -800: i = f = o = 0 exactly, g = -1
+        b = np.full(8, -800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs, (h, c) = lstm_forward(np.zeros((3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), b)
+            cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=2, enc_hidden=2, dec_hidden=2)
+            params = zero_params(cfg)
+            params["dec.b"][:] = -800.0
+            out = forward(feats(4, 2).frames, params, cfg)
+        assert not outs.any() and not h.any() and not c.any()
+        np.testing.assert_array_equal(out.posterior, np.full(6, 1 / 6))
 
     def test_state_threading_matches_stepwise_calls(self):
         rng = SeededRng(4)

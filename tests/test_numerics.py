@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from roi_attend.numerics import (
     EvaluationError,
@@ -57,6 +59,33 @@ class TestActivations:
         v = np.linspace(-8, 8, 33)
         s = sigmoid(v)
         assert np.all((s > 0) & (s < 1))
+
+    def test_scalar_and_zero_d_input(self):
+        for v in (0.0, 0, np.float64(0.0), np.asarray(0.0)):
+            s = sigmoid(v)
+            assert np.shape(s) == () and s == 0.5
+        assert sigmoid(np.asarray(2.0)) == sigmoid(np.array([2.0]))[0]
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(800.0) == 1.0
+            assert sigmoid(-800.0) == 0.0
+            np.testing.assert_array_equal(sigmoid(np.array([-1e308, -800.0, 800.0, 1e308])), [0.0, 0.0, 1.0, 1.0])
+            assert sigmoid(-np.inf) == 0.0 and sigmoid(np.inf) == 1.0
+
+    def test_within_one_ulp_of_scipy_expit(self):
+        """At most one ulp of 1.0 (the top of the range) apart. exp's last bit
+        differs between NumPy and libm; where 1 + exp(-v) rounds that bit away
+        or keeps it, the quotient can move by 2 ulps of a value just below 1,
+        and in the far negative tail, where expit divides exp(v) by
+        1 + exp(v) instead, by up to 4 ulps of the (tiny) value itself."""
+        rng = SeededRng(12)
+        v = np.concatenate([np.linspace(-760.0, 760.0, 200001), rng.normal(scale=4.0, size=20000), [-0.0, 1e-300]])
+        ours, ref = sigmoid(v), expit(v)
+        diff = np.abs(ours - ref)
+        assert diff.max() <= np.spacing(1.0)
+        assert np.all(diff <= 4 * np.spacing(np.minimum(ours, ref)))
 
 
 class TestGradCheck:

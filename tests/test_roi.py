@@ -6,7 +6,7 @@ import pytest
 
 import _oracles
 from roi_attend import roi as roi_mod
-from roi_attend.dsp import AudioClip, FeatureSequence, FrameConfig, power_spectrogram
+from roi_attend.dsp import AudioClip, FeatureSequence, FrameConfig, extract_features, power_spectrogram
 from roi_attend.model import ModelConfig, ModelParams, NoAttentionError, Variant, param_shapes
 from roi_attend.numerics import SeededRng
 from roi_attend.roi import (
@@ -114,6 +114,19 @@ class TestExtractAttention:
         with pytest.raises(ValueError, match="frame_len"):
             extract_attention(ckpt, feats(4))
         assert extract_attention(ckpt, feats(4), frame_len=320)[0].frame_len == 320
+
+    def test_any_rate_checkpoint_requires_frame_len(self):
+        # an 8 kHz clip has 160-sample frames; the checkpoint's expected rate
+        # (16 kHz) would give 320, and the features do not record the rate
+        cfg = FrameConfig(allow_any_rate=True)
+        ckpt = zero_checkpoint(input_dim=cfg.n_mfcc, frame_cfg=cfg)
+        clip = AudioClip(SeededRng(8).uniform(-0.5, 0.5, size=4000), 8000)
+        features = extract_features(clip, cfg)
+        with pytest.raises(ValueError, match="frame_len is required"):
+            extract_attention(ckpt, features)
+        (m,) = extract_attention(ckpt, features, frame_len=cfg.frame_len(clip.sample_rate))
+        assert m.frame_len == 160 and m.step == 80
+        assert m.frame_times[-1] + m.frame_len == len(clip)  # the last frame ends at the last sample
 
     def test_plain_variants_refused_by_model_number(self):
         ckpt = zero_checkpoint(Variant.UNI_PLAIN)
