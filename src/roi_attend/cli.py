@@ -467,7 +467,7 @@ def _cmd_report(cfg: dict) -> int:
 def _cmd_explain(cfg: dict) -> int:
     ckpt_path = _require(cfg, "paths.checkpoint")
     wav_path = _require(cfg, "paths.wav")
-    ckpt = load_checkpoint(Path(ckpt_path).read_bytes(), optimizer_state=False)
+    ckpt = load_checkpoint(Path(ckpt_path).read_bytes())
     if not ckpt.model_cfg.variant.has_attention:
         raise UsageError(
             f"checkpoint holds variant '{ckpt.model_cfg.variant.value}' "

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .dsp import FeatureSequence
-from .numerics import SeededRng, ShapeError, raw_sigmoid, softmax
+from .numerics import SeededRng, ShapeError, softmax
 
 __all__ = [
     "Variant",
@@ -205,18 +205,24 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
 # -- LSTM primitives (batched) ---------------------------------------------
 
 
+def _sigmoid(v):
+    """numerics.sigmoid without its np.errstate, which costs more than the
+    sigmoid itself at batch size 1. The loops that call _lstm_step enter
+    np.errstate(over="ignore") once, so a saturated gate gives exactly 0.0
+    without an overflow warning."""
+    return 1.0 / (1.0 + np.exp(-v))
+
+
 def _lstm_step(x, h_prev, c_prev, W, U, b):
     """One gate update. x: (B, d), h_prev/c_prev: (B, H). Returns (h, c, cache).
-
-    Callers enter np.errstate(over="ignore") around their loop of steps, so a
-    saturated gate gives 0.0 without an overflow warning (see raw_sigmoid)."""
+    Callers wrap their loop of steps in np.errstate(over="ignore") (see _sigmoid)."""
     hid = h_prev.shape[1]
     v = x @ W + h_prev @ U + b
-    i_f = raw_sigmoid(v[:, : 2 * hid])  # the i and f gates are one contiguous block
+    i_f = _sigmoid(v[:, : 2 * hid])  # the i and f gates are one contiguous block
     i = i_f[:, :hid]
     f = i_f[:, hid:]
     g = np.tanh(v[:, 2 * hid : 3 * hid])
-    o = raw_sigmoid(v[:, 3 * hid :])
+    o = _sigmoid(v[:, 3 * hid :])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -393,17 +399,17 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
         e_steps = np.empty((B, cfg.dec_steps, T))
         a_steps = np.empty((B, cfg.dec_steps, T))
         ctx_steps = np.empty((B, cfg.dec_steps, cfg.enc_width))
-        for step in range(cfg.dec_steps):
-            a, context, e, att_cache = _attention_forward(o_prev, p, pad, params, cfg)
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            for step in range(cfg.dec_steps):
+                a, context, e, att_cache = _attention_forward(o_prev, p, pad, params, cfg)
                 h, c, dec_cache = _lstm_step(context, h, c, params["dec.W"], params["dec.U"], params["dec.b"])
-            o_prev = h
-            e_steps[:, step, :] = e
-            a_steps[:, step, :] = a
-            ctx_steps[:, step, :] = context
-            if want_cache:
-                att_caches.append(att_cache)
-                dec_caches.append(dec_cache)
+                o_prev = h
+                e_steps[:, step, :] = e
+                a_steps[:, step, :] = a
+                ctx_steps[:, step, :] = context
+                if want_cache:
+                    att_caches.append(att_cache)
+                    dec_caches.append(dec_cache)
         h_final = h
         trace = (e_steps, a_steps, ctx_steps)
     else:

@@ -20,7 +20,6 @@ __all__ = [
     "SeededRng",
     "softmax",
     "sigmoid",
-    "raw_sigmoid",
     "grad_check",
 ]
 
@@ -50,15 +49,8 @@ def softmax(v, axis: int = -1) -> np.ndarray:
 def sigmoid(v) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-v)), elementwise in float64. Large
     negative inputs give exactly 0.0 without an overflow warning."""
-    with np.errstate(over="ignore"):
-        return raw_sigmoid(np.asarray(v, dtype=np.float64))
-
-
-def raw_sigmoid(x: np.ndarray) -> np.ndarray:
-    """sigmoid of a float64 array without its warning guard, for loops that
-    enter np.errstate(over="ignore") once around many calls: exp(-x)
-    overflows to inf for x below about -709, and 1 / (1 + inf) is 0.0."""
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp(-v) is inf below about -709, and 1 / (1 + inf) is 0.0
+        return 1.0 / (1.0 + np.exp(-np.asarray(v, dtype=np.float64)))
 
 
 @dataclass

@@ -397,7 +397,9 @@ def _pack_named_arrays(arrays: dict) -> bytes:
         a = np.ascontiguousarray(arr, dtype="<f8")
         chunks.append(struct.pack("<I", len(nb)))
         chunks.append(nb)
-        chunks.append(struct.pack(f"<{1 + a.ndim}I", a.ndim, *a.shape))  # ascontiguousarray gives ndim >= 1
+        chunks.append(struct.pack("<I", a.ndim))
+        if a.ndim:
+            chunks.append(struct.pack(f"<{a.ndim}I", *a.shape))
         chunks.append(a.tobytes(order="C"))
     return b"".join(chunks)
 
@@ -429,10 +431,10 @@ class _Cursor:
             raise CheckpointFormatError(f"{self.what} has {len(self.data) - self.pos} trailing bytes")
 
 
-def _unpack_named_arrays(cur: _Cursor, keep: bool = True) -> dict:
+def _unpack_named_arrays(cur: _Cursor) -> dict:
     """Read one _pack_named_arrays blob at the cursor, leaving the cursor
-    just past it (so blobs can sit back to back). With keep=False the framing
-    is checked all the same, but no array is copied out and {} is returned."""
+    just past it (so blobs can sit back to back). The arrays are read-only
+    views of the cursor's bytes; nothing is copied."""
     count = cur.u32()
     out = {}
     for _ in range(count):
@@ -441,15 +443,14 @@ def _unpack_named_arrays(cur: _Cursor, keep: bool = True) -> dict:
         if ndim == 0:  # the writer stores a 0-d array as shape (1,)
             raise CheckpointFormatError(f"{cur.what}: array {name!r} has no dimensions")
         shape = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
-        body = cur.take(8 * math.prod(shape))
-        if keep:
-            out[name] = np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+        out[name] = np.frombuffer(cur.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
     return out
 
 
 def _whole_named_arrays(data, what: str) -> dict:
+    """The one blob that fills data, as writable arrays of their own."""
     cur = _Cursor(data, what)
-    out = _unpack_named_arrays(cur)
+    out = {name: a.copy() for name, a in _unpack_named_arrays(cur).items()}
     cur.finish()
     return out
 
@@ -501,25 +502,24 @@ _KNOWN_SECTIONS = {
 }
 
 
-def load_checkpoint(data: bytes, *, optimizer_state: bool = True) -> Checkpoint:
+def load_checkpoint(data: bytes) -> Checkpoint:
     """Inverse of save_checkpoint. Malformed bytes or values (a bad or
     non-finite number, an unknown variant, a field out of range, an optimizer
     kind other than train_config's, shapes that do not fit the config,
     feature stats that are not finite or whose std is not positive) raise
     CheckpointFormatError.
 
-    optimizer_state=False is for callers that only run the model: the Adam
-    moments are checked as strictly but not copied out, so optimizer_m and
-    optimizer_v come back empty and the result cannot resume training."""
+    Params and feature stats are copied out; the optimizer moments, which only
+    a resumed run reads, are read-only views of data."""
     try:
-        return _load_checkpoint(data, optimizer_state)
+        return _load_checkpoint(data)
     except CheckpointFormatError:
         raise
     except ValueError as exc:
         raise CheckpointFormatError(f"malformed checkpoint: {exc}") from exc
 
 
-def _load_checkpoint(data: bytes, optimizer_state: bool) -> Checkpoint:
+def _load_checkpoint(data: bytes) -> Checkpoint:
     if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad checkpoint magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
     cur = _Cursor(data, "checkpoint")
@@ -554,8 +554,8 @@ def _load_checkpoint(data: bytes, optimizer_state: bool) -> Checkpoint:
     ocur = _Cursor(sections["optimizer"], "optimizer section")
     kind = str(ocur.take(ocur.u32()), "utf-8")
     opt_t = ocur.u64()
-    m_arrays = _unpack_named_arrays(ocur, keep=optimizer_state)
-    v_arrays = _unpack_named_arrays(ocur, keep=optimizer_state)
+    m_arrays = _unpack_named_arrays(ocur)
+    v_arrays = _unpack_named_arrays(ocur)
     ocur.finish()
     if kind != train_cfg.optimizer:  # TrainConfig holds it to 'adam' or 'sgd'
         raise CheckpointFormatError(f"optimizer section holds {kind!r}, train_config says {train_cfg.optimizer!r}")

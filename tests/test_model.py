@@ -20,7 +20,8 @@ from roi_attend.model import (
     make_dropout_mask,
     param_shapes,
 )
-from roi_attend.numerics import SeededRng, ShapeError
+from roi_attend.model import _sigmoid as gate_sigmoid
+from roi_attend.numerics import SeededRng, ShapeError, sigmoid
 
 
 def zero_params(cfg: ModelConfig) -> ModelParams:
@@ -154,6 +155,11 @@ class TestLstmForward:
         assert h[0] == pytest.approx(h_want, abs=1e-12)
         assert c_want == pytest.approx(0.231059, abs=1e-6)
         assert h_want == pytest.approx(0.113516, abs=1e-6)
+
+    def test_gate_sigmoid_is_numerics_sigmoid_bitwise(self):
+        v = np.concatenate([np.linspace(-760.0, 760.0, 20001), SeededRng(5).normal(scale=4.0, size=2000)])
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(gate_sigmoid(v), sigmoid(v))
 
     def test_saturated_gates_are_exact_and_silent(self):
         # every gate preactivation is -800: i = f = o = 0 exactly, g = -1

@@ -18,8 +18,6 @@ characters the paths hold; a mutated one parses or raises FoldCsvError.
 """
 
 import math
-import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,38 +147,6 @@ def test_mutated_blob(name, data):
     value = _parse(name, mutant)
     if not isinstance(value, Exception):
         _check_value(name, mutant, value)
-
-
-def _optimizer_section(blob) -> range:
-    """Byte positions of the checkpoint's optimizer section payload."""
-    header = struct.pack("<I", len(b"optimizer")) + b"optimizer"
-    start = blob.index(header) + len(header) + 8
-    return range(start, start + struct.unpack_from("<Q", blob, start - 8)[0])
-
-
-def _load_model_only(blob):
-    try:
-        return load_checkpoint(blob, optimizer_state=False)
-    except CheckpointFormatError as exc:
-        return exc
-
-
-def test_model_only_load_checks_what_it_skips():
-    """A model-only load (explain's) copies no Adam moments but checks their
-    framing as strictly: a byte change in the optimizer section, or a cut
-    inside it, fails it exactly when it fails the full load, with the same
-    named error (the message may differ: only the full load reshapes)."""
-    section = _optimizer_section(ROIC)
-    for pos in section:
-        mutant = _apply(ROIC, [(pos, 0x80)])  # breaks a name's UTF-8, or a count, length or shape
-        full, light = _parse("roic", mutant), _load_model_only(mutant)
-        if isinstance(full, Exception):
-            assert type(light) is type(full), pos
-        else:
-            assert light.optimizer_m == light.optimizer_v == {}
-            assert save_checkpoint(replace(light, optimizer_m=full.optimizer_m, optimizer_v=full.optimizer_v)) == mutant
-    for n in range(section.start - 8, section.stop + 1):
-        assert isinstance(_load_model_only(ROIC[:n]), CheckpointFormatError), f"prefix of {n} bytes parsed"
 
 
 def test_zero_sample_rate_is_a_format_error():

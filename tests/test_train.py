@@ -471,16 +471,34 @@ class TestCheckpointIO:
         for key in ("mean", "std"):
             np.testing.assert_array_equal(back.feature_stats[key], ckpt.feature_stats[key])
 
-    def test_model_only_load_skips_just_the_adam_moments(self):
+    def test_loaded_moments_are_read_only_views_and_params_are_copies(self):
         blob = save_checkpoint(self._checkpoint())
-        full = load_checkpoint(blob)
-        light = load_checkpoint(blob, optimizer_state=False)
-        assert light.optimizer_m == light.optimizer_v == {}
-        assert save_checkpoint(
-            dataclasses.replace(light, optimizer_m=full.optimizer_m, optimizer_v=full.optimizer_v)
-        ) == blob
-        for name in full.params.names():
-            assert light.params[name].flags.writeable and light.params[name].flags.owndata
+        back = load_checkpoint(blob)
+        for name in back.params.names():
+            assert back.params[name].flags.writeable and back.params[name].flags.owndata
+            for moments in (back.optimizer_m, back.optimizer_v):
+                assert not moments[name].flags.writeable and not moments[name].flags.owndata
+        for key in ("mean", "std"):
+            assert back.feature_stats[key].flags.writeable and back.feature_stats[key].flags.owndata
+        assert save_checkpoint(back) == blob
+
+    def test_zero_dimensional_array_rejected(self):
+        """The writer stores a 0-d array as shape (1,), so ndim=0 is never
+        written; in the unvalidated Adam moments it would load and then save
+        back to other bytes."""
+        blob = save_checkpoint(self._checkpoint(Variant.UNI_PLAIN))
+        zero_d = struct.pack("<II", 1, 1) + b"x" + struct.pack("<I", 0) + struct.pack("<d", 0.5)
+        optimizer = struct.pack("<I", 4) + b"adam" + struct.pack("<Q", 1) + zero_d + struct.pack("<I", 0)
+        head, pos, sections = blob[:12], 12, []
+        while pos < len(blob):  # reframe the container with the optimizer payload replaced
+            (n,) = struct.unpack_from("<I", blob, pos)
+            name = blob[pos + 4 : pos + 4 + n]
+            (size,) = struct.unpack_from("<Q", blob, pos + 4 + n)
+            payload = optimizer if name == b"optimizer" else blob[pos + 12 + n : pos + 12 + n + size]
+            sections.append(struct.pack("<I", n) + name + struct.pack("<Q", len(payload)) + payload)
+            pos += 12 + n + size
+        with pytest.raises(CheckpointFormatError, match="has no dimensions"):
+            load_checkpoint(head + b"".join(sections))
 
     def test_save_is_deterministic(self):
         ckpt = self._checkpoint()
