@@ -21,13 +21,10 @@ import math
 import os
 import sys
 import textwrap
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import replace
 from enum import Enum
 from pathlib import Path
-
-import numpy as np
 
 from .dataset import (
     SyntheticSpec,
@@ -39,14 +36,11 @@ from .dataset import (
 )
 from .dsp import (
     FRONT_END_REVISION,
-    PCM16_SCALE,
-    AudioClip,
     FeatureCacheError,
     FrameConfig,
     extract_features,
     load_feature_cache,
     pad_to_length,
-    pcm16_to_float,
     power_spectrogram,
     read_wav_file,
     save_feature_cache,
@@ -86,6 +80,10 @@ COMMANDS = ("synth", "features", "train", "eval-loso", "explain", "gradcheck", "
 
 class UsageError(ValueError):
     """Bad flags or configuration; maps to exit code 2."""
+
+
+class CorpusChangedError(RuntimeError):
+    """A WAV file's bytes changed between the two reads of a feature pass."""
 
 
 # Sections whose keys are the settings of a config dataclass.
@@ -274,20 +272,23 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
     maximum. Cached .roif files are named <stem>.<key>.roif, where the key is
     a short SHA-256 over the front-end revision, the canonical frame config,
     the pad target and the WAV file's own SHA-256, so a changed clip, frame
-    setting, pad target or feature computation never reads a stale file."""
+    setting, pad target or feature computation never reads a stale file.
+
+    The first pass parses every WAV, so a bad file fails before any cache file
+    is written, and keeps only its length, rate and digest. A clip whose
+    features are not cached is read again and must hash to the same digest.
+    So the pass holds one decoded clip, not the corpus."""
     manifest, skipped = scan_corpus(corpus_dir)
     for name in skipped:
         print(f"skipping unparseable name: {name}", file=sys.stderr)
-    pcm, rates, digests = [], [], []
+    lengths, rates, digests = [], [], []
     for e in manifest.entries:
         hasher = hashlib.sha256()
         clip = read_wav_file(e.path, hasher=hasher)
-        # int16 holds each decoded sample exactly in a quarter of the memory;
-        # a clip is decoded again only when its features are not cached.
-        pcm.append((clip.samples * PCM16_SCALE).astype(np.int16))
+        lengths.append(len(clip))
         rates.append(clip.sample_rate)
         digests.append(hasher.digest())
-    target = max(p.shape[0] for p in pcm)
+    target = max(lengths)
     key_prefix = (
         f"front_end={FRONT_END_REVISION}\n".encode("ascii")
         + _config_text(_config_pairs(frame_cfg))
@@ -297,7 +298,7 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
     cache = Path(cache_dir) if cache_dir else None
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
-    for samples, rate, digest, entry in zip(pcm, rates, digests, manifest.entries):
+    for rate, digest, entry in zip(rates, digests, manifest.entries):
         cpath = None
         if cache is not None:
             stem = Path(entry.path).stem
@@ -311,7 +312,10 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
                         continue
                 except FeatureCacheError as exc:
                     print(f"recomputing {cpath.name}: {exc}", file=sys.stderr)
-        clip = AudioClip(pcm16_to_float(samples), rate, source_id=str(entry.path))
+        hasher = hashlib.sha256()
+        clip = read_wav_file(entry.path, hasher=hasher)
+        if hasher.digest() != digest:
+            raise CorpusChangedError(f"{entry.path} changed while its features were being computed")
         seq = extract_features(pad_to_length([clip], target=target)[0], frame_cfg)
         if cpath is not None:
             _write_atomic(cpath, save_feature_cache(seq))
@@ -324,9 +328,8 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
 
 def _cmd_synth(cfg: dict) -> int:
     out = _run_dir("synth", cfg)
-    clips = generate_synthetic(_settings(cfg, "synth"))
-    write_synthetic_corpus(clips, out)
-    print(f"wrote {len(clips)} clips to {out}")
+    paths = write_synthetic_corpus(generate_synthetic(_settings(cfg, "synth")), out)
+    print(f"wrote {len(paths)} clips to {out}")
     return 0
 
 
@@ -423,6 +426,8 @@ def _cmd_eval_loso(cfg: dict) -> int:
         with ExitStack() as stack:
             fold_map = map
             if cfg["eval.parallel"] > 0:
+                from concurrent.futures import ProcessPoolExecutor
+
                 fold_map = stack.enter_context(ProcessPoolExecutor(max_workers=cfg["eval.parallel"])).map
             for subject, csv_text, counts in fold_map(_fold_worker, payloads):
                 _write_atomic(out / f"fold-{subject}.csv", csv_text)

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -257,18 +258,26 @@ class SyntheticClip:
     burst_end: int
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[SyntheticClip]:
-    """Low-amplitude noise plus one class-signature burst per clip.
+def generate_synthetic(spec: SyntheticSpec) -> Iterator[SyntheticClip]:
+    """Low-amplitude noise plus one class-signature burst per clip, yielded
+    one clip at a time so a corpus never has to fit in memory.
 
     Deterministic under spec.seed. Clips are assigned round-robin to
     spec.n_actors pseudo-actors by generation order.
     """
     rng = SeededRng(spec.seed)
     actors = [f"{spec.actor_base + i:04d}" for i in range(spec.n_actors)]
-    out: list[SyntheticClip] = []
+    t = np.arange(spec.burst_len) / spec.sample_rate
+    envelope = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(spec.burst_len) / spec.burst_len))
     serial = 0
     for cls_idx, sig in enumerate(spec.class_signatures):
         label = EmotionLabel(cls_idx)
+        # only the phase varies by clip: the burst is amplitude * envelope * am *
+        # sin(2*pi*carrier_hz*t + phase) evaluated left to right, so these
+        # class-wide leading products give the same bits
+        am = 1.0 + 0.5 * np.sin(2.0 * np.pi * sig.am_hz * t)
+        gain = sig.amplitude * envelope * am
+        carrier_phase = 2.0 * np.pi * sig.carrier_hz * t
         for _ in range(spec.n_clips_per_class):
             if spec.min_clip_len is None:
                 length = spec.clip_len
@@ -277,21 +286,17 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SyntheticClip]:
             samples = spec.noise_amplitude * rng.normal(size=length)
             start = int(rng.integers(0, length - spec.burst_len + 1))
             phase = float(rng.uniform(0.0, 2.0 * np.pi))
-            t = np.arange(spec.burst_len) / spec.sample_rate
-            envelope = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(spec.burst_len) / spec.burst_len))
-            am = 1.0 + 0.5 * np.sin(2.0 * np.pi * sig.am_hz * t)
-            burst = sig.amplitude * envelope * am * np.sin(2.0 * np.pi * sig.carrier_hz * t + phase)
-            samples[start : start + spec.burst_len] += burst
+            samples[start : start + spec.burst_len] += gain * np.sin(carrier_phase + phase)
             actor = actors[serial % spec.n_actors]
             name = f"{actor}_S{serial:03d}_{label.code}_XX.wav"
             clip = AudioClip(samples, spec.sample_rate, source_id=name)
-            out.append(SyntheticClip(clip, label, actor, start, start + spec.burst_len))
+            yield SyntheticClip(clip, label, actor, start, start + spec.burst_len)
             serial += 1
-    return out
 
 
-def write_synthetic_corpus(clips: list[SyntheticClip], root) -> list[str]:
-    """Write WAVs (named by the corpus convention) plus regions.csv under root."""
+def write_synthetic_corpus(clips: Iterable[SyntheticClip], root) -> list[str]:
+    """Write WAVs (named by the corpus convention) plus regions.csv under root,
+    each clip as it arrives."""
     os.makedirs(root, exist_ok=True)
     paths = []
     rows = []

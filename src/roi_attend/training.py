@@ -505,9 +505,9 @@ _KNOWN_SECTIONS = {
 def load_checkpoint(data: bytes) -> Checkpoint:
     """Inverse of save_checkpoint. Malformed bytes or values (a bad or
     non-finite number, an unknown variant, a field out of range, an optimizer
-    kind other than train_config's, shapes that do not fit the config,
-    feature stats that are not finite or whose std is not positive) raise
-    CheckpointFormatError.
+    kind other than train_config's, shapes that do not fit the config, optimizer
+    moments that do not fit the params, feature stats that are not finite or
+    whose std is not positive) raise CheckpointFormatError.
 
     Params and feature stats are copied out; the optimizer moments, which only
     a resumed run reads, are read-only views of data."""
@@ -559,6 +559,13 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     ocur.finish()
     if kind != train_cfg.optimizer:  # TrainConfig holds it to 'adam' or 'sgd'
         raise CheckpointFormatError(f"optimizer section holds {kind!r}, train_config says {train_cfg.optimizer!r}")
+    # SGD keeps no moments; Adam keeps one pair per param, and none before its first step
+    moments = ({n: a.shape for n, a in m_arrays.items()}, {n: a.shape for n, a in v_arrays.items()})
+    shapes = {n: params[n].shape for n in params.names()}
+    if kind == "sgd" and moments != ({}, {}):
+        raise CheckpointFormatError("sgd optimizer section holds moments; SGD keeps none")
+    if kind == "adam" and moments != (shapes, shapes) and not (opt_t == 0 and moments == ({}, {})):
+        raise CheckpointFormatError("adam optimizer moments do not match the params' names and shapes")
 
     epoch = int(_parse_config_text(sections["meta"]).get("epoch", "0"))
     if _config_text({"epoch": epoch}) != sections["meta"]:

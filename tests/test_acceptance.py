@@ -98,8 +98,8 @@ def _accuracy(ckpt, feats, labels):
 @pytest.fixture(scope="module")
 def synth_data():
     t0 = time.monotonic()
-    train_clips = generate_synthetic(TRAIN_SPEC)
-    test_clips = generate_synthetic(TEST_SPEC)
+    train_clips = list(generate_synthetic(TRAIN_SPEC))
+    test_clips = list(generate_synthetic(TEST_SPEC))
     train_feats = extract_corpus_features([c.clip for c in train_clips], FRAME, target=PAD_TARGET)
     test_feats = extract_corpus_features([c.clip for c in test_clips], FRAME, target=PAD_TARGET)
     return {
@@ -316,7 +316,7 @@ def test_criterion_7_loso_fold_laws(capsys):
 @pytest.fixture(scope="module")
 def mini_corpus():
     spec = SyntheticSpec(n_clips_per_class=2, clip_len=4000, burst_len=800, n_actors=3, seed=88)
-    clips = generate_synthetic(spec)
+    clips = list(generate_synthetic(spec))
     feats = extract_corpus_features([c.clip for c in clips], FRAME)
     entries = [(f, int(c.label)) for f, c in zip(feats, clips)]
     actors = [c.actor_id for c in clips]

@@ -367,6 +367,53 @@ class TestFeaturesCommand:
         assert rc == 0
         assert len(list(cache.glob("*.roif"))) == 12
 
+    def test_cold_then_warm_pass_match_and_warm_reads_each_wav_once(self, corpus, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(
+            cli, "read_wav_file", lambda path, hasher=None: reads.append(path) or read_wav_file(path, hasher=hasher)
+        )
+        cache = tmp_path / "cache"
+        argv = [
+            "features", f"--paths.corpus_dir={corpus}",
+            f"--paths.cache_dir={cache}", f"--paths.output_dir={tmp_path}",
+        ]
+        wavs = sorted(str(p) for p in Path(corpus).glob("*.wav"))
+        assert entrypoint(argv) == 0
+        assert sorted(reads) == sorted(wavs * 2)  # every clip is parsed, then decoded for its features
+        cold = cache_state(cache)
+        manifest = only_dir(tmp_path, "features") / "manifest.csv"
+        cold_manifest = manifest.read_bytes()
+        reads.clear()
+        assert entrypoint(argv) == 0
+        assert sorted(reads) == wavs
+        assert cache_state(cache) == cold
+        assert manifest.read_bytes() == cold_manifest
+
+    def test_wav_rewritten_between_reads_fails_and_is_not_cached(self, corpus, tmp_path, monkeypatch, capsys):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        victim = str(sorted(copy.glob("*.wav"))[2])
+        reads = []
+
+        def rewrite_before_second_read(path, hasher=None):
+            reads.append(path)
+            if path == victim and reads.count(path) == 2:
+                data = bytearray(Path(path).read_bytes())
+                data[-2:] = b"\x00\x40"  # last sample changes, length does not
+                Path(path).write_bytes(bytes(data))
+            return read_wav_file(path, hasher=hasher)
+
+        monkeypatch.setattr(cli, "read_wav_file", rewrite_before_second_read)
+        cache = tmp_path / "cache"
+        rc = entrypoint([
+            "features", f"--paths.corpus_dir={copy}",
+            f"--paths.cache_dir={cache}", f"--paths.output_dir={tmp_path}",
+        ])
+        assert rc == 1
+        assert f"error: {victim} changed" in capsys.readouterr().err
+        assert len(cache_state(cache)) == 2  # the clips before it
+        assert not list(cache.glob(Path(victim).stem + ".*"))
+
 
 def cache_state(cache):
     """name -> (inode, mtime, bytes) of every cached feature file."""
@@ -507,6 +554,25 @@ class TestCorpusFeaturesMemory:
                 tracemalloc.stop()
             assert len(feats) == 6 * spec.n_clips_per_class
             assert peak < 0.8 * decoded
+
+    def test_cold_pass_grows_only_by_the_features_it_returns(self, tmp_path):
+        def cold_pass(n_clips_per_class):
+            spec = SyntheticSpec(n_clips_per_class=n_clips_per_class, clip_len=16000, burst_len=800, n_actors=2, seed=3)
+            corpus = tmp_path / f"corpus-{n_clips_per_class}"
+            write_synthetic_corpus(generate_synthetic(spec), corpus)
+            tracemalloc.start()
+            try:
+                _, feats, _ = cli._corpus_features(str(corpus), str(tmp_path / f"cache-{n_clips_per_class}"), FrameConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, sum(f.frames.nbytes + f.frame_times.nbytes + f.pad_mask.nbytes for f in feats)
+
+        cold_pass(1)  # builds the cached tables
+        small_peak, small_feats = cold_pass(2)
+        large_peak, large_feats = cold_pass(8)
+        # keeping the 36 extra clips as int16 PCM alone would add 36 * 32000 bytes
+        assert large_peak - small_peak < large_feats - small_feats + 128_000
 
 
 class TestTrainCommand:

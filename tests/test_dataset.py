@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import io
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,15 +173,15 @@ class TestLosoFolds:
 class TestGenerateSynthetic:
     def test_seed_determinism(self):
         spec = SyntheticSpec(n_clips_per_class=2, seed=77)
-        a = generate_synthetic(spec)
-        b = generate_synthetic(spec)
+        a = list(generate_synthetic(spec))
+        b = list(generate_synthetic(spec))
         assert len(a) == len(b)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.clip.samples, cb.clip.samples)
             assert (ca.burst_start, ca.burst_end) == (cb.burst_start, cb.burst_end)
 
     def test_counts_per_label(self):
-        clips = generate_synthetic(SyntheticSpec(n_clips_per_class=10))
+        clips = list(generate_synthetic(SyntheticSpec(n_clips_per_class=10)))
         assert len(clips) == 60
         for lab in EmotionLabel:
             assert sum(1 for c in clips if c.label is lab) == 10
@@ -192,7 +195,7 @@ class TestGenerateSynthetic:
             assert inside > outside
 
     def test_round_robin_actors(self):
-        clips = generate_synthetic(SyntheticSpec(n_clips_per_class=2, n_actors=3, actor_base=7001))
+        clips = list(generate_synthetic(SyntheticSpec(n_clips_per_class=2, n_actors=3, actor_base=7001)))
         assert [c.actor_id for c in clips[:4]] == ["7001", "7002", "7003", "7001"]
 
     def test_clip_names_follow_corpus_convention(self):
@@ -229,7 +232,7 @@ class TestGenerateSynthetic:
 
 class TestWriteSyntheticCorpus:
     def test_corpus_on_disk(self, tmp_path):
-        clips = generate_synthetic(SyntheticSpec(n_clips_per_class=1, n_actors=2))
+        clips = list(generate_synthetic(SyntheticSpec(n_clips_per_class=1, n_actors=2)))
         paths = write_synthetic_corpus(clips, tmp_path)
         assert len(paths) == 6
         m, skipped = scan_corpus(tmp_path)
@@ -247,3 +250,42 @@ class TestWriteSyntheticCorpus:
         by_path = {r[0]: (int(r[1]), int(r[2])) for r in rows[1:]}
         for sc, path in zip(clips, paths):
             assert by_path[path] == (sc.burst_start, sc.burst_end)
+
+    # SHA-256 of the WAVs (name, newline, bytes, in name order) and of
+    # regions.csv that the all-at-once generator wrote for PINNED_SPEC
+    PINNED_SPEC = SyntheticSpec(
+        n_clips_per_class=2, clip_len=4000, min_clip_len=2400, burst_len=800, n_actors=3, seed=11
+    )
+    PINNED_WAVS = "d0942eedea18aa201d72445650ecdee00f4017abb1eb41ef46184052fb02f11e"
+    PINNED_REGIONS = "fe21860a85203972a7ee1e042bae6ebb51f5d0ec9fdb0ee95376c73c2c7001f4"
+
+    def test_streamed_corpus_bytes_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # regions.csv holds the paths, so keep them relative
+        write_synthetic_corpus(generate_synthetic(self.PINNED_SPEC), "corpus")
+        wavs = hashlib.sha256()
+        for path in sorted(Path("corpus").glob("*.wav")):
+            wavs.update(path.name.encode() + b"\n" + path.read_bytes())
+        assert wavs.hexdigest() == self.PINNED_WAVS
+        assert hashlib.sha256(Path("corpus/regions.csv").read_bytes()).hexdigest() == self.PINNED_REGIONS
+
+    def test_yields_one_clip_at_a_time(self):
+        clips = generate_synthetic(SyntheticSpec(n_clips_per_class=1))
+        assert next(clips).clip.source_id == "9001_S000_ANG_XX.wav"
+        assert len(list(clips)) == 5
+
+    def test_peak_memory_does_not_grow_with_clip_count(self, tmp_path):
+        def traced_peak(n_clips_per_class, root):
+            spec = SyntheticSpec(n_clips_per_class=n_clips_per_class, clip_len=16000, burst_len=800, seed=4)
+            tracemalloc.start()
+            try:
+                write_synthetic_corpus(generate_synthetic(spec), root)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(1, tmp_path / "warm-up")
+        small = traced_peak(2, tmp_path / "small")
+        large = traced_peak(8, tmp_path / "large")
+        one_clip = 16000 * 8
+        # holding the corpus would add 36 float64 clips; streaming adds a path per clip
+        assert large < small + one_clip // 2

@@ -1,8 +1,10 @@
 """The program runs on NumPy alone: SciPy is a test dependency (the oracles
 compare against it), and every command pays for each module it imports at
 start-up. A fresh interpreter that imports the CLI and runs the front end and
-an attention forward pass must not have loaded any scipy module."""
+an attention forward pass must not have loaded any scipy module, nor the
+process-pool machinery that only a parallel eval-loso uses."""
 
+import functools
 import json
 import os
 import subprocess
@@ -31,17 +33,27 @@ print(json.dumps({
     "frames": features.T,
     "weight_sum": float(amap.weights.sum()),
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "pool": [m for m in ("concurrent.futures.process", "multiprocessing", "socket", "subprocess") if m in sys.modules],
 }))
 """
 
 
-def test_front_end_and_forward_pass_load_no_scipy():
+@functools.cache
+def probe() -> dict:
     src = str(Path(roi_attend.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
     done = subprocess.run(
         [sys.executable, "-c", PROBE], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_front_end_and_forward_pass_load_no_scipy():
+    out = probe()
     assert out["frames"] == 9 and abs(out["weight_sum"] - 1.0) < 1e-12
     assert out["scipy"] == []
+
+
+def test_cli_import_loads_no_process_pool():
+    assert probe()["pool"] == []

@@ -58,7 +58,7 @@ def tiny_cfg(variant=Variant.UNI_ATTENTION, **kw):
 
 
 def synthetic_train_set(n_per_class=10, seed=0):
-    clips = generate_synthetic(SyntheticSpec(n_clips_per_class=n_per_class, seed=seed))
+    clips = list(generate_synthetic(SyntheticSpec(n_clips_per_class=n_per_class, seed=seed)))
     seqs = extract_corpus_features([c.clip for c in clips], FrameConfig())
     return [(seq, int(c.label)) for seq, c in zip(seqs, clips)]
 
@@ -629,3 +629,27 @@ class TestCheckpointIO:
         back = load_checkpoint(save_checkpoint(ckpt))
         assert back.optimizer_kind == "sgd"
         assert back.optimizer_m == {}
+
+    @pytest.mark.parametrize("moments", ["unknown name", "wrong shape", "v missing"])
+    def test_adam_moments_that_do_not_fit_the_params_rejected(self, moments):
+        ckpt = self._checkpoint()
+        data = save_checkpoint(ckpt)
+        assert save_checkpoint(load_checkpoint(data)) == data
+        if moments == "unknown name":
+            bad = dataclasses.replace(ckpt, optimizer_m={"bogus": np.zeros(3)}, optimizer_v={}, optimizer_t=3)
+        elif moments == "wrong shape":
+            first = next(iter(ckpt.optimizer_v))
+            v = {**ckpt.optimizer_v, first: np.zeros(ckpt.optimizer_v[first].shape + (1,))}
+            bad = dataclasses.replace(ckpt, optimizer_v=v)
+        else:
+            bad = dataclasses.replace(ckpt, optimizer_v={})
+        with pytest.raises(CheckpointFormatError, match="adam optimizer moments do not match"):
+            load_checkpoint(save_checkpoint(bad))
+
+    def test_sgd_checkpoint_with_moments_rejected(self):
+        train_set = synthetic_train_set(n_per_class=1)
+        cfg = tiny_cfg(Variant.UNI_PLAIN, input_dim=13)
+        ckpt = train(train_set, cfg, TrainConfig(epochs=1, optimizer="sgd", seed=0))
+        bad = dataclasses.replace(ckpt, optimizer_m=ckpt.params.zeros_like(), optimizer_v=ckpt.params.zeros_like())
+        with pytest.raises(CheckpointFormatError, match="SGD keeps none"):
+            load_checkpoint(save_checkpoint(bad))
