@@ -6,10 +6,16 @@ across all x encoder frames, concatenated with each encoder output p<t'>,
 scored to e<t,t'> (affine, or affine-tanh-affine when attn_hidden > 0),
 normalized with softmax to a<t,t'>, and the context vector is
 sum_{t'} a<t,t'> * p<t'>. Plain variants skip the block and run the decoder
-over the encoder outputs directly.
+over the encoder outputs directly. The repeated-and-concatenated scorer input
+is never built: its first affine map is split by rows into an o<t-1> part,
+computed once per step and broadcast over the frames, and a p<t'> part: the
+same function, with the same stored weights, as scoring the concatenation.
 
 All forward internals are batched (B, T, d) and keep caches so training can
 backpropagate through every step; public single-clip wrappers are at the end.
+A sequence's LSTM caches keep each step's gates and previous cell state, not
+its previous hidden state or tanh(c): backprop rebuilds those from the same
+operands, so the gradients are bit-identical to caching them.
 """
 
 from __future__ import annotations
@@ -251,7 +257,10 @@ def _lstm_step_backward(cache, dh, dc, W, U, dW, dU, db, want_dx=True):
 
 
 def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True):
-    """Run a whole sequence. X: (B, T, d). Returns (outputs (B,T,H), (h,c), caches)."""
+    """Run a whole sequence. X: (B, T, d). Returns (outputs (B,T,H), (h,c), caches).
+
+    Each step's cache is _lstm_step's without tanh(c), and without h_prev
+    (None) after the first step; _lstm_seq_backward rebuilds both."""
     B, T, _ = X.shape
     hid = U.shape[0]
     h = np.zeros((B, hid)) if h0 is None else h0
@@ -263,22 +272,38 @@ def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True):
             h, c, cache = _lstm_step(X[:, t, :], h, c, W, U, b)
             outs[:, t, :] = h
             if want_cache:
-                caches.append(cache)
+                x, h_prev, *gates, _ = cache
+                caches.append((x, None if t else h_prev, *gates))
     return outs, (h, c), caches
 
 
 def _lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, want_dx=True):
-    """BPTT over a cached sequence. dH_out: (B, T, H) upstream gradient per step.
+    """BPTT over _lstm_seq's caches, which it empties, releasing each step's
+    cache once used. dH_out: (B, T, H) upstream gradient per step, any strides.
+
+    The missing operands are rebuilt with the forward pass's own operations
+    on the same arrays, so they are bit-identical: the last step's cell as
+    f * c_prev + i * g, and each step's h_prev as o<t-1> * tanh(c_prev),
+    whose tanh is also step t-1's tanh(c).
 
     Returns dX, or None when want_dx is False."""
     B, T, _ = dH_out.shape
     dX = np.empty((B, T, W.shape[0])) if want_dx else None
     dh = np.zeros((B, U.shape[0]))
     dc = np.zeros((B, U.shape[0]))
+    _, _, c_prev, i, f, g, _ = caches[-1]
+    tc = np.tanh(f * c_prev + i * g)
     for t in reversed(range(T)):
-        dx, dh, dc = _lstm_step_backward(caches[t], dH_out[:, t, :] + dh, dc, W, U, dW, dU, db, want_dx)
+        x, h_prev, c_prev, i, f, g, o = caches.pop()
+        tc_prev = None
+        if t:
+            tc_prev = np.tanh(c_prev)
+            h_prev = caches[-1][-1] * tc_prev
+        cache = (x, h_prev, c_prev, i, f, g, o, tc)
+        dx, dh, dc = _lstm_step_backward(cache, dH_out[:, t, :] + dh, dc, W, U, dW, dU, db, want_dx)
         if want_dx:
             dX[:, t, :] = dx
+        tc = tc_prev
     return dX
 
 
@@ -305,15 +330,14 @@ def _encode_backward(dp, enc_caches, params, cfg, grads):
     he = cfg.enc_hidden
     if cfg.variant.bidirectional:
         dHf = dp[:, :, :he]
-        dHb_rev = np.ascontiguousarray(dp[:, :, he:][:, ::-1, :])
         _lstm_seq_backward(
-            cache_b, dHb_rev, params["enc_bw.W"], params["enc_bw.U"],
+            cache_b, dp[:, ::-1, he:], params["enc_bw.W"], params["enc_bw.U"],
             grads["enc_bw.W"], grads["enc_bw.U"], grads["enc_bw.b"], want_dx=False,
         )
     else:
         dHf = dp
     _lstm_seq_backward(
-        cache_f, np.ascontiguousarray(dHf), params["enc_fw.W"], params["enc_fw.U"],
+        cache_f, dHf, params["enc_fw.W"], params["enc_fw.U"],
         grads["enc_fw.W"], grads["enc_fw.U"], grads["enc_fw.b"], want_dx=False,
     )
 
@@ -324,50 +348,65 @@ def _encode_backward(dp, enc_caches, params, cfg, grads):
 def _attention_forward(o_prev, p, pad, params, cfg):
     """Score every encoder frame against o_prev, softmax, weighted sum.
 
+    The scorer's input is [o_prev, p<t'>] for every frame t', but that
+    (B, x, H_d + width) array is not built: its first affine map is split by
+    rows, so o_prev's part is computed once and broadcast over the frames:
+    the same function, with the same stored weights.
+
     o_prev: (B, H_d), p: (B, x, width), pad: optional (B, x) bool.
     Returns (a (B,x), context (B,width), e (B,x), cache).
     """
     B, x, width = p.shape
     if x == 0:
         raise ShapeError("attention over an empty encoder sequence")
-    rep = np.broadcast_to(o_prev[:, None, :], (B, x, o_prev.shape[1]))
-    z = np.concatenate([rep, p], axis=2)
+    hd = o_prev.shape[1]
     if cfg.attn_hidden == 0:
-        e = z @ params["attn.w"] + params["attn.b"][0]
+        w = params["attn.w"]
+        e = (o_prev @ w[:hd])[:, None] + p @ w[hd:] + params["attn.b"][0]
         u = None
     else:
-        u = np.tanh(z @ params["attn.W1"] + params["attn.b1"])
+        W1 = params["attn.W1"]
+        u = np.tanh((o_prev @ W1[:hd])[:, None, :] + p @ W1[hd:] + params["attn.b1"])
         e = u @ params["attn.w2"] + params["attn.b2"][0]
     scored = e
     if cfg.mask_padding and pad is not None:
         scored = np.where(pad, -np.inf, e)
     a = softmax(scored, axis=1)
     context = np.einsum("bx,bxw->bw", a, p)
-    return a, context, scored, (z, u, a, p)
+    return a, context, scored, (o_prev, u, a, p)
 
 
 def _attention_backward(dcontext, att_cache, params, cfg, grads):
-    """Returns (do_prev (B,H_d), dp (B,x,width)) and accumulates scorer grads."""
-    z, u, a, p = att_cache
+    """Returns (do_prev (B,H_d), dp (B,x,width)) and accumulates scorer grads.
+
+    Both scorers begin with an affine map of [o_prev, p<t'>] through a weight
+    V (attn.w as one column, or attn.W1); its rows V[:H_d] act on o_prev and
+    V[H_d:] on p, and their gradients land in the one stored weight."""
+    o_prev, u, a, p = att_cache
     hd = cfg.dec_hidden
     da = np.einsum("bw,bxw->bx", dcontext, p)
-    dp = a[:, :, None] * dcontext[:, None, :]
     # softmax rows: de = a * (da - sum(a*da)); masked frames have a == 0.
     de = a * (da - np.sum(a * da, axis=1, keepdims=True))
     if cfg.attn_hidden == 0:
-        grads["attn.w"] += np.einsum("bx,bxz->z", de, z)
+        V, dV = params["attn.w"][:, None], grads["attn.w"][:, None]
         grads["attn.b"][0] += de.sum()
-        dz = de[:, :, None] * params["attn.w"][None, None, :]
+        ds = de[:, :, None]
     else:
-        du = de[:, :, None] * params["attn.w2"][None, None, :]
+        V, dV = params["attn.W1"], grads["attn.W1"]
         grads["attn.w2"] += np.einsum("bxa,bx->a", u, de)
         grads["attn.b2"][0] += de.sum()
-        dpre = du * (1.0 - u * u)
-        grads["attn.W1"] += np.einsum("bxz,bxa->za", z, dpre)
-        grads["attn.b1"] += dpre.sum(axis=(0, 1))
-        dz = dpre @ params["attn.W1"].T
-    do_prev = dz[:, :, :hd].sum(axis=1)
-    dp += dz[:, :, hd:]
+        ds = de[:, :, None] * params["attn.w2"] * (1.0 - u * u)
+        grads["attn.b1"] += ds.sum(axis=(0, 1))
+    # ds: (B, x, k), the gradient of the affine map's output
+    ds_sum = ds.sum(axis=1)
+    dV[:hd] += o_prev.T @ ds_sum
+    dV[hd:] += np.tensordot(p, ds, axes=([0, 1], [0, 1]))
+    do_prev = ds_sum @ V[:hd].T
+    # dp = a (x) dcontext + ds @ V[H_d:].T, one batched matmul so that no
+    # second (B, x, width) array is made
+    B, _, width = p.shape
+    rows = np.broadcast_to(V[hd:].T, (B, V.shape[1], width))
+    dp = np.concatenate([a[:, :, None], ds], axis=2) @ np.concatenate([dcontext[:, None, :], rows], axis=1)
     return do_prev, dp
 
 
@@ -385,8 +424,9 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
     B, T, d = X.shape
     if d != cfg.input_dim:
         raise ShapeError(f"input feature dim {d} != configured input_dim {cfg.input_dim}")
-    p_enc, enc_caches = _encode_batch(X, params, cfg, want_cache=want_cache)
-    p = p_enc * dropout_mask if dropout_mask is not None else p_enc
+    p, enc_caches = _encode_batch(X, params, cfg, want_cache=want_cache)
+    if dropout_mask is not None:
+        p *= dropout_mask
 
     dec_caches = []
     att_caches = []

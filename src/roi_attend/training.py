@@ -139,9 +139,9 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
     grads["out.b"] += dlogits.sum(axis=0)
     dh_final = dlogits @ params["out.W"].T
 
-    p = cache["p"]
+    # one dp buffer: the first step's gradient, later steps added in place
     if cfg.variant.has_attention:
-        dp = np.zeros_like(p)
+        dp = None
         dh = dh_final
         dc = np.zeros_like(dh)
         for step in reversed(range(cfg.dec_steps)):
@@ -151,23 +151,30 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
                 grads["dec.W"], grads["dec.U"], grads["dec.b"],
             )
             do_prev, dp_step = _attention_backward(dcontext, cache["att_caches"][step], params, cfg, grads)
-            dp += dp_step
+            if dp is None:
+                dp = dp_step
+            else:
+                dp += dp_step
+            del dp_step
             if step > 0:
                 # h<step-1> feeds both the next cell update and the attention query
                 dh = dh_prev + do_prev
                 dc = dc_prev
     else:
-        dH_out = np.zeros((B, p.shape[1], cfg.dec_hidden))
+        dH_out = np.zeros((B, X.shape[1], cfg.dec_hidden))
         dH_out[:, -1, :] = dh_final
         dp = _lstm_seq_backward(
             cache["dec_caches"], dH_out,
             params["dec.W"], params["dec.U"],
             grads["dec.W"], grads["dec.U"], grads["dec.b"],
         )
+        del dH_out
 
+    enc_caches = cache["enc_caches"]
+    del cache  # p and the attention caches go before the encoder's backward
     if dropout_mask is not None:
-        dp = dp * dropout_mask
-    _encode_backward(dp, cache["enc_caches"], params, cfg, grads)
+        dp *= dropout_mask
+    _encode_backward(dp, enc_caches, params, cfg, grads)
     return loss, grads
 
 
@@ -390,18 +397,17 @@ def _config_section(sections: dict, name: str, cls):
     return value
 
 
-def _pack_named_arrays(arrays: dict) -> bytes:
+def _pack_named_arrays(arrays: dict) -> list:
+    """One named-array blob as a list of byte chunks; each array's chunk is a
+    memoryview of its contiguous <f8 data, so nothing is copied until the
+    caller's single join."""
     chunks = [struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
         nb = name.encode("utf-8")
         a = np.ascontiguousarray(arr, dtype="<f8")
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", a.ndim))
-        if a.ndim:
-            chunks.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        chunks.append(a.tobytes(order="C"))
-    return b"".join(chunks)
+        chunks.append(struct.pack(f"<I{len(nb)}sI{a.ndim}I", len(nb), nb, a.ndim, *a.shape))
+        chunks.append(memoryview(a.reshape(-1).view(np.uint8)))
+    return chunks
 
 
 class _Cursor:
@@ -460,32 +466,33 @@ def _rng_state_text(state) -> bytes:
 
 
 def save_checkpoint(ckpt: Checkpoint) -> bytes:
-    sections: list[tuple[str, bytes]] = []
-    sections.append(("model_config", _config_text(_config_pairs(ckpt.model_cfg))))
-    sections.append(("train_config", _config_text(_config_pairs(ckpt.train_cfg))))
+    """The checkpoint's bytes, joined once from one flat list of chunks."""
+    sections: list[tuple[str, list]] = []
+    sections.append(("model_config", [_config_text(_config_pairs(ckpt.model_cfg))]))
+    sections.append(("train_config", [_config_text(_config_pairs(ckpt.train_cfg))]))
     if ckpt.frame_cfg is not None:
-        sections.append(("frame_config", _config_text(_config_pairs(ckpt.frame_cfg))))
+        sections.append(("frame_config", [_config_text(_config_pairs(ckpt.frame_cfg))]))
     sections.append(("params", _pack_named_arrays(ckpt.params.arrays)))
-    opt = struct.pack("<I", len(ckpt.optimizer_kind)) + ckpt.optimizer_kind.encode("utf-8")
-    opt += struct.pack("<Q", ckpt.optimizer_t)
-    opt += _pack_named_arrays(ckpt.optimizer_m)
-    opt += _pack_named_arrays(ckpt.optimizer_v)
-    sections.append(("optimizer", opt))
-    sections.append(("meta", _config_text({"epoch": ckpt.epoch})))
+    kind = ckpt.optimizer_kind.encode("utf-8")
+    sections.append((
+        "optimizer",
+        [struct.pack(f"<I{len(kind)}sQ", len(kind), kind, ckpt.optimizer_t)]
+        + _pack_named_arrays(ckpt.optimizer_m)
+        + _pack_named_arrays(ckpt.optimizer_v),
+    ))
+    sections.append(("meta", [_config_text({"epoch": ckpt.epoch})]))
     if ckpt.rng_state is not None:
-        sections.append(("rng_state", _rng_state_text(ckpt.rng_state)))
+        sections.append(("rng_state", [_rng_state_text(ckpt.rng_state)]))
     hist = np.asarray(ckpt.loss_history, dtype="<f8")
-    sections.append(("loss_history", struct.pack("<I", hist.size) + hist.tobytes()))
+    sections.append(("loss_history", [struct.pack("<I", hist.size), hist.tobytes()]))
     if ckpt.feature_stats is not None:
         sections.append(("feature_stats", _pack_named_arrays(ckpt.feature_stats)))
 
-    out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION), struct.pack("<I", len(sections))]
-    for name, payload in sections:
+    out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(sections))]
+    for name, chunks in sections:
         nb = name.encode("utf-8")
-        out.append(struct.pack("<I", len(nb)))
-        out.append(nb)
-        out.append(struct.pack("<Q", len(payload)))
-        out.append(payload)
+        out.append(struct.pack(f"<I{len(nb)}sQ", len(nb), nb, sum(len(c) for c in chunks)))
+        out += chunks
     return b"".join(out)
 
 

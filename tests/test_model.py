@@ -20,6 +20,7 @@ from roi_attend.model import (
     make_dropout_mask,
     param_shapes,
 )
+from roi_attend.model import _attention_forward
 from roi_attend.model import _sigmoid as gate_sigmoid
 from roi_attend.numerics import SeededRng, ShapeError, sigmoid
 
@@ -304,6 +305,48 @@ class TestAttentionStep:
         cfg = self._cfg()
         with pytest.raises(ShapeError):
             attention_step(np.zeros((4, 2)), np.zeros(5), zero_params(cfg), cfg)
+
+
+class TestSplitScorer:
+    """_attention_forward scores [o_prev, p<t'>] through row blocks of the
+    scorer's first weight instead of building the repeated-and-concatenated
+    input; the scores must equal the explicit form's to rounding."""
+
+    @staticmethod
+    def _explicit_scores(o_prev, p, pad, params, cfg):
+        B, x, _ = p.shape
+        z = np.concatenate([np.broadcast_to(o_prev[:, None], (B, x, o_prev.shape[1])), p], 2)
+        if cfg.attn_hidden == 0:
+            e = z @ params["attn.w"] + params["attn.b"]
+        else:
+            e = np.tanh(z @ params["attn.W1"] + params["attn.b1"]) @ params["attn.w2"] + params["attn.b2"]
+        return np.where(pad, -np.inf, e) if cfg.mask_padding else e
+
+    @pytest.mark.parametrize("attn_hidden", [0, 3])
+    @pytest.mark.parametrize("mask_padding", [False, True])
+    def test_split_scores_equal_explicit_concatenation(self, attn_hidden, mask_padding):
+        cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=4, enc_hidden=4, dec_hidden=5,
+                          attn_hidden=attn_hidden, mask_padding=mask_padding)
+        rng = SeededRng(14)
+        params = init_params(cfg, rng)
+        for name in params.names():  # nonzero biases, so every term is exercised
+            params.arrays[name] = params[name] + rng.uniform(-0.5, 0.5, size=params[name].shape)
+        o_prev = rng.normal(size=(3, 5))
+        p = rng.normal(size=(3, 7, 8))
+        pad = np.zeros((3, 7), dtype=bool)
+        pad[0, 5:] = True
+        pad[2, 6] = True
+        a, context, e, _ = _attention_forward(o_prev, p, pad, params, cfg)
+        ref = self._explicit_scores(o_prev, p, pad, params, cfg)
+        np.testing.assert_array_equal(np.isinf(e), np.isinf(ref))
+        assert np.isinf(e).any() == mask_padding
+        finite = np.isfinite(ref)
+        assert np.max(np.abs(e[finite] - ref[finite])) <= 1e-12 * np.max(np.abs(ref[finite]))
+        ref_a = np.exp(ref - ref.max(axis=1, keepdims=True))
+        ref_a /= ref_a.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(a - ref_a)) <= 1e-12
+        ref_context = np.einsum("bx,bxw->bw", ref_a, p)
+        assert np.max(np.abs(context - ref_context)) <= 1e-12 * np.max(np.abs(ref_context))
 
 
 ALL_VARIANTS = list(Variant)

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -197,6 +199,58 @@ class TestGradients:
         analytic = np.concatenate([grads[k].ravel() for k in params.names()])
         report = grad_check(f, params.to_vector(), analytic, h=1e-5)
         assert max(block_relative_errors(cfg, report).values()) < 1e-4
+
+    # SHA-256 of the loss and every gradient block, computed before the LSTM
+    # caches dropped h_prev and tanh(c) (rebuilt in BPTT), before dropout was
+    # applied in place and before the encoder's backward took strided views.
+    # Plain variants never reach the attention scorer, so all of it is exact.
+    PINNED_PLAIN_GRADS = {
+        Variant.UNI_PLAIN: "97f5ea8008414f7e1e35838d4274628a85483371031c686a294a775829456fd5",
+        Variant.BI_PLAIN: "8399ca65f9f62052fd8afb7d312d29cc462a5509aec905901ca70cbf294aaa4a",
+    }
+
+    @pytest.mark.parametrize("variant", [Variant.UNI_PLAIN, Variant.BI_PLAIN])
+    def test_plain_loss_and_grads_are_pinned(self, variant):
+        cfg = ModelConfig(variant=variant, input_dim=13, enc_hidden=8, dec_hidden=6, dropout_rate=0.3)
+        rng = SeededRng(31)
+        X = rng.normal(size=(4, 12, 13))
+        pad = np.zeros((4, 12), dtype=bool)
+        pad[0, 9:] = True
+        pad[2, 5:] = True
+        X[pad] = 0.0
+        y = np.array([0, 2, 4, 5])
+        params = init_params(cfg, rng)
+        mask = model.make_dropout_mask(cfg, (4, 12), SeededRng(32))
+        loss, grads = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
+        digest = hashlib.sha256(struct.pack("<d", loss))
+        for name in params.names():
+            digest.update(grads[name].tobytes())
+        assert digest.hexdigest() == self.PINNED_PLAIN_GRADS[variant]
+
+    def test_bi_attention_batch_peak_memory_is_bounded(self):
+        """One training batch holds the encoder's LSTM caches (each step keeps
+        its i/f/g/o gates and cell input, 5H floats per row) plus a few
+        (B, T, 2H) arrays: encoder outputs p, dp and transients. Traced bytes
+        only; no RSS or timing assertion."""
+        cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=13, enc_hidden=64, dec_hidden=64)
+        B, T, H = 16, 49, 64
+        rng = SeededRng(33)
+        X = rng.normal(size=(B, T, 13))
+        pad = np.zeros((B, T), dtype=bool)
+        pad[::3, 40:] = True
+        y = rng.integers(0, 6, size=B)
+        params = init_params(cfg, rng)
+        mask = model.make_dropout_mask(cfg, (B, T), rng)
+        loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)  # first-call allocations
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        lstm_caches = 2 * T * B * 5 * H * 8
+        assert peak <= lstm_caches + 4 * B * T * 2 * H * 8
 
 
 class TestGradCheckGate:
@@ -499,6 +553,33 @@ class TestCheckpointIO:
             pos += 12 + n + size
         with pytest.raises(CheckpointFormatError, match="has no dimensions"):
             load_checkpoint(head + b"".join(sections))
+
+    # SHA-256 of one hand-built checkpoint (every section present, an MLP
+    # scorer, Adam moments), computed when each array was copied by tobytes
+    # and every section joined on its own.
+    PINNED_CHECKPOINT = "348b87ee834cc34bd73604091881975ebdf0d53bb23b699a439534c8794621c1"
+
+    def test_checkpoint_bytes_are_pinned(self):
+        cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=13, enc_hidden=4, dec_hidden=3, attn_hidden=2)
+        rng = SeededRng(41)
+        params = init_params(cfg, rng)
+        ckpt = Checkpoint(
+            model_cfg=cfg,
+            params=params,
+            train_cfg=TrainConfig(epochs=3, seed=41),
+            frame_cfg=FrameConfig(),
+            epoch=3,
+            loss_history=[1.75, 1.5, 1.25],
+            rng_state=rng.get_state(),
+            feature_stats={"mean": rng.normal(size=13), "std": rng.uniform(0.5, 2.0, size=13)},
+            optimizer_kind="adam",
+            optimizer_t=7,
+            optimizer_m={n: rng.normal(size=a.shape) for n, a in params.arrays.items()},
+            optimizer_v={n: rng.uniform(size=a.shape) for n, a in params.arrays.items()},
+        )
+        blob = save_checkpoint(ckpt)
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED_CHECKPOINT
+        assert save_checkpoint(load_checkpoint(blob)) == blob
 
     def test_save_is_deterministic(self):
         ckpt = self._checkpoint()
