@@ -7,7 +7,8 @@ lines, the ROI_ATTEND_CACHE environment variable (paths.cache_dir only), and
 
 Each run writes into <paths.output_dir>/<command>-<12 hex chars>, the hash
 taken over the full effective configuration, so identical invocations land in
-the same directory and differing ones never collide.
+the same directory and differing ones never collide. The directory is made by
+the run's first write, so a command that fails before writing leaves none.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad usage or configuration.
 """
@@ -22,7 +23,6 @@ import os
 import sys
 import textwrap
 from contextlib import ExitStack
-from dataclasses import replace
 from enum import Enum
 from pathlib import Path
 
@@ -74,6 +74,7 @@ from .training import (
 
 CACHE_ENV = "ROI_ATTEND_CACHE"
 MODEL_CONFIG_FILE = "model_config.txt"
+FOLDS_MANIFEST = "MANIFEST"
 
 COMMANDS = ("synth", "features", "train", "eval-loso", "explain", "gradcheck", "report")
 
@@ -214,9 +215,7 @@ def run_id(command: str, cfg: dict) -> str:
 
 
 def _run_dir(command: str, cfg: dict) -> Path:
-    d = Path(cfg["paths.output_dir"]) / run_id(command, cfg)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    return Path(cfg["paths.output_dir"]) / run_id(command, cfg)
 
 
 def _write_atomic(path: Path, data) -> None:
@@ -327,8 +326,9 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
 
 
 def _cmd_synth(cfg: dict) -> int:
+    spec = _settings(cfg, "synth")
     out = _run_dir("synth", cfg)
-    paths = write_synthetic_corpus(generate_synthetic(_settings(cfg, "synth")), out)
+    paths = write_synthetic_corpus(generate_synthetic(spec), out)
     print(f"wrote {len(paths)} clips to {out}")
     return 0
 
@@ -373,8 +373,24 @@ def _eval_mode(cfg: dict) -> str:
     return mode
 
 
-def _write_aggregates(out: Path, matrices: list, mode: str, model_cfg: ModelConfig) -> None:
-    """One aggregate CSV per mode, plus the summary for the selected mode."""
+def _summarize(folds_dir: Path, out: Path, cfg: dict) -> None:
+    """Aggregate the folds that folds_dir's MANIFEST lists, read back from
+    their CSVs, into one aggregate CSV per mode plus the summary for eval.mode,
+    under out. Everything is read and checked before the first write."""
+    mode = _eval_mode(cfg)
+    listing = folds_dir / FOLDS_MANIFEST
+    if not listing.exists():
+        raise FileNotFoundError(f"no {FOLDS_MANIFEST} under {folds_dir} to list the fold-*.csv files to aggregate")
+    matrices = []
+    for subject in listing.read_text().splitlines():
+        with open(folds_dir / f"fold-{subject}.csv", newline="") as fh:  # keep line breaks inside quoted paths
+            _, true, pred, _ = parse_fold_csv(fh.read())
+        matrices.append(ConfusionMatrix.from_labels(true, pred))
+    saved = folds_dir / MODEL_CONFIG_FILE
+    if saved.exists():
+        model_cfg = _config_section({"model_config": saved.read_bytes()}, "model_config", ModelConfig)
+    else:  # a run dir written before eval-loso saved its model config
+        model_cfg = _model_cfg(cfg)
     for agg_mode in AGGREGATION_MODES:
         _write_atomic(out / f"aggregate-{agg_mode}.csv", matrix_csv(aggregate(matrices, agg_mode).rates))
     selected = aggregate(matrices, mode)
@@ -387,31 +403,28 @@ def _write_aggregates(out: Path, matrices: list, mode: str, model_cfg: ModelConf
 def _fold_worker(payload):
     subject, train_set, items, model_cfg, train_cfg, frame_cfg = payload
     ckpt = train(train_set, model_cfg, train_cfg, frame_cfg=frame_cfg)
-    result = evaluate_fold(ckpt, items, subject)
-    return subject, fold_csv(result), result.confusion.counts
+    return subject, fold_csv(evaluate_fold(ckpt, items, subject))
 
 
 def _cmd_eval_loso(cfg: dict) -> int:
     corpus = _require(cfg, "paths.corpus_dir")
-    mode = _eval_mode(cfg)
+    _eval_mode(cfg)  # a bad eval.mode fails before any work
     frame_cfg = _settings(cfg, "frame")
     model_cfg = _model_cfg(cfg)
-    base_train_cfg = _settings(cfg, "train")
-    out = _run_dir("eval-loso", cfg)
-    # `report` reads the variant back from here; the bytes are a checkpoint's model_config section
-    _write_atomic(out / MODEL_CONFIG_FILE, _config_text(_config_pairs(model_cfg)))
-    manifest, feats, _ = _corpus_features(corpus, cfg["paths.cache_dir"], frame_cfg)
-    folds = loso_folds(manifest)
+    base_seed = _settings(cfg, "train").seed
     limit = cfg["eval.folds"]
     if limit < 0:
         raise UsageError(f"eval.folds must be >= 0, got {limit}")
+    manifest, feats, _ = _corpus_features(corpus, cfg["paths.cache_dir"], frame_cfg)
+    folds = loso_folds(manifest)
     if limit:
         folds = folds[:limit]
 
     payloads = []
     for i, fold in enumerate(folds):
-        # each fold gets its own seed so folds are independent but reproducible
-        tc = replace(base_train_cfg, seed=base_train_cfg.seed + i)
+        # each fold gets its own seed so folds are independent but reproducible;
+        # a base seed whose last fold seed passes 2**64 - 1 is a usage error
+        tc = _settings(cfg, "train", seed=base_seed + i)
         train_set = [(feats[j], int(manifest.entries[j].emotion)) for j in fold.train_indices]
         items = [
             EvalItem(manifest.entries[j].path, feats[j], int(manifest.entries[j].emotion))
@@ -419,9 +432,10 @@ def _cmd_eval_loso(cfg: dict) -> int:
         ]
         payloads.append((fold.held_out_subject, train_set, items, model_cfg, tc, frame_cfg))
 
+    out = _run_dir("eval-loso", cfg)
+    # `report` reads the variant back from here; the bytes are a checkpoint's model_config section
+    _write_atomic(out / MODEL_CONFIG_FILE, _config_text(_config_pairs(model_cfg)))
     completed: list[str] = []
-    matrices: list[ConfusionMatrix] = []
-    failed = None
     try:
         with ExitStack() as stack:
             fold_map = map
@@ -429,43 +443,21 @@ def _cmd_eval_loso(cfg: dict) -> int:
                 from concurrent.futures import ProcessPoolExecutor
 
                 fold_map = stack.enter_context(ProcessPoolExecutor(max_workers=cfg["eval.parallel"])).map
-            for subject, csv_text, counts in fold_map(_fold_worker, payloads):
+            for subject, csv_text in fold_map(_fold_worker, payloads):
                 _write_atomic(out / f"fold-{subject}.csv", csv_text)
                 completed.append(subject)
-                matrices.append(ConfusionMatrix(counts))
-                _write_atomic(out / "MANIFEST", "".join(s + "\n" for s in completed))
+                _write_atomic(out / FOLDS_MANIFEST, "".join(s + "\n" for s in completed))
                 print(f"fold {subject}: done ({len(completed)}/{len(folds)})")
     except Exception as exc:  # partial fold results stay on disk for `report`
-        failed = exc
-
-    if failed is not None:
-        print(f"evaluation stopped after {len(completed)}/{len(folds)} folds: {failed}", file=sys.stderr)
+        print(f"evaluation stopped after {len(completed)}/{len(folds)} folds: {exc}", file=sys.stderr)
         return 1
 
-    _write_aggregates(out, matrices, mode, model_cfg)
+    _summarize(out, out, cfg)
     return 0
 
 
 def _cmd_report(cfg: dict) -> int:
-    folds_dir = Path(_require(cfg, "paths.folds_dir"))
-    mode = _eval_mode(cfg)
-    fold_files = sorted(folds_dir.glob("fold-*.csv"))
-    if not fold_files:
-        raise FileNotFoundError(f"no fold-*.csv files under {folds_dir}")
-    matrices = []
-    for path in fold_files:
-        with open(path, newline="") as fh:  # keep line breaks inside quoted paths
-            _, true, pred, _ = parse_fold_csv(fh.read())
-        cm = ConfusionMatrix()
-        for t, p in zip(true, pred):
-            cm.add(int(t), int(p))
-        matrices.append(cm)
-    saved = folds_dir / MODEL_CONFIG_FILE
-    if saved.exists():
-        model_cfg = _config_section({"model_config": saved.read_bytes()}, "model_config", ModelConfig)
-    else:  # a run dir written before eval-loso saved its model config
-        model_cfg = _model_cfg(cfg)
-    _write_aggregates(_run_dir("report", cfg), matrices, mode, model_cfg)
+    _summarize(Path(_require(cfg, "paths.folds_dir")), _run_dir("report", cfg), cfg)
     return 0
 
 
@@ -497,7 +489,7 @@ def _cmd_explain(cfg: dict) -> int:
 
 def _cmd_gradcheck(cfg: dict) -> int:
     failed = False
-    for name, report, blocks in gradient_check_suite(seed=cfg["train.seed"]):
+    for name, report, blocks in gradient_check_suite(seed=_settings(cfg, "train").seed):
         worst_block = max(blocks, key=blocks.get)
         err = blocks[worst_block]
         ok = err < GRAD_CHECK_TOL
@@ -541,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "eval-loso": "leave-one-subject-out evaluation over a corpus",
         "explain": "attention weights and regions of interest for one clip",
         "gradcheck": "verify analytic gradients against finite differences",
-        "report": "rebuild aggregate tables from stored fold csv files",
+        "report": "summarize an eval-loso run dir: the fold csv files its MANIFEST lists",
     }
     for name in COMMANDS:
         sp = sub.add_parser(name, help=helps[name], add_help=True)

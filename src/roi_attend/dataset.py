@@ -19,7 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from .dsp import AudioClip, write_wav_file
-from .numerics import SeededRng
+from .numerics import SeededRng, check_seed
 
 __all__ = [
     "EmotionLabel",
@@ -247,6 +247,7 @@ class SyntheticSpec:
             raise ValueError("need at least one pseudo-actor")
         if not math.isfinite(self.noise_amplitude):
             raise ValueError(f"noise_amplitude must be finite, got {self.noise_amplitude}")
+        check_seed(self.seed)
 
 
 @dataclass

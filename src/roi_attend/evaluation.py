@@ -98,6 +98,13 @@ class ConfusionMatrix:
         if (self.counts < 0).any():
             raise ValueError("confusion counts must be non-negative")
 
+    @classmethod
+    def from_labels(cls, true, pred) -> "ConfusionMatrix":
+        """Counts of the (true, predicted) label pairs."""
+        cm = cls()
+        np.add.at(cm.counts, (np.asarray(true, dtype=np.int64), np.asarray(pred, dtype=np.int64)), 1)
+        return cm
+
     def add(self, true_label: int, pred_label: int, n: int = 1) -> None:
         self.counts[true_label, pred_label] += n
 
@@ -183,12 +190,9 @@ def evaluate_fold(ckpt: Checkpoint, items, subject: str) -> FoldResult:
     probs = predict_batch(ckpt, [it.features for it in items])
     true = np.asarray([it.label for it in items], dtype=np.int64)
     pred = np.argmax(probs, axis=1)
-    cm = ConfusionMatrix()
-    for t, p in zip(true, pred):
-        cm.add(int(t), int(p))
     return FoldResult(
         subject=subject,
-        confusion=cm,
+        confusion=ConfusionMatrix.from_labels(true, pred),
         paths=[it.path for it in items],
         true_labels=true,
         pred_labels=pred,

@@ -18,6 +18,7 @@ __all__ = [
     "EvaluationError",
     "GradCheckReport",
     "SeededRng",
+    "check_seed",
     "softmax",
     "sigmoid",
     "grad_check",
@@ -111,6 +112,14 @@ def grad_check(f, theta, analytic, h: float = 1e-5) -> GradCheckReport:
     )
 
 
+def check_seed(seed) -> int:
+    """seed as an int, or ValueError if it is not a 64-bit unsigned key."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
+
+
 class SeededRng:
     """Deterministic random source: Philox4x64 keyed directly by a 64-bit seed.
 
@@ -119,11 +128,8 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        self.seed = seed
-        self._gen = np.random.Generator(np.random.Philox(key=seed))
+        self.seed = check_seed(seed)
+        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=size)

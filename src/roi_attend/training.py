@@ -34,7 +34,7 @@ from .model import (
     make_dropout_mask,
     param_shapes,
 )
-from .numerics import GradCheckReport, SeededRng, ShapeError, grad_check
+from .numerics import GradCheckReport, SeededRng, ShapeError, check_seed, grad_check
 
 __all__ = [
     "TrainConfig",
@@ -103,6 +103,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive (or None to disable)")
+        check_seed(self.seed)
 
 
 # -- loss and gradients ------------------------------------------------------

@@ -538,7 +538,9 @@ class TestCorpusFeaturesMemory:
     def test_passes_hold_less_than_the_decoded_corpus(self, tmp_path):
         # the pad target is known only after every clip is read; until then
         # the clips must not be held as float64 samples, which alone would
-        # take `decoded` bytes (int16 samples plus the features take ~0.5x)
+        # take `decoded` bytes (the pass keeps each clip's length, rate and
+        # digest and decodes one clip at a time: its peak is ~0.16x cold and
+        # ~0.11x warm, of which the returned features are ~0.09x)
         spec = SyntheticSpec(n_clips_per_class=24, clip_len=8000, burst_len=800, n_actors=2, seed=3)
         corpus = tmp_path / "corpus"
         write_synthetic_corpus(generate_synthetic(spec), corpus)
@@ -743,6 +745,47 @@ class TestReportCommand:
         assert rc == 1
         assert "fold-*.csv" in capsys.readouterr().err
 
+    def test_only_the_folds_the_manifest_lists_are_aggregated(self, corpus, tmp_path):
+        # a rerun after one actor's clips are gone lands in the same run dir,
+        # where the first run's fold-9003.csv stays behind
+        shrinking = tmp_path / "corpus"
+        shutil.copytree(corpus, shrinking)
+        argv = ["eval-loso", f"--paths.corpus_dir={shrinking}", f"--paths.output_dir={tmp_path}", *FAST]
+        assert entrypoint(argv) == 0
+        for wav in shrinking.glob("9003_*.wav"):
+            wav.unlink()
+        assert entrypoint(argv) == 0
+        eval_out = only_dir(tmp_path, "eval-loso")
+        assert (eval_out / "fold-9003.csv").exists()
+        assert (eval_out / "MANIFEST").read_text() == "9001\n9002\n"
+        report_dir = tmp_path / "rebuilt"
+        assert entrypoint(["report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={report_dir}"]) == 0
+        report_out = only_dir(report_dir, "report")
+        names = ["summary.txt", "aggregate-sum_then_normalize.csv", "aggregate-mean_of_normalized.csv"]
+        assert {n: (report_out / n).read_bytes() for n in names} == {n: (eval_out / n).read_bytes() for n in names}
+        assert "folds: 2\nsamples: 8\n" in (report_out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "listing,flags,code,named",
+        [
+            (None, [], 1, ["MANIFEST", "fold-*.csv"]),
+            ("9001\n", [], 1, ["fold-9001.csv"]),
+            ("9001\n", ["--eval.mode=median"], 2, ["eval.mode"]),
+        ],
+        ids=["no-manifest", "missing-fold-file", "bad-mode"],
+    )
+    def test_failed_report_names_the_cause_and_leaves_no_run_dir(self, tmp_path, capsys, listing, flags, code, named):
+        folds = tmp_path / "folds"
+        folds.mkdir()
+        (folds / "fold-9002.csv").write_text("path,true,pred\n")  # a file no MANIFEST line points at
+        if listing is not None:
+            (folds / "MANIFEST").write_text(listing)
+        argv = ["report", f"--paths.folds_dir={folds}", f"--paths.output_dir={tmp_path}", *flags]
+        assert entrypoint(argv) == code
+        err = capsys.readouterr().err
+        assert all(name in err for name in named)
+        assert [p.name for p in tmp_path.iterdir()] == ["folds"]
+
 
 @pytest.fixture(scope="module")
 def attention_ckpt(corpus, tmp_path_factory):
@@ -878,6 +921,51 @@ class TestGradcheckCommand:
         )
         assert entrypoint(["gradcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started despite a bad setting")
+
+
+class TestConfigurationErrorsStopBeforeWork:
+    """A bad setting exits 2 before any work and leaves no run directory."""
+
+    def test_synth_bad_spec(self, tmp_path, capsys):
+        assert entrypoint(["synth", "--synth.burst_len=9000", f"--paths.output_dir={tmp_path}"]) == 2
+        assert "burst_len" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("synth", "--synth.seed=-1"),
+            ("synth", f"--synth.seed={2**64}"),
+            ("train", "--train.seed=-1"),
+            ("gradcheck", "--train.seed=-1"),
+            ("gradcheck", f"--train.seed={2**64}"),
+        ],
+    )
+    def test_seed_outside_the_rng_range(self, command, flag, corpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "generate_synthetic", _no_work)
+        monkeypatch.setattr(cli, "_corpus_features", _no_work)
+        monkeypatch.setattr(cli, "gradient_check_suite", _no_work)
+        argv = [command, flag, f"--paths.corpus_dir={corpus}", f"--paths.output_dir={tmp_path}"]
+        assert entrypoint(argv) == 2
+        assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_loso_last_fold_seed_past_the_rng_range(self, corpus, tmp_path, monkeypatch, capsys):
+        # three folds train with seeds base, base + 1 and base + 2 = 2**64
+        argv = ["eval-loso", f"--train.seed={2**64 - 2}", f"--paths.corpus_dir={corpus}",
+                f"--paths.output_dir={tmp_path}", *FAST]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "train", _no_work)
+            assert entrypoint(argv) == 2
+        assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # two folds stop at 2**64 - 1, which is a valid seed
+        assert entrypoint([*argv, "--folds=2"]) == 0
+        assert (only_dir(tmp_path, "eval-loso") / "MANIFEST").read_text() == "9001\n9002\n"
 
 
 class TestInterrupt:

@@ -229,6 +229,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="noise_amplitude must be finite"):
             SyntheticSpec(noise_amplitude=value)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_rng_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            SyntheticSpec(seed=seed)
+        assert SyntheticSpec(seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestWriteSyntheticCorpus:
     def test_corpus_on_disk(self, tmp_path):

@@ -397,6 +397,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_rng_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            TrainConfig(seed=seed)
+        assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestStackAndStandardize:
     def test_stacking_shapes(self):
@@ -643,6 +649,15 @@ class TestCheckpointIO:
         data = save_checkpoint(ckpt)
         assert f"{name}={value!r}\n".encode() in data
         with pytest.raises(CheckpointFormatError, match=f"{name} must be finite"):
+            load_checkpoint(data)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_rng_range_raises_format_error(self, seed):
+        ckpt = self._checkpoint(Variant.UNI_PLAIN)
+        ckpt.train_cfg.seed = seed  # what a writer that skips TrainConfig's check would save
+        data = save_checkpoint(ckpt)
+        assert f"seed={seed}\n".encode() in data
+        with pytest.raises(CheckpointFormatError, match="seed must fit in 64 unsigned bits"):
             load_checkpoint(data)
 
     @pytest.mark.parametrize(
