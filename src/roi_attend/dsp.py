@@ -115,6 +115,14 @@ class FrameConfig:
     def frame_step(self, sample_rate: int) -> int:
         return int(round(self.step_ms * sample_rate / 1000.0))
 
+    def frame_count(self, n_samples: int, sample_rate: int) -> int:
+        """Frames cut from n_samples: 1 + floor((N - L) / S), a trailing
+        partial frame dropped."""
+        length = self.frame_len(sample_rate)
+        if n_samples < length:
+            raise TooShortError(f"clip has {n_samples} samples, shorter than one {length}-sample frame")
+        return 1 + (n_samples - length) // self.frame_step(sample_rate)
+
 
 @dataclass
 class FeatureSequence:
@@ -284,12 +292,8 @@ def _read_only(fn):
 def _frame_geometry(clip: AudioClip, cfg: FrameConfig) -> tuple[int, int, int]:
     """(count, step, length) of the frames frame_signal cuts from `clip`."""
     _check_rate(clip, cfg)
-    length = cfg.frame_len(clip.sample_rate)
-    step = cfg.frame_step(clip.sample_rate)
-    n = len(clip)
-    if n < length:
-        raise TooShortError(f"clip has {n} samples, shorter than one {length}-sample frame")
-    return 1 + (n - length) // step, step, length
+    rate = clip.sample_rate
+    return cfg.frame_count(len(clip), rate), cfg.frame_step(rate), cfg.frame_len(rate)
 
 
 def frame_signal(clip: AudioClip, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -463,6 +467,39 @@ class FeatureCacheError(ValueError):
     """Feature cache bytes are malformed or from an unknown version."""
 
 
+class _Cursor:
+    """Reads a binary container front to back; running past its end or
+    leaving bytes over raises `error`, the container's named error. take()
+    hands out zero-copy memoryview slices; whoever keeps the bytes copies
+    them."""
+
+    def __init__(self, data, what: str, error: type[ValueError]):
+        self.data = memoryview(data)
+        self.pos = 0
+        self.what = what
+        self.error = error
+
+    def take(self, n: int) -> memoryview:
+        if self.pos + n > len(self.data):
+            raise self.error(f"truncated {self.what}: wanted {n} more bytes at offset {self.pos}")
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u32s(self, count: int) -> tuple:
+        return struct.unpack(f"<{count}I", self.take(4 * count))
+
+    def u32(self) -> int:
+        return self.u32s(1)[0]
+
+    def u64(self) -> int:
+        return struct.unpack("<Q", self.take(8))[0]
+
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise self.error(f"{self.what} has {len(self.data) - self.pos} trailing bytes")
+
+
 def save_feature_cache(seq: FeatureSequence) -> bytes:
     """Little-endian: magic, version u32, T u32, n_mfcc u32, T*n float64, T mask bytes."""
     head = ROIF_MAGIC + struct.pack("<III", ROIF_VERSION, seq.T, seq.n_mfcc)
@@ -473,18 +510,15 @@ def save_feature_cache(seq: FeatureSequence) -> bytes:
 
 def load_feature_cache(data: bytes, step: int) -> FeatureSequence:
     """Inverse of save_feature_cache; `step` rebuilds frame_times (i*step)."""
-    if len(data) < 16 or data[:4] != ROIF_MAGIC:
+    cur = _Cursor(data, "feature cache", FeatureCacheError)
+    if cur.take(4) != ROIF_MAGIC:
         raise FeatureCacheError("bad feature cache magic")
-    version, t, n = struct.unpack_from("<III", data, 4)
+    version, t, n = cur.u32s(3)
     if version != ROIF_VERSION:
         raise FeatureCacheError(f"unsupported feature cache version {version}")
-    need = 16 + t * n * 8 + t
-    if len(data) < need:
-        raise FeatureCacheError(f"truncated feature cache ({len(data)} bytes, need {need})")
-    if len(data) > need:
-        raise FeatureCacheError(f"feature cache has {len(data) - need} trailing bytes")
-    frames = np.frombuffer(data, dtype="<f8", count=t * n, offset=16).reshape(t, n).copy()
-    mask = np.frombuffer(data, dtype=np.uint8, count=t, offset=16 + t * n * 8)
+    frames = np.frombuffer(cur.take(8 * t * n), dtype="<f8").reshape(t, n).copy()
+    mask = np.frombuffer(cur.take(t), dtype=np.uint8)
+    cur.finish()
     if mask.max(initial=0) > 1:
         raise FeatureCacheError("pad mask bytes must be 0 or 1")
     mask = mask.astype(bool)

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .dsp import FeatureSequence
-from .numerics import SeededRng, ShapeError, softmax
+from .numerics import SeededRng, ShapeError, _sigmoid, softmax
 
 __all__ = [
     "Variant",
@@ -70,13 +70,9 @@ class Variant(Enum):
 
     @property
     def model_number(self) -> int:
-        """Report numbering: 1=uni+attn, 2=bi+attn, 3=uni plain, 4=bi plain."""
-        return {
-            Variant.UNI_ATTENTION: 1,
-            Variant.BI_ATTENTION: 2,
-            Variant.UNI_PLAIN: 3,
-            Variant.BI_PLAIN: 4,
-        }[self]
+        """Report numbering, the declaration order from 1: 1=uni+attn,
+        2=bi+attn, 3=uni plain, 4=bi plain."""
+        return list(Variant).index(self) + 1
 
     @classmethod
     def parse(cls, s: str) -> "Variant":
@@ -211,17 +207,12 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
 # -- LSTM primitives (batched) ---------------------------------------------
 
 
-def _sigmoid(v):
-    """numerics.sigmoid without its np.errstate, which costs more than the
-    sigmoid itself at batch size 1. The loops that call _lstm_step enter
-    np.errstate(over="ignore") once, so a saturated gate gives exactly 0.0
-    without an overflow warning."""
-    return 1.0 / (1.0 + np.exp(-v))
-
-
 def _lstm_step(x, h_prev, c_prev, W, U, b):
     """One gate update. x: (B, d), h_prev/c_prev: (B, H). Returns (h, c, cache).
-    Callers wrap their loop of steps in np.errstate(over="ignore") (see _sigmoid)."""
+    Its gates use numerics._sigmoid, which skips sigmoid's np.errstate: that
+    costs more than the sigmoid itself at batch size 1. So callers wrap their
+    loop of steps in np.errstate(over="ignore") once, and a saturated gate
+    gives exactly 0.0 without an overflow warning."""
     hid = h_prev.shape[1]
     v = x @ W + h_prev @ U + b
     i_f = _sigmoid(v[:, : 2 * hid])  # the i and f gates are one contiguous block

@@ -47,11 +47,18 @@ def softmax(v, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def _sigmoid(v):
+    """The logistic kernel, without sigmoid's np.errstate: below about -709
+    exp(-v) overflows (with a warning unless the caller silences it) to inf,
+    and 1 / (1 + inf) is exactly 0.0."""
+    return 1.0 / (1.0 + np.exp(-v))
+
+
 def sigmoid(v) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-v)), elementwise in float64. Large
     negative inputs give exactly 0.0 without an overflow warning."""
-    with np.errstate(over="ignore"):  # exp(-v) is inf below about -709, and 1 / (1 + inf) is 0.0
-        return 1.0 / (1.0 + np.exp(-np.asarray(v, dtype=np.float64)))
+    with np.errstate(over="ignore"):
+        return _sigmoid(np.asarray(v, dtype=np.float64))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dsp import FeatureSequence, FrameConfig
+from .dsp import FeatureSequence, FrameConfig, _Cursor
 from .model import (
     ModelConfig,
     ModelParams,
@@ -40,6 +40,7 @@ __all__ = [
     "TrainConfig",
     "TrainingError",
     "GRAD_CHECK_TOL",
+    "GRAD_CHECK_CASES",
     "Checkpoint",
     "CheckpointFormatError",
     "CheckpointVersionError",
@@ -411,33 +412,6 @@ def _pack_named_arrays(arrays: dict) -> list:
     return chunks
 
 
-class _Cursor:
-    """Reads a byte string front to back. take() hands out zero-copy
-    memoryview slices; whoever keeps the bytes copies them."""
-
-    def __init__(self, data, what: str):
-        self.data = memoryview(data)
-        self.pos = 0
-        self.what = what
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise CheckpointFormatError(f"truncated {self.what}: wanted {n} more bytes at offset {self.pos}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def finish(self) -> None:
-        if self.pos != len(self.data):
-            raise CheckpointFormatError(f"{self.what} has {len(self.data) - self.pos} trailing bytes")
-
-
 def _unpack_named_arrays(cur: _Cursor) -> dict:
     """Read one _pack_named_arrays blob at the cursor, leaving the cursor
     just past it (so blobs can sit back to back). The arrays are read-only
@@ -446,17 +420,19 @@ def _unpack_named_arrays(cur: _Cursor) -> dict:
     out = {}
     for _ in range(count):
         name = str(cur.take(cur.u32()), "utf-8")
+        if name in out:
+            raise CheckpointFormatError(f"{cur.what}: array {name!r} appears twice")
         ndim = cur.u32()
         if ndim == 0:  # the writer stores a 0-d array as shape (1,)
             raise CheckpointFormatError(f"{cur.what}: array {name!r} has no dimensions")
-        shape = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
+        shape = cur.u32s(ndim)
         out[name] = np.frombuffer(cur.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
     return out
 
 
 def _whole_named_arrays(data, what: str) -> dict:
     """The one blob that fills data, as writable arrays of their own."""
-    cur = _Cursor(data, what)
+    cur = _Cursor(data, what, CheckpointFormatError)
     out = {name: a.copy() for name, a in _unpack_named_arrays(cur).items()}
     cur.finish()
     return out
@@ -466,28 +442,36 @@ def _rng_state_text(state) -> bytes:
     return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+# The checkpoint's sections in the order save_checkpoint writes them, the one
+# layout load_checkpoint accepts; only the optional ones may be left out.
+_SECTIONS = (
+    "model_config", "train_config", "frame_config", "params", "optimizer",
+    "meta", "rng_state", "loss_history", "feature_stats",
+)
+_OPTIONAL_SECTIONS = {"frame_config", "rng_state", "feature_stats"}
+
+
 def save_checkpoint(ckpt: Checkpoint) -> bytes:
     """The checkpoint's bytes, joined once from one flat list of chunks."""
-    sections: list[tuple[str, list]] = []
-    sections.append(("model_config", [_config_text(_config_pairs(ckpt.model_cfg))]))
-    sections.append(("train_config", [_config_text(_config_pairs(ckpt.train_cfg))]))
-    if ckpt.frame_cfg is not None:
-        sections.append(("frame_config", [_config_text(_config_pairs(ckpt.frame_cfg))]))
-    sections.append(("params", _pack_named_arrays(ckpt.params.arrays)))
     kind = ckpt.optimizer_kind.encode("utf-8")
-    sections.append((
-        "optimizer",
-        [struct.pack(f"<I{len(kind)}sQ", len(kind), kind, ckpt.optimizer_t)]
+    hist = np.asarray(ckpt.loss_history, dtype="<f8")
+    present = {
+        "model_config": [_config_text(_config_pairs(ckpt.model_cfg))],
+        "train_config": [_config_text(_config_pairs(ckpt.train_cfg))],
+        "params": _pack_named_arrays(ckpt.params.arrays),
+        "optimizer": [struct.pack(f"<I{len(kind)}sQ", len(kind), kind, ckpt.optimizer_t)]
         + _pack_named_arrays(ckpt.optimizer_m)
         + _pack_named_arrays(ckpt.optimizer_v),
-    ))
-    sections.append(("meta", [_config_text({"epoch": ckpt.epoch})]))
+        "meta": [_config_text({"epoch": ckpt.epoch})],
+        "loss_history": [struct.pack("<I", hist.size), hist.tobytes()],
+    }
+    if ckpt.frame_cfg is not None:
+        present["frame_config"] = [_config_text(_config_pairs(ckpt.frame_cfg))]
     if ckpt.rng_state is not None:
-        sections.append(("rng_state", [_rng_state_text(ckpt.rng_state)]))
-    hist = np.asarray(ckpt.loss_history, dtype="<f8")
-    sections.append(("loss_history", [struct.pack("<I", hist.size), hist.tobytes()]))
+        present["rng_state"] = [_rng_state_text(ckpt.rng_state)]
     if ckpt.feature_stats is not None:
-        sections.append(("feature_stats", _pack_named_arrays(ckpt.feature_stats)))
+        present["feature_stats"] = _pack_named_arrays(ckpt.feature_stats)
+    sections = [(name, present[name]) for name in _SECTIONS if name in present]
 
     out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(sections))]
     for name, chunks in sections:
@@ -495,19 +479,6 @@ def save_checkpoint(ckpt: Checkpoint) -> bytes:
         out.append(struct.pack(f"<I{len(nb)}sQ", len(nb), nb, sum(len(c) for c in chunks)))
         out += chunks
     return b"".join(out)
-
-
-_KNOWN_SECTIONS = {
-    "model_config",
-    "train_config",
-    "frame_config",
-    "params",
-    "optimizer",
-    "meta",
-    "rng_state",
-    "loss_history",
-    "feature_stats",
-}
 
 
 def load_checkpoint(data: bytes) -> Checkpoint:
@@ -530,25 +501,20 @@ def load_checkpoint(data: bytes) -> Checkpoint:
 def _load_checkpoint(data: bytes) -> Checkpoint:
     if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad checkpoint magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    cur = _Cursor(data, "checkpoint")
+    cur = _Cursor(data, "checkpoint", CheckpointFormatError)
     cur.take(4)
     version = cur.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"checkpoint version {version} not supported (expected {CHECKPOINT_VERSION})")
-    n_sections = cur.u32()
+    names = []
     sections: dict[str, memoryview] = {}
-    for _ in range(n_sections):
-        name = str(cur.take(cur.u32()), "utf-8")
-        payload = cur.take(cur.u64())
-        if name not in _KNOWN_SECTIONS:
-            raise CheckpointFormatError(f"unknown checkpoint section {name!r}")
-        if name in sections:
-            raise CheckpointFormatError(f"duplicate checkpoint section {name!r}")
-        sections[name] = payload
+    for _ in range(cur.u32()):
+        names.append(str(cur.take(cur.u32()), "utf-8"))
+        sections[names[-1]] = cur.take(cur.u64())
     cur.finish()
-    for required in ("model_config", "train_config", "params", "optimizer", "meta", "loss_history"):
-        if required not in sections:
-            raise CheckpointFormatError(f"checkpoint missing section {required!r}")
+    layout = [name for name in _SECTIONS if name in sections or name not in _OPTIONAL_SECTIONS]
+    if names != layout:
+        raise CheckpointFormatError(f"checkpoint sections {names} are not in the writer's layout {layout}")
 
     model_cfg = _config_section(sections, "model_config", ModelConfig)
     train_cfg = _config_section(sections, "train_config", TrainConfig)
@@ -559,7 +525,7 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     params = ModelParams(_whole_named_arrays(sections["params"], "params section"))
     params.validate_shapes(model_cfg)
 
-    ocur = _Cursor(sections["optimizer"], "optimizer section")
+    ocur = _Cursor(sections["optimizer"], "optimizer section", CheckpointFormatError)
     kind = str(ocur.take(ocur.u32()), "utf-8")
     opt_t = ocur.u64()
     m_arrays = _unpack_named_arrays(ocur)
@@ -588,7 +554,7 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
         if _rng_state_text(rng_state) != sections["rng_state"]:
             raise CheckpointFormatError("rng_state section is not in canonical form")
 
-    hcur = _Cursor(sections["loss_history"], "loss history")
+    hcur = _Cursor(sections["loss_history"], "loss history", CheckpointFormatError)
     n_hist = hcur.u32()
     hist = np.frombuffer(hcur.take(8 * n_hist), dtype="<f8").tolist()
     hcur.finish()
@@ -700,6 +666,18 @@ def block_relative_errors(cfg: ModelConfig, report: GradCheckReport) -> dict:
     return out
 
 
+_small_cfg = functools.partial(ModelConfig, input_dim=13, enc_hidden=4, dec_hidden=4, dropout_rate=0.0, n_classes=6)
+# (name, config) of each gradient_check_suite case, in the order they run
+GRAD_CHECK_CASES = (
+    ("uni_attention", _small_cfg(variant=Variant.UNI_ATTENTION, dec_steps=2)),
+    ("bi_attention", _small_cfg(variant=Variant.BI_ATTENTION, dec_steps=2)),
+    ("uni_plain", _small_cfg(variant=Variant.UNI_PLAIN)),
+    ("bi_plain", _small_cfg(variant=Variant.BI_PLAIN)),
+    ("bi_attention_masked", _small_cfg(variant=Variant.BI_ATTENTION, dec_steps=2, mask_padding=True)),
+    ("uni_attention_mlp_scorer", _small_cfg(variant=Variant.UNI_ATTENTION, dec_steps=2, attn_hidden=3)),
+)
+
+
 def gradient_check_suite(seed: int = 0, h: float = 1e-5):
     """Finite-difference check of the full backward pass, one case per variant
     plus masked-padding and deeper-scorer cases.
@@ -711,19 +689,11 @@ def gradient_check_suite(seed: int = 0, h: float = 1e-5):
     zero by softmax shift invariance) make per-coordinate ratios meaningless
     at small h, while a real backward bug still shows up as a block error
     orders of magnitude above the tolerance. The finite differences run the
-    forward pass only; its loss is the one loss_and_grads reports.
+    forward pass only; its loss is the one loss_and_grads reports. Case k
+    (of GRAD_CHECK_CASES) runs with seed + k.
     """
-    base = dict(input_dim=13, enc_hidden=4, dec_hidden=4, dropout_rate=0.0, n_classes=6)
-    cases = [
-        ("uni_attention", ModelConfig(variant=Variant.UNI_ATTENTION, dec_steps=2, **base)),
-        ("bi_attention", ModelConfig(variant=Variant.BI_ATTENTION, dec_steps=2, **base)),
-        ("uni_plain", ModelConfig(variant=Variant.UNI_PLAIN, **base)),
-        ("bi_plain", ModelConfig(variant=Variant.BI_PLAIN, **base)),
-        ("bi_attention_masked", ModelConfig(variant=Variant.BI_ATTENTION, dec_steps=2, mask_padding=True, **base)),
-        ("uni_attention_mlp_scorer", ModelConfig(variant=Variant.UNI_ATTENTION, dec_steps=2, attn_hidden=3, **base)),
-    ]
     results = []
-    for offset, (name, cfg) in enumerate(cases):
+    for offset, (name, cfg) in enumerate(GRAD_CHECK_CASES):
         rng = SeededRng(seed + offset)
         B, T = 3, 6
         X = rng.normal(size=(B, T, cfg.input_dim))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from roi_attend import cli
+from roi_attend import cli, training
 from roi_attend.cli import effective_config, entrypoint, run_id
 from roi_attend.dataset import SyntheticSpec, generate_synthetic, write_synthetic_corpus
 from roi_attend.evaluation import parse_fold_csv
@@ -21,6 +21,7 @@ from roi_attend.dsp import (
     FeatureSequence,
     FrameConfig,
     extract_features,
+    load_feature_cache,
     pad_to_length,
     read_wav_file,
     save_feature_cache,
@@ -357,6 +358,25 @@ class TestFeaturesCommand:
         assert entrypoint(argv) == 0
         assert "recomputing" in capsys.readouterr().err
         assert victim.read_bytes()[:4] == b"ROIF"
+
+    @pytest.mark.parametrize("cut", [(slice(-1), slice(None)), (slice(None), slice(-1))], ids=["frame", "coefficient"])
+    def test_cached_file_that_does_not_fit_its_clip_recomputed(self, cut, corpus, tmp_path, capsys):
+        # a well-formed file one frame (or one coefficient) short is not served
+        cache = tmp_path / "cache"
+        paths = [f"--paths.corpus_dir={corpus}", f"--paths.cache_dir={cache}", f"--paths.output_dir={tmp_path}"]
+        assert entrypoint(["features", *paths]) == 0
+        victim = sorted(cache.glob("*.roif"))[0]
+        cold = victim.read_bytes()
+        seq = load_feature_cache(cold, 160)
+        frames, coeffs = cut
+        victim.write_bytes(save_feature_cache(
+            FeatureSequence(seq.frames[frames, coeffs], seq.frame_times[frames], seq.pad_mask[frames])
+        ))
+        capsys.readouterr()
+        assert entrypoint(["features", *paths]) == 0
+        assert f"recomputing {victim.name}: " in capsys.readouterr().err
+        assert victim.read_bytes() == cold
+        assert entrypoint(["train", *paths, *FAST]) == 0
 
     def test_env_var_supplies_cache_dir(self, corpus, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
@@ -966,6 +986,18 @@ class TestConfigurationErrorsStopBeforeWork:
         # two folds stop at 2**64 - 1, which is a valid seed
         assert entrypoint([*argv, "--folds=2"]) == 0
         assert (only_dir(tmp_path, "eval-loso") / "MANIFEST").read_text() == "9001\n9002\n"
+
+    def test_gradcheck_last_case_seed_past_the_rng_range(self, monkeypatch, capsys):
+        # six cases run with seeds base .. base + 5; no case may start when the last cannot
+        def reached(*args, **kwargs):
+            raise RuntimeError("grad_check reached")
+
+        monkeypatch.setattr(training, "grad_check", reached)
+        assert entrypoint(["gradcheck", f"--train.seed={2**64 - 1}"]) == 2
+        assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        # the last case of 2**64 - 6 runs with 2**64 - 1, a valid seed
+        assert entrypoint(["gradcheck", f"--train.seed={2**64 - 6}"]) == 1
+        assert "error: grad_check reached" in capsys.readouterr().err
 
 
 class TestInterrupt:

@@ -271,3 +271,119 @@ def test_every_single_character_fold_csv_mutation():
                 except FoldCsvError:
                     continue
                 assert fold_csv(_fold(*parsed)) == mutant
+
+
+# -- structural ROIC mutants -------------------------------------------------------
+# save_checkpoint writes one layout: its sections in one fixed order, each
+# once, and each array name once per named-array blob. Bytes in any other
+# layout cannot be what it wrote, so each mutant below must raise.
+
+
+def _u32(data, pos):
+    return int.from_bytes(data[pos : pos + 4], "little"), pos + 4
+
+
+def _roic_sections(blob) -> list:
+    """[(name, payload)] of a checkpoint, in file order."""
+    count, pos = _u32(blob, 8)
+    out = []
+    for _ in range(count):
+        n, pos = _u32(blob, pos)
+        name = blob[pos : pos + n]
+        size = int.from_bytes(blob[pos + n : pos + n + 8], "little")
+        pos += n + 8
+        out.append((name, blob[pos : pos + size]))
+        pos += size
+    assert pos == len(blob)
+    return out
+
+
+def _roic_join(sections) -> bytes:
+    out = [ROIC[:8], len(sections).to_bytes(4, "little")]
+    for name, payload in sections:
+        out += [len(name).to_bytes(4, "little"), name, len(payload).to_bytes(8, "little"), payload]
+    return b"".join(out)
+
+
+def _array_entries(data, pos) -> tuple:
+    """The raw entries of the named-array blob at pos, and the offset past it."""
+    count, pos = _u32(data, pos)
+    entries = []
+    for _ in range(count):
+        start = pos
+        n, pos = _u32(data, pos)
+        ndim, pos = _u32(data, pos + n)
+        shape = [_u32(data, pos + 4 * k)[0] for k in range(ndim)]
+        pos += 4 * ndim + 8 * math.prod(shape)
+        entries.append(data[start:pos])
+    return entries, pos
+
+
+def _blob(entries) -> bytes:
+    return len(entries).to_bytes(4, "little") + b"".join(entries)
+
+
+def _repeated_name_mutants() -> dict:
+    """label -> checkpoint with one array entry of one blob listed a second
+    time at the blob's end, for every entry of params, both optimizer
+    moments and feature stats."""
+    sections = _roic_sections(ROIC)
+    blobs = {}  # label -> (section, entries, rebuild the section's payload from entries)
+    for section, payload in sections:
+        if section in (b"params", b"feature_stats"):
+            entries, end = _array_entries(payload, 0)
+            assert end == len(payload)
+            blobs[section.decode()] = (section, entries, _blob)
+        elif section == b"optimizer":
+            head_end = 4 + _u32(payload, 0)[0] + 8  # kind, then the step count
+            head = payload[:head_end]
+            m, m_end = _array_entries(payload, head_end)
+            v, v_end = _array_entries(payload, m_end)
+            assert v_end == len(payload)
+            blobs["optimizer_m"] = (section, m, lambda e, v=v: head + _blob(e) + _blob(v))
+            blobs["optimizer_v"] = (section, v, lambda e, m=m: head + _blob(m) + _blob(e))
+    out = {}
+    for label, (section, entries, rebuild) in blobs.items():
+        assert entries, label
+        for i, entry in enumerate(entries):
+            out[f"{label}[{i}]"] = _roic_join(
+                [(name, rebuild(entries + [entry]) if name == section else p) for name, p in sections]
+            )
+    return out
+
+
+REPEATED_NAMES = _repeated_name_mutants()
+
+
+def test_roic_layout_helpers_round_trip():
+    assert _roic_join(_roic_sections(ROIC)) == ROIC
+    assert {label.split("[")[0] for label in REPEATED_NAMES} == {
+        "params", "optimizer_m", "optimizer_v", "feature_stats",
+    }
+
+
+@pytest.mark.parametrize("first", range(8))
+def test_roic_swapped_sections_rejected(first):
+    sections = _roic_sections(ROIC)
+    assert len(sections) == 9  # every section, the optional ones too
+    for second in range(first + 1, len(sections)):
+        swapped = list(sections)
+        swapped[first], swapped[second] = swapped[second], swapped[first]
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(_roic_join(swapped))
+
+
+@pytest.mark.parametrize("where", ["next", "at_end"])
+def test_roic_repeated_section_rejected(where):
+    sections = _roic_sections(ROIC)
+    for i, section in enumerate(sections):
+        repeated = list(sections)
+        repeated.insert(i + 1 if where == "next" else len(sections), section)
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(_roic_join(repeated))
+
+
+@pytest.mark.parametrize("label", sorted(REPEATED_NAMES))
+def test_roic_repeated_array_name_rejected(label):
+    with pytest.raises(CheckpointFormatError, match="appears twice"):
+        load_checkpoint(REPEATED_NAMES[label])
