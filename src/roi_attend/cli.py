@@ -267,17 +267,23 @@ def _require(cfg: dict, key: str) -> str:
 # -- shared corpus loading -------------------------------------------------------
 
 
-def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
-    """Manifest plus per-clip features, every clip zero-padded to the corpus
-    maximum. Cached .roif files are named <stem>.<key>.roif, where the key is
-    a short SHA-256 over the front-end revision, the canonical frame config,
-    the pad target and the WAV file's own SHA-256, so a changed clip, frame
-    setting, pad target or feature computation never reads a stale file.
+def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *, keep: bool = True):
+    """Manifest, per-clip features and the pad target, every clip zero-padded
+    to the corpus maximum. Cached .roif files are named <stem>.<key>.roif,
+    where the key is a short SHA-256 over the front-end revision, the
+    canonical frame config, the pad target and the WAV file's own SHA-256, so
+    a changed clip, frame setting, pad target or feature computation never
+    reads a stale file.
 
     The first pass parses every WAV, so a bad file fails before any cache file
     is written, and keeps only its length, rate and digest. A clip whose
     features are not cached is read again and must hash to the same digest.
-    So the pass holds one decoded clip, not the corpus."""
+    So the pass holds one decoded clip, not the corpus.
+
+    keep=False is for the `features` command, which only fills the cache: each
+    sequence is dropped once it is written (cold) or loaded and shape-checked
+    (warm), and None stands in for the feature list. `train` and `eval-loso`
+    keep the list, since they train on it."""
     manifest, skipped = scan_corpus(corpus_dir)
     for name in skipped:
         print(f"skipping unparseable name: {name}", file=sys.stderr)
@@ -294,7 +300,7 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
         + _config_text(_config_pairs(frame_cfg))
         + f"target={target}\n".encode("ascii")
     )
-    feats = []
+    feats = [] if keep else None
     cache = Path(cache_dir) if cache_dir else None
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
@@ -310,7 +316,8 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
                     shape = (frame_cfg.frame_count(target, rate), frame_cfg.n_mfcc)
                     if seq.frames.shape != shape:
                         raise FeatureCacheError(f"holds {seq.frames.shape} features, the clip gives {shape}")
-                    feats.append(seq)
+                    if keep:
+                        feats.append(seq)
                     continue
                 except FeatureCacheError as exc:
                     print(f"recomputing {cpath.name}: {exc}", file=sys.stderr)
@@ -321,7 +328,8 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig):
         seq = extract_features(pad_to_length([clip], target=target)[0], frame_cfg)
         if cpath is not None:
             _write_atomic(cpath, save_feature_cache(seq))
-        feats.append(seq)
+        if keep:
+            feats.append(seq)
     return manifest, feats, target
 
 
@@ -341,9 +349,9 @@ def _cmd_features(cfg: dict) -> int:
     cache = _require(cfg, "paths.cache_dir")
     frame_cfg = _settings(cfg, "frame")
     out = _run_dir("features", cfg)
-    manifest, feats, target = _corpus_features(corpus, cache, frame_cfg)
+    manifest, _, target = _corpus_features(corpus, cache, frame_cfg, keep=False)
     _write_atomic(out / "manifest.csv", manifest_csv(manifest))
-    print(f"cached features for {len(feats)} clips (pad target {target} samples) in {cache}")
+    print(f"cached features for {len(manifest)} clips (pad target {target} samples) in {cache}")
     return 0
 
 
@@ -467,6 +475,8 @@ def _cmd_report(cfg: dict) -> int:
 def _cmd_explain(cfg: dict) -> int:
     ckpt_path = _require(cfg, "paths.checkpoint")
     wav_path = _require(cfg, "paths.wav")
+    if cfg["roi.ratio"] <= 0:
+        raise UsageError(f"roi.ratio must be positive, got {cfg['roi.ratio']}")
     ckpt = load_checkpoint(Path(ckpt_path).read_bytes())
     if not ckpt.model_cfg.variant.has_attention:
         raise UsageError(

@@ -237,6 +237,9 @@ class SyntheticSpec:
     min_clip_len: int | None = None
 
     def __post_init__(self):
+        for name in ("n_clips_per_class", "sample_rate", "burst_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.burst_len >= self.clip_len:
             raise ValueError("burst_len must be smaller than clip_len")
         if len(self.class_signatures) != 6:

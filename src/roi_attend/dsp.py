@@ -103,8 +103,16 @@ class FrameConfig:
             raise FrameConfigError(
                 f"step_ms must satisfy 0 < step ({self.step_ms}) <= frame length ({self.frame_len_ms})"
             )
+        for name in ("n_mfcc", "n_mels", "fft_size", "expected_sample_rate"):
+            if getattr(self, name) < 1:
+                raise FrameConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_mfcc > self.n_mels:
             raise FrameConfigError(f"n_mfcc ({self.n_mfcc}) must be <= n_mels ({self.n_mels})")
+        if not self.allow_any_rate and self.fft_size < self.frame_len(self.expected_sample_rate):
+            raise FrameConfigError(
+                f"fft_size must be >= the frame length ({self.frame_len(self.expected_sample_rate)} samples "
+                f"at {self.expected_sample_rate} Hz), got {self.fft_size}"
+            )
         if not 0.0 <= self.preemphasis < 1.0:
             raise FrameConfigError("preemphasis must be in [0, 1)")
 

@@ -596,6 +596,30 @@ class TestCorpusFeaturesMemory:
         # keeping the 36 extra clips as int16 PCM alone would add 36 * 32000 bytes
         assert large_peak - small_peak < large_feats - small_feats + 128_000
 
+    def test_features_command_keeps_no_sequences(self, tmp_path):
+        # `features` only fills the cache, so its peak must not grow with the
+        # feature sequences: the 36 extra clips' features are about 400 kB
+        def peaks(n_clips_per_class):
+            spec = SyntheticSpec(n_clips_per_class=n_clips_per_class, clip_len=16000, burst_len=800, n_actors=2, seed=3)
+            corpus = tmp_path / f"corpus-{n_clips_per_class}"
+            write_synthetic_corpus(generate_synthetic(spec), corpus)
+            cache = tmp_path / f"cache-{n_clips_per_class}"
+            argv = ["features", f"--paths.corpus_dir={corpus}", f"--paths.cache_dir={cache}",
+                    f"--paths.output_dir={tmp_path / 'runs'}"]
+            found = []
+            for _ in ("cold", "warm"):
+                tracemalloc.start()
+                try:
+                    assert entrypoint(argv) == 0
+                    found.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return found
+
+        peaks(1)  # builds the cached tables and the argument parser
+        for small, large in zip(peaks(2), peaks(8)):
+            assert large - small < 128_000
+
 
 class TestTrainCommand:
     def test_artifacts_and_checkpoint_contents(self, corpus, tmp_path, capsys):
@@ -972,6 +996,41 @@ class TestConfigurationErrorsStopBeforeWork:
         argv = [command, flag, f"--paths.corpus_dir={corpus}", f"--paths.output_dir={tmp_path}"]
         assert entrypoint(argv) == 2
         assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("features", "--frame.n_mfcc=0"),
+            ("features", "--frame.n_mfcc=-1"),
+            ("features", "--frame.fft_size=0"),
+            ("features", "--frame.fft_size=256"),  # shorter than a 320-sample frame at 16 kHz
+            ("features", "--frame.expected_sample_rate=0"),
+            ("train", "--frame.fft_size=0"),
+            ("eval-loso", "--frame.expected_sample_rate=0"),
+            ("synth", "--synth.n_clips_per_class=-1"),
+            ("synth", "--synth.n_clips_per_class=0"),
+            ("synth", "--synth.sample_rate=0"),
+            ("synth", "--synth.burst_len=-5"),
+        ],
+    )
+    def test_frame_or_synth_setting_that_cannot_work(self, command, flag, corpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "generate_synthetic", _no_work)
+        monkeypatch.setattr(cli, "_corpus_features", _no_work)
+        argv = [command, flag, f"--paths.corpus_dir={corpus}", f"--paths.cache_dir={tmp_path / 'cache'}",
+                f"--paths.output_dir={tmp_path}"]
+        assert entrypoint(argv) == 2
+        name = flag.split("=")[0].split(".")[1]
+        assert f"{name} must be >= " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ratio", ["0", "-1.5"])
+    def test_explain_non_positive_roi_ratio(self, ratio, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "load_checkpoint", _no_work)
+        argv = ["explain", f"--roi.ratio={ratio}", f"--paths.checkpoint={tmp_path / 'model.roic'}",
+                f"--paths.wav={tmp_path / 'clip.wav'}", f"--paths.output_dir={tmp_path}"]
+        assert entrypoint(argv) == 2
+        assert "roi.ratio must be positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_eval_loso_last_fold_seed_past_the_rng_range(self, corpus, tmp_path, monkeypatch, capsys):

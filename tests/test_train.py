@@ -671,6 +671,17 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointFormatError, match=f"{name} must be finite"):
             load_checkpoint(data)
 
+    @pytest.mark.parametrize(
+        "name,value", [("n_mfcc", 0), ("fft_size", 0), ("fft_size", 256), ("expected_sample_rate", 0)]
+    )
+    def test_frame_config_that_cannot_work_raises_format_error(self, name, value):
+        ckpt = self._checkpoint(Variant.UNI_PLAIN)
+        setattr(ckpt.frame_cfg, name, value)  # what a writer that skips FrameConfig's check would save
+        data = save_checkpoint(ckpt)
+        assert f"{name}={value}\n".encode() in data
+        with pytest.raises(CheckpointFormatError, match=f"{name} must be >= "):
+            load_checkpoint(data)
+
     def test_optimizer_kind_checked(self):
         data = save_checkpoint(self._checkpoint(Variant.UNI_PLAIN))
         kind = struct.pack("<I", 4) + b"adam"  # the optimizer section's length-prefixed kind
