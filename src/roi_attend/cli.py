@@ -392,8 +392,10 @@ def _summarize(folds_dir: Path, out: Path, cfg: dict) -> None:
     listing = folds_dir / FOLDS_MANIFEST
     if not listing.exists():
         raise FileNotFoundError(f"no {FOLDS_MANIFEST} under {folds_dir} to list the fold-*.csv files to aggregate")
+    with open(listing, newline="") as fh:  # the writer ends each subject in "\n"; keep every other character
+        subjects = [s for s in fh.read().split("\n") if s]
     matrices = []
-    for subject in listing.read_text().splitlines():
+    for subject in subjects:
         with open(folds_dir / f"fold-{subject}.csv", newline="") as fh:  # keep line breaks inside quoted paths
             _, true, pred, _ = parse_fold_csv(fh.read())
         matrices.append(ConfusionMatrix.from_labels(true, pred))

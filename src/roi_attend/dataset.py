@@ -8,8 +8,6 @@ so a correct attention model has a ground-truth salient region to find.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from collections.abc import Iterable, Iterator
@@ -121,6 +119,8 @@ def parse_filename(name: str) -> UtteranceMeta:
     actor, sentence, emo_code, level = parts
     if not actor:
         raise FilenameParseError(f"empty actor field in '{base}'")
+    if "\n" in actor:  # subjects are listed one per line
+        raise FilenameParseError(f"actor field in {base!r} holds a line break")
     if not sentence:
         raise FilenameParseError(f"empty sentence field in '{base}'")
     emotion = EmotionLabel.from_code(emo_code)
@@ -175,13 +175,20 @@ def scan_corpus(root) -> tuple[Manifest, list[str]]:
     return build_manifest(names)
 
 
+def _csv_field(text: str) -> str:
+    """One CSV field: quoted, inner quotes doubled, when it holds a comma, a
+    quote or a line break. csv.writer with a "\\n" terminator would leave a
+    "\\r" unquoted, and csv.reader ends a record there."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def manifest_csv(manifest: Manifest) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["path", "actor_id", "sentence", "emotion", "level"])
-    for e in manifest.entries:
-        w.writerow([e.path, e.actor_id, e.sentence_code, e.emotion.code, e.level])
-    return buf.getvalue()
+    return "path,actor_id,sentence,emotion,level\n" + "".join(
+        ",".join(map(_csv_field, (e.path, e.actor_id, e.sentence_code, e.emotion.code, e.level))) + "\n"
+        for e in manifest.entries
+    )
 
 
 @dataclass
@@ -310,7 +317,6 @@ def write_synthetic_corpus(clips: Iterable[SyntheticClip], root) -> list[str]:
         paths.append(path)
         rows.append((path, sc.burst_start, sc.burst_end))
     with open(os.path.join(root, "regions.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["path", "burst_start", "burst_end"])
-        w.writerows(rows)
+        fh.write("path,burst_start,burst_end\n")
+        fh.writelines(f"{_csv_field(path)},{start},{end}\n" for path, start, end in rows)
     return paths

@@ -108,13 +108,21 @@ class FrameConfig:
                 raise FrameConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_mfcc > self.n_mels:
             raise FrameConfigError(f"n_mfcc ({self.n_mfcc}) must be <= n_mels ({self.n_mels})")
-        if not self.allow_any_rate and self.fft_size < self.frame_len(self.expected_sample_rate):
-            raise FrameConfigError(
-                f"fft_size must be >= the frame length ({self.frame_len(self.expected_sample_rate)} samples "
-                f"at {self.expected_sample_rate} Hz), got {self.fft_size}"
-            )
+        if not self.allow_any_rate:
+            self._check_samples(self.expected_sample_rate)
+            if self.fft_size < self.frame_len(self.expected_sample_rate):
+                raise FrameConfigError(
+                    f"fft_size must be >= the frame length ({self.frame_len(self.expected_sample_rate)} samples "
+                    f"at {self.expected_sample_rate} Hz), got {self.fft_size}"
+                )
         if not 0.0 <= self.preemphasis < 1.0:
             raise FrameConfigError("preemphasis must be in [0, 1)")
+
+    def _check_samples(self, sample_rate: int) -> None:
+        """Frame length and step must each round to at least one sample."""
+        for name, samples in (("frame_len_ms", self.frame_len(sample_rate)), ("step_ms", self.frame_step(sample_rate))):
+            if samples < 1:
+                raise FrameConfigError(f"{name}={getattr(self, name)} rounds to 0 samples at {sample_rate} Hz")
 
     def frame_len(self, sample_rate: int) -> int:
         """Frame length in samples (ms -> samples, rounded to nearest)."""
@@ -301,6 +309,7 @@ def _frame_geometry(clip: AudioClip, cfg: FrameConfig) -> tuple[int, int, int]:
     """(count, step, length) of the frames frame_signal cuts from `clip`."""
     _check_rate(clip, cfg)
     rate = clip.sample_rate
+    cfg._check_samples(rate)
     return cfg.frame_count(len(clip), rate), cfg.frame_step(rate), cfg.frame_len(rate)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import EmotionLabel
+from .dataset import EmotionLabel, _csv_field
 from .dsp import FeatureSequence
 from .model import _forward_batch
 from .training import Checkpoint, apply_standardizer
@@ -240,15 +240,6 @@ def aggregate(folds, mode: str = "sum_then_normalize") -> AggregateReport:
 
 
 # -- text artifacts --------------------------------------------------------------
-
-
-def _csv_field(text: str) -> str:
-    """One CSV field: quoted, inner quotes doubled, when it holds a comma, a
-    quote or a line break. csv.writer with a "\\n" terminator would leave a
-    "\\r" unquoted, and csv.reader ends a record there."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _fold_csv_text(paths, true, pred, probs) -> str:

@@ -1,11 +1,14 @@
 """The four sequence classifiers: uni/bi-directional encoder, optional
 attention block, single-step (or short) decoder, 6-way softmax head.
 
-Attention, per decoder step t: the previous decoder output o<t-1> is repeated
-across all x encoder frames, concatenated with each encoder output p<t'>,
-scored to e<t,t'> (affine, or affine-tanh-affine when attn_hidden > 0),
-normalized with softmax to a<t,t'>, and the context vector is
-sum_{t'} a<t,t'> * p<t'>. Plain variants skip the block and run the decoder
+The encoder is one loop over its directions' LSTMs (see _directions); the
+backward direction reads the clip reversed.
+
+Attention, per decoder step t: the previous decoder output o<t-1>, which is
+the decoder LSTM's h<t-1> (zeros at t=1), is repeated across all x encoder
+frames, concatenated with each encoder output p<t'>, scored to e<t,t'>
+(affine, or affine-tanh-affine when attn_hidden > 0), normalized with softmax
+to a<t,t'>, and the context vector is sum_{t'} a<t,t'> * p<t'>. Plain variants skip the block and run the decoder
 over the encoder outputs directly. The repeated-and-concatenated scorer input
 is never built: its first affine map is split by rows into an o<t-1> part,
 computed once per step and broadcast over the frames, and a p<t'> part: the
@@ -115,18 +118,26 @@ class ModelConfig:
         return self.enc_hidden * (2 if self.variant.bidirectional else 1)
 
 
+def _directions(cfg: ModelConfig) -> tuple[str, ...]:
+    """The encoder LSTMs' names in output order; the second reads the clip reversed."""
+    return ("enc_fw", "enc_bw") if cfg.variant.bidirectional else ("enc_fw",)
+
+
+def _lstm_arrays(arrays, name: str):
+    """LSTM name's (W, U, b), from parameters or from their gradients."""
+    return arrays[f"{name}.W"], arrays[f"{name}.U"], arrays[f"{name}.b"]
+
+
+def _lstm_shapes(name: str, d: int, hid: int) -> dict[str, tuple[int, ...]]:
+    return {f"{name}.W": (d, 4 * hid), f"{name}.U": (hid, 4 * hid), f"{name}.b": (4 * hid,)}
+
+
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Fixed-order name -> shape map; LSTM gate axis is packed [i, f, g, o]."""
-    he, hd, w = cfg.enc_hidden, cfg.dec_hidden, cfg.enc_width
-    shapes: dict[str, tuple[int, ...]] = {
-        "enc_fw.W": (cfg.input_dim, 4 * he),
-        "enc_fw.U": (he, 4 * he),
-        "enc_fw.b": (4 * he,),
-    }
-    if cfg.variant.bidirectional:
-        shapes["enc_bw.W"] = (cfg.input_dim, 4 * he)
-        shapes["enc_bw.U"] = (he, 4 * he)
-        shapes["enc_bw.b"] = (4 * he,)
+    hd, w = cfg.dec_hidden, cfg.enc_width
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name in _directions(cfg):
+        shapes |= _lstm_shapes(name, cfg.input_dim, cfg.enc_hidden)
     if cfg.variant.has_attention:
         zdim = hd + w
         if cfg.attn_hidden == 0:
@@ -137,9 +148,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
             shapes["attn.b1"] = (cfg.attn_hidden,)
             shapes["attn.w2"] = (cfg.attn_hidden,)
             shapes["attn.b2"] = (1,)
-    shapes["dec.W"] = (w, 4 * hd)
-    shapes["dec.U"] = (hd, 4 * hd)
-    shapes["dec.b"] = (4 * hd,)
+    shapes |= _lstm_shapes("dec", w, hd)
     shapes["out.W"] = (hd, cfg.n_classes)
     shapes["out.b"] = (cfg.n_classes,)
     return shapes
@@ -197,10 +206,9 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
             fan_in = shape[0]
             k = 1.0 / np.sqrt(fan_in)
             arrays[name] = rng.uniform(-k, k, size=shape)
-    for prefix, hidden in (("enc_fw", cfg.enc_hidden), ("enc_bw", cfg.enc_hidden), ("dec", cfg.dec_hidden)):
-        key = f"{prefix}.b"
-        if key in arrays:
-            arrays[key][hidden : 2 * hidden] = 1.0
+    for name in (*_directions(cfg), "dec"):
+        _, U, b = _lstm_arrays(arrays, name)
+        b[U.shape[0] : 2 * U.shape[0]] = 1.0
     return ModelParams(arrays)
 
 
@@ -302,35 +310,28 @@ def _lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, want_dx=True):
 
 
 def _encode_batch(X, params, cfg, want_cache=True):
-    """Encoder outputs p. Bidirectional: backward pass consumes the reversed
-    sequence, its outputs are re-reversed, then concatenated after the forward
-    outputs along the feature axis."""
-    Hf, _, cache_f = _lstm_seq(X, params["enc_fw.W"], params["enc_fw.U"], params["enc_fw.b"], want_cache=want_cache)
-    if not cfg.variant.bidirectional:
-        return Hf, (cache_f, None)
-    Xr = X[:, ::-1, :]
-    Hb_rev, _, cache_b = _lstm_seq(Xr, params["enc_bw.W"], params["enc_bw.U"], params["enc_bw.b"], want_cache=want_cache)
-    p = np.concatenate([Hf, Hb_rev[:, ::-1, :]], axis=2)
-    return p, (cache_f, cache_b)
+    """Encoder outputs p and one cache per direction. The second direction
+    reads the sequence reversed and its outputs are re-reversed; the
+    directions' outputs are concatenated in order along the feature axis."""
+    outs, caches = [], []
+    for k, name in enumerate(_directions(cfg)):
+        step = -1 if k else 1
+        H, _, cache = _lstm_seq(X[:, ::step], *_lstm_arrays(params, name), want_cache=want_cache)
+        outs.append(H[:, ::step])
+        caches.append(cache)
+    return np.concatenate(outs, axis=2), caches
 
 
 def _encode_backward(dp, enc_caches, params, cfg, grads):
     """Accumulate the encoder's weight gradients; the gradient with respect to
     the input features is never needed, so it is not computed."""
-    cache_f, cache_b = enc_caches
     he = cfg.enc_hidden
-    if cfg.variant.bidirectional:
-        dHf = dp[:, :, :he]
+    for k, (name, cache) in enumerate(zip(_directions(cfg), enc_caches)):
+        step = -1 if k else 1
+        W, U, _ = _lstm_arrays(params, name)
         _lstm_seq_backward(
-            cache_b, dp[:, ::-1, he:], params["enc_bw.W"], params["enc_bw.U"],
-            grads["enc_bw.W"], grads["enc_bw.U"], grads["enc_bw.b"], want_dx=False,
+            cache, dp[:, ::step, k * he : (k + 1) * he], W, U, *_lstm_arrays(grads, name), want_dx=False
         )
-    else:
-        dHf = dp
-    _lstm_seq_backward(
-        cache_f, dHf, params["enc_fw.W"], params["enc_fw.U"],
-        grads["enc_fw.W"], grads["enc_fw.U"], grads["enc_fw.b"], want_dx=False,
-    )
 
 
 # -- attention ----------------------------------------------------------------
@@ -412,7 +413,7 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
     Returns (probs (B, n_classes), trace, cache) where trace is
     (e, a, context) stacked over decoder steps for attention variants.
     """
-    B, T, d = X.shape
+    B, _, d = X.shape
     if d != cfg.input_dim:
         raise ShapeError(f"input feature dim {d} != configured input_dim {cfg.input_dim}")
     p, enc_caches = _encode_batch(X, params, cfg, want_cache=want_cache)
@@ -422,33 +423,24 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
     dec_caches = []
     att_caches = []
     trace = None
+    dec = _lstm_arrays(params, "dec")
     if cfg.variant.has_attention:
-        hd = cfg.dec_hidden
-        h = np.zeros((B, hd))
-        c = np.zeros((B, hd))
-        o_prev = np.zeros((B, hd))
-        e_steps = np.empty((B, cfg.dec_steps, T))
-        a_steps = np.empty((B, cfg.dec_steps, T))
-        ctx_steps = np.empty((B, cfg.dec_steps, cfg.enc_width))
+        h = np.zeros((B, cfg.dec_hidden))
+        c = np.zeros((B, cfg.dec_hidden))
+        steps = []
         with np.errstate(over="ignore"):
-            for step in range(cfg.dec_steps):
-                a, context, e, att_cache = _attention_forward(o_prev, p, pad, params, cfg)
-                h, c, dec_cache = _lstm_step(context, h, c, params["dec.W"], params["dec.U"], params["dec.b"])
-                o_prev = h
-                e_steps[:, step, :] = e
-                a_steps[:, step, :] = a
-                ctx_steps[:, step, :] = context
+            for _ in range(cfg.dec_steps):
+                a, context, e, att_cache = _attention_forward(h, p, pad, params, cfg)
+                h, c, dec_cache = _lstm_step(context, h, c, *dec)
+                steps.append((e, a, context))
                 if want_cache:
                     att_caches.append(att_cache)
                     dec_caches.append(dec_cache)
-        h_final = h
-        trace = (e_steps, a_steps, ctx_steps)
+        trace = tuple(np.stack(parts, axis=1) for parts in zip(*steps))
     else:
-        H_dec, (h_final, _), dec_caches = _lstm_seq(
-            p, params["dec.W"], params["dec.U"], params["dec.b"], want_cache=want_cache
-        )
+        _, (h, _), dec_caches = _lstm_seq(p, *dec, want_cache=want_cache)
 
-    logits = h_final @ params["out.W"] + params["out.b"]
+    logits = h @ params["out.W"] + params["out.b"]
     probs = softmax(logits, axis=1)
     if not np.all(np.isfinite(probs)):
         raise NumericError("non-finite values in softmax head output")
@@ -459,7 +451,7 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
             "enc_caches": enc_caches,
             "att_caches": att_caches,
             "dec_caches": dec_caches,
-            "h_final": h_final,
+            "h_final": h,
         }
     return probs, trace, cache
 

@@ -28,6 +28,7 @@ from .model import (
     _attention_backward,
     _encode_backward,
     _forward_batch,
+    _lstm_arrays,
     _lstm_seq_backward,
     _lstm_step_backward,
     init_params,
@@ -141,17 +142,15 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
     grads["out.b"] += dlogits.sum(axis=0)
     dh_final = dlogits @ params["out.W"].T
 
+    W, U, _ = _lstm_arrays(params, "dec")
+    dec_grads = _lstm_arrays(grads, "dec")
     # one dp buffer: the first step's gradient, later steps added in place
     if cfg.variant.has_attention:
         dp = None
         dh = dh_final
         dc = np.zeros_like(dh)
         for step in reversed(range(cfg.dec_steps)):
-            dcontext, dh_prev, dc_prev = _lstm_step_backward(
-                cache["dec_caches"][step], dh, dc,
-                params["dec.W"], params["dec.U"],
-                grads["dec.W"], grads["dec.U"], grads["dec.b"],
-            )
+            dcontext, dh_prev, dc_prev = _lstm_step_backward(cache["dec_caches"][step], dh, dc, W, U, *dec_grads)
             do_prev, dp_step = _attention_backward(dcontext, cache["att_caches"][step], params, cfg, grads)
             if dp is None:
                 dp = dp_step
@@ -165,11 +164,7 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
     else:
         dH_out = np.zeros((B, X.shape[1], cfg.dec_hidden))
         dH_out[:, -1, :] = dh_final
-        dp = _lstm_seq_backward(
-            cache["dec_caches"], dH_out,
-            params["dec.W"], params["dec.U"],
-            grads["dec.W"], grads["dec.U"], grads["dec.b"],
-        )
+        dp = _lstm_seq_backward(cache["dec_caches"], dH_out, W, U, *dec_grads)
         del dH_out
 
     enc_caches = cache["enc_caches"]

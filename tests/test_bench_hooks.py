@@ -46,3 +46,33 @@ def test_tracer_finds_every_boundary_and_unpatches():
         "model.encode_backward",
     } <= names
     assert (training.loss_and_grads, training._forward_batch, model._lstm_seq_backward, roi_attend.cli.main) == originals
+
+
+def test_tracer_names_attention_and_encoder_spans_on_bi_attention():
+    tracer = tracing.Tracer()
+    tracing.install(tracer, roi_attend)
+    try:
+        assert tracer.missing == []
+        cfg = model.ModelConfig(
+            variant=model.Variant.BI_ATTENTION, input_dim=3, enc_hidden=2, dec_hidden=2, dec_steps=2
+        )
+        rng = SeededRng(1)
+        X = rng.normal(size=(2, 4, 3))
+        training.loss_and_grads(X, np.zeros((2, 4), dtype=bool), [1, 4], model.init_params(cfg, rng), cfg)
+        names = {s[tracing.NAME] for s in tracer.spans}
+    finally:
+        tracer.unpatch()
+    assert {
+        "training.loss_and_grads",
+        "model.forward_batch",
+        "model.encode_batch",
+        "model.lstm_seq.enc_fw",
+        "model.lstm_seq.enc_bw",
+        "model.attention_forward",
+        "model.attention_backward",
+        "training.dec_step_backward",
+        "model.encode_backward",
+        "model.lstm_seq_backward.enc_fw",
+        "model.lstm_seq_backward.enc_bw",
+    } <= names
+    assert not any(name.endswith(".other") for name in names)

@@ -359,6 +359,15 @@ class TestFeaturesCommand:
         assert "recomputing" in capsys.readouterr().err
         assert victim.read_bytes()[:4] == b"ROIF"
 
+    def test_frame_that_rounds_to_no_samples_at_the_clips_rate(self, corpus, tmp_path, capsys):
+        # allow_any_rate defers the check to each clip's own rate
+        rc = entrypoint([
+            "features", "--frame.allow_any_rate=true", "--frame.step_ms=0.02", f"--paths.corpus_dir={corpus}",
+            f"--paths.cache_dir={tmp_path / 'cache'}", f"--paths.output_dir={tmp_path}",
+        ])
+        assert rc == 1
+        assert "error: step_ms=0.02 rounds to 0 samples at 16000 Hz" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cut", [(slice(-1), slice(None)), (slice(None), slice(-1))], ids=["frame", "coefficient"])
     def test_cached_file_that_does_not_fit_its_clip_recomputed(self, cut, corpus, tmp_path, capsys):
         # a well-formed file one frame (or one coefficient) short is not served
@@ -735,6 +744,23 @@ class TestReportCommand:
                 eval_out / f"aggregate-{mode}.csv"
             ).read_bytes()
 
+    def test_subjects_holding_other_line_breaks_read_back_as_written(self, corpus, tmp_path):
+        # str.splitlines also splits at "\x0c" and "\u2028", and text mode reads "\r" as "\n"
+        odd = tmp_path / "odd"
+        odd.mkdir()
+        actors = {"9001": "A\x0cB", "9002": "C\u2028D", "9003": "E\rF"}
+        for wav in corpus.glob("*.wav"):
+            actor, rest = wav.name.split("_", 1)
+            shutil.copy(wav, odd / f"{actors[actor]}_{rest}")
+        assert entrypoint(["eval-loso", f"--paths.corpus_dir={odd}", f"--paths.output_dir={tmp_path}", *FAST]) == 0
+        eval_out = only_dir(tmp_path, "eval-loso")
+        with open(eval_out / "MANIFEST", newline="") as fh:
+            assert fh.read() == "A\x0cB\nC\u2028D\nE\rF\n"
+        assert "folds: 3" in (eval_out / "summary.txt").read_text()
+        assert entrypoint(["report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={tmp_path}"]) == 0
+        report_out = only_dir(tmp_path, "report")
+        assert (report_out / "summary.txt").read_bytes() == (eval_out / "summary.txt").read_bytes()
+
     def test_rebuild_with_comma_quote_and_line_breaks_in_clip_paths(self, corpus, tmp_path, monkeypatch):
         odd = tmp_path / 'odd,"dir"\nwith\rbreaks'
         shutil.copytree(corpus, odd)
@@ -1022,6 +1048,17 @@ class TestConfigurationErrorsStopBeforeWork:
         assert entrypoint(argv) == 2
         name = flag.split("=")[0].split(".")[1]
         assert f"{name} must be >= " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--frame.frame_len_ms=0.01", "--frame.step_ms=0.01"], "frame_len_ms=0.01"),
+        (["--frame.step_ms=0.02"], "step_ms=0.02"),
+    ])
+    def test_frame_that_rounds_to_no_samples(self, flags, name, corpus, tmp_path, capsys):
+        argv = ["features", *flags, f"--paths.corpus_dir={corpus}", f"--paths.cache_dir={tmp_path / 'cache'}",
+                f"--paths.output_dir={tmp_path}"]
+        assert entrypoint(argv) == 2
+        assert f"{name} rounds to 0 samples at 16000 Hz" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("ratio", ["0", "-1.5"])

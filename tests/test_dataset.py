@@ -74,6 +74,12 @@ class TestParseFilename:
         with pytest.raises(FilenameParseError):
             parse_filename("1001_IEO_ANG_HI_EXTRA.wav")
 
+    def test_actor_holding_a_line_break_rejected(self):
+        # subjects are listed one per line in an eval-loso MANIFEST
+        with pytest.raises(FilenameParseError, match="line break"):
+            parse_filename("10\n01_IEO_ANG_HI.wav")
+        assert parse_filename("10\r\x0c01_IEO_ANG_HI.wav").actor_id == "10\r\x0c01"
+
     def test_non_wav_rejected(self):
         with pytest.raises(FilenameParseError):
             parse_filename("1001_IEO_ANG_HI.mp3")
@@ -132,6 +138,13 @@ class TestBuildManifest:
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["path", "actor_id", "sentence", "emotion", "level"]
         assert rows[1] == ["1001_A_ANG_XX.wav", "1001", "A", "ANG", "XX"]
+
+    def test_csv_export_reads_back_fields_holding_line_breaks_commas_and_quotes(self):
+        names = ['a\rb/1001_A_ANG_XX.wav', 'c\nd/1002_B_SAD_LO.wav', 'e,"f"/1\r,"3_C_NEU_HI.wav']
+        m, _ = build_manifest(names)
+        rows = list(csv.reader(io.StringIO(manifest_csv(m), newline="")))
+        assert rows[1:] == [[e.path, e.actor_id, e.sentence_code, e.emotion.code, e.level] for e in m.entries]
+        assert [row[0] for row in rows[1:]] == names
 
 
 class TestLosoFolds:
@@ -237,6 +250,17 @@ class TestGenerateSynthetic:
 
 
 class TestWriteSyntheticCorpus:
+    @pytest.mark.parametrize("dirname", ["a\rb", "a\nb", "a,b", 'a"b'])
+    def test_regions_read_back_for_paths_holding_line_breaks_commas_and_quotes(self, dirname, tmp_path):
+        root = tmp_path / dirname
+        clips = list(generate_synthetic(SyntheticSpec(n_clips_per_class=1, n_actors=2)))
+        paths = write_synthetic_corpus(clips, root)
+        with open(root / "regions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["path", "burst_start", "burst_end"]] + [
+            [path, str(sc.burst_start), str(sc.burst_end)] for path, sc in zip(paths, clips)
+        ]
+
     def test_corpus_on_disk(self, tmp_path):
         clips = list(generate_synthetic(SyntheticSpec(n_clips_per_class=1, n_actors=2)))
         paths = write_synthetic_corpus(clips, tmp_path)

@@ -227,6 +227,52 @@ class TestGradients:
             digest.update(grads[name].tobytes())
         assert digest.hexdigest() == self.PINNED_PLAIN_GRADS[variant]
 
+    # SHA-256 of the loss, every gradient block, the posterior and the
+    # (e, a, context) trace, computed before the encoder became one loop over
+    # its directions and the attention query became the decoder's h.
+    PINNED_ATTENTION = {
+        (Variant.UNI_ATTENTION, "dec_steps=1"): "eba49cf33c7bbfe0a133080508f3db7f5a21fd7cb1249bbf0d1d09bd8ca0848a",
+        (Variant.UNI_ATTENTION, "dec_steps=3"): "b338129e212b2f693053b09a8f590f9dc0cdb2e05b41be5a2a507c4ca743990e",
+        (Variant.UNI_ATTENTION, "mask_padding"): "e267d1133afcb1dcb1123bd12a099a98062d9b5e56dd893da1f8df7c133186de",
+        (Variant.UNI_ATTENTION, "attn_hidden=5"): "2778075b464abe507a4d50c3ef418b7e54f13eb3028da487f4eb6b91c06fbf45",
+        (Variant.BI_ATTENTION, "dec_steps=1"): "9db29e75e8ab1515acf2a231606107a36f12633f2f5568bb0d5fedb9c97c7a53",
+        (Variant.BI_ATTENTION, "dec_steps=3"): "60e2f294ae4c59f5847b1947f164c56a87b01fd91b492e15f6509d852786245b",
+        (Variant.BI_ATTENTION, "mask_padding"): "468edecb135c7c93eff935108f69ef607a6759262e54b31d9afbd899e9b1c60a",
+        (Variant.BI_ATTENTION, "attn_hidden=5"): "6df6730c405fbe11c88f50b4ef3fb4de695fe916cdc6c1a04edef64a7ae2d83e",
+    }
+    ATTENTION_CASES = {
+        "dec_steps=1": {},
+        "dec_steps=3": {"dec_steps": 3},
+        "mask_padding": {"mask_padding": True, "dec_steps": 2},
+        "attn_hidden=5": {"attn_hidden": 5},
+    }
+
+    @pytest.mark.parametrize("case", list(ATTENTION_CASES))
+    @pytest.mark.parametrize("variant", [Variant.UNI_ATTENTION, Variant.BI_ATTENTION])
+    def test_attention_loss_grads_probs_and_trace_are_pinned(self, variant, case):
+        cfg = ModelConfig(
+            variant=variant, input_dim=13, enc_hidden=8, dec_hidden=6, dropout_rate=0.3,
+            **self.ATTENTION_CASES[case],
+        )
+        rng = SeededRng(34)
+        X = rng.normal(size=(4, 12, 13))
+        pad = np.zeros((4, 12), dtype=bool)
+        pad[0, 9:] = True
+        pad[2, 5:] = True
+        X[pad] = 0.0
+        y = np.array([0, 2, 4, 5])
+        params = init_params(cfg, rng)
+        mask = model.make_dropout_mask(cfg, (4, 12), SeededRng(35))
+        loss, grads = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
+        probs, trace, _ = model._forward_batch(X, pad, params, cfg, dropout_mask=mask)
+        digest = hashlib.sha256(struct.pack("<d", loss))
+        for name in params.names():
+            digest.update(grads[name].tobytes())
+        digest.update(probs.tobytes())
+        for part in trace:
+            digest.update(part.tobytes())
+        assert digest.hexdigest() == self.PINNED_ATTENTION[variant, case]
+
     def test_bi_attention_batch_peak_memory_is_bounded(self):
         """One training batch holds the encoder's LSTM caches (each step keeps
         its i/f/g/o gates and cell input, 5H floats per row) plus a few
@@ -680,6 +726,18 @@ class TestCheckpointIO:
         data = save_checkpoint(ckpt)
         assert f"{name}={value}\n".encode() in data
         with pytest.raises(CheckpointFormatError, match=f"{name} must be >= "):
+            load_checkpoint(data)
+
+    @pytest.mark.parametrize("settings,name", [
+        ({"frame_len_ms": 0.01, "step_ms": 0.01}, "frame_len_ms"),
+        ({"step_ms": 0.02}, "step_ms"),
+    ])
+    def test_frame_config_that_rounds_to_no_samples_raises_format_error(self, settings, name):
+        ckpt = self._checkpoint(Variant.UNI_PLAIN)
+        for key, value in settings.items():
+            setattr(ckpt.frame_cfg, key, value)  # what a writer that skips FrameConfig's check would save
+        data = save_checkpoint(ckpt)
+        with pytest.raises(CheckpointFormatError, match=f"{name}={settings[name]} rounds to 0 samples at 16000 Hz"):
             load_checkpoint(data)
 
     def test_optimizer_kind_checked(self):
