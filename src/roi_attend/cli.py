@@ -38,6 +38,7 @@ from .dsp import (
     FRONT_END_REVISION,
     FeatureCacheError,
     FrameConfig,
+    _check_rate,
     extract_features,
     load_feature_cache,
     pad_to_length,
@@ -275,8 +276,9 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
     a changed clip, frame setting, pad target or feature computation never
     reads a stale file.
 
-    The first pass parses every WAV, so a bad file fails before any cache file
-    is written, and keeps only its length, rate and digest. A clip whose
+    The first pass parses every WAV and checks its rate against the frame
+    settings, so a bad file or setting fails before the cache directory is
+    made, and keeps only its length, rate and digest. A clip whose
     features are not cached is read again and must hash to the same digest.
     So the pass holds one decoded clip, not the corpus.
 
@@ -291,6 +293,7 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
     for e in manifest.entries:
         hasher = hashlib.sha256()
         clip = read_wav_file(e.path, hasher=hasher)
+        _check_rate(clip, frame_cfg)
         lengths.append(len(clip))
         rates.append(clip.sample_rate)
         digests.append(hasher.digest())

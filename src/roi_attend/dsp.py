@@ -309,7 +309,6 @@ def _frame_geometry(clip: AudioClip, cfg: FrameConfig) -> tuple[int, int, int]:
     """(count, step, length) of the frames frame_signal cuts from `clip`."""
     _check_rate(clip, cfg)
     rate = clip.sample_rate
-    cfg._check_samples(rate)
     return cfg.frame_count(len(clip), rate), cfg.frame_step(rate), cfg.frame_len(rate)
 
 
@@ -326,11 +325,13 @@ def frame_signal(clip: AudioClip, cfg: FrameConfig) -> tuple[np.ndarray, np.ndar
 
 
 def _check_rate(clip: AudioClip, cfg: FrameConfig) -> None:
+    """The clip's rate must be one cfg accepts, and give frames of at least one sample."""
     if not cfg.allow_any_rate and clip.sample_rate != cfg.expected_sample_rate:
         raise UnsupportedWavError(
             f"clip rate {clip.sample_rate} Hz != expected {cfg.expected_sample_rate} Hz "
             "(set allow_any_rate to accept)"
         )
+    cfg._check_samples(clip.sample_rate)
 
 
 # -- mel / MFCC ---------------------------------------------------------------

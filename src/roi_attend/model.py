@@ -16,9 +16,12 @@ same function, with the same stored weights, as scoring the concatenation.
 
 All forward internals are batched (B, T, d) and keep caches so training can
 backpropagate through every step; public single-clip wrappers are at the end.
-A sequence's LSTM caches keep each step's gates and previous cell state, not
-its previous hidden state or tanh(c): backprop rebuilds those from the same
-operands, so the gradients are bit-identical to caching them.
+Each LSTM sequence (each encoder direction, and the decoder) writes its steps
+onto one tape preallocated for the whole sequence: its sigmoid gates as
+contiguous [i, f, o] blocks, its tanh gate and its cells. The tape keeps no
+hidden state or tanh(c): backprop rebuilds those from the same operands, so
+the gradients are bit-identical to caching them. A forward-only pass reuses
+one row of gates and two of cells.
 """
 
 from __future__ import annotations
@@ -215,30 +218,62 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
 # -- LSTM primitives (batched) ---------------------------------------------
 
 
-def _lstm_step(x, h_prev, c_prev, W, U, b):
-    """One gate update. x: (B, d), h_prev/c_prev: (B, H). Returns (h, c, cache).
+def _tape(rows, B, hid, c0=None):
+    """The arrays an LSTM's steps write into: sigmoid gates (rows, 3, B, H) in
+    [i, f, o] order, the tanh gate g (rows, B, H), and cells (rows + 1, B, H)
+    whose row 0 holds c0 (zeros when None). Every gate row is a contiguous
+    (B, H) block."""
+    cell = np.empty((rows + 1, B, hid))
+    cell[0] = 0.0 if c0 is None else c0
+    return np.empty((rows, 3, B, hid)), np.empty((rows, B, hid)), cell
+
+
+def _lstm_step(x, h_prev, W, U, b, sig, tg, cell, t):
+    """Step t of a sequence on _tape's arrays. x: (B, d), h_prev: (B, H).
+    Reads cell row t % len(cell), writes gate row t % len(sig) and cell row
+    (t + 1) % len(cell), and returns h; so one gate row and two cell rows
+    serve a whole forward-only pass.
     Its gates use numerics._sigmoid, which skips sigmoid's np.errstate: that
     costs more than the sigmoid itself at batch size 1. So callers wrap their
     loop of steps in np.errstate(over="ignore") once, and a saturated gate
     gives exactly 0.0 without an overflow warning."""
     hid = h_prev.shape[1]
-    v = x @ W + h_prev @ U + b
-    i_f = _sigmoid(v[:, : 2 * hid])  # the i and f gates are one contiguous block
-    i = i_f[:, :hid]
-    f = i_f[:, hid:]
-    g = np.tanh(v[:, 2 * hid : 3 * hid])
-    o = _sigmoid(v[:, 3 * hid :])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
+    n = len(cell)
+    v = x @ W
+    v += h_prev @ U
+    v += b
+    v = v.reshape(-1, 4, hid).transpose(1, 0, 2)  # the [i, f, g, o] blocks
+    gates = sig[t % len(sig)]
+    gates[:2] = v[:2]
+    gates[2] = v[3]
+    i, f, o = _sigmoid(gates, out=gates)
+    g = np.tanh(v[2], out=tg[t % len(tg)])
+    c = np.multiply(f, cell[t % n], out=cell[(t + 1) % n])
+    c += i * g
+    return o * np.tanh(c)
 
 
-def _lstm_step_backward(cache, dh, dc, W, U, dW, dU, db, want_dx=True):
-    """Reverse one step; accumulates weight grads in place, returns (dx, dh_prev, dc_prev).
+def _steps_back(X, h0, sig, tg, cell):
+    """Each step's operands (t, (x, h_prev, c_prev, [i, f, o], g, tanh(c))),
+    last step first, from a tape [X, h0, sig, tg, cell]. h_prev and tanh(c)
+    are not on the tape: they are rebuilt with the forward pass's own
+    operations on the same arrays, so they are bit-identical: tanh(c) from
+    the cell row, and h_prev as o<t-1> * tanh(c_prev), whose tanh is also
+    step t-1's tanh(c)."""
+    tc = np.tanh(cell[len(sig)])
+    for t in reversed(range(len(sig))):
+        tc_prev = np.tanh(cell[t]) if t else None
+        h_prev = sig[t - 1, 2] * tc_prev if t else h0
+        yield t, (X[:, t, :], h_prev, cell[t], sig[t], tg[t], tc)
+        tc = tc_prev
+
+
+def _lstm_step_backward(step, dh, dc, W, U, dW, dU, db, want_dx=True):
+    """Reverse one step, given its operands from _steps_back; accumulates
+    weight grads in place, returns (dx, dh_prev, dc_prev).
 
     dx is None when want_dx is False (the input's gradient is not needed)."""
-    x, h_prev, c_prev, i, f, g, o, tc = cache
+    x, h_prev, c_prev, (i, f, o), g, tc = step
     do = dh * tc
     dc = dc + dh * o * (1.0 - tc * tc)
     di = dc * g
@@ -256,53 +291,39 @@ def _lstm_step_backward(cache, dh, dc, W, U, dW, dU, db, want_dx=True):
 
 
 def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True):
-    """Run a whole sequence. X: (B, T, d). Returns (outputs (B,T,H), (h,c), caches).
+    """Run a whole sequence. X: (B, T, d). Returns (outputs (B,T,H), (h,c), tape).
 
-    Each step's cache is _lstm_step's without tanh(c), and without h_prev
-    (None) after the first step; _lstm_seq_backward rebuilds both."""
+    The tape is [X, h0, sig, tg, cell] with _tape's arrays sized to the
+    sequence; without want_cache it is None, and the steps share one gate
+    row and two cell rows."""
     B, T, _ = X.shape
     hid = U.shape[0]
-    h = np.zeros((B, hid)) if h0 is None else h0
-    c = np.zeros((B, hid)) if c0 is None else c0
+    h = h_first = np.zeros((B, hid)) if h0 is None else h0
+    sig, tg, cell = _tape(T if want_cache else 1, B, hid, c0)
     outs = np.empty((B, T, hid))
-    caches = [] if want_cache else None
     with np.errstate(over="ignore"):
         for t in range(T):
-            h, c, cache = _lstm_step(X[:, t, :], h, c, W, U, b)
+            h = _lstm_step(X[:, t, :], h, W, U, b, sig, tg, cell, t)
             outs[:, t, :] = h
-            if want_cache:
-                x, h_prev, *gates, _ = cache
-                caches.append((x, None if t else h_prev, *gates))
-    return outs, (h, c), caches
+    tape = [X, h_first, sig, tg, cell] if want_cache else None
+    return outs, (h, cell[T % len(cell)]), tape
 
 
-def _lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, want_dx=True):
-    """BPTT over _lstm_seq's caches, which it empties, releasing each step's
-    cache once used. dH_out: (B, T, H) upstream gradient per step, any strides.
-
-    The missing operands are rebuilt with the forward pass's own operations
-    on the same arrays, so they are bit-identical: the last step's cell as
-    f * c_prev + i * g, and each step's h_prev as o<t-1> * tanh(c_prev),
-    whose tanh is also step t-1's tanh(c).
+def _lstm_seq_backward(tape, dH_out, W, U, dW, dU, db, want_dx=True):
+    """BPTT over _lstm_seq's tape, which it empties, so the tape is freed once
+    this returns. dH_out: (B, T, H) upstream gradient per step, any strides.
 
     Returns dX, or None when want_dx is False."""
     B, T, _ = dH_out.shape
     dX = np.empty((B, T, W.shape[0])) if want_dx else None
     dh = np.zeros((B, U.shape[0]))
     dc = np.zeros((B, U.shape[0]))
-    _, _, c_prev, i, f, g, _ = caches[-1]
-    tc = np.tanh(f * c_prev + i * g)
-    for t in reversed(range(T)):
-        x, h_prev, c_prev, i, f, g, o = caches.pop()
-        tc_prev = None
-        if t:
-            tc_prev = np.tanh(c_prev)
-            h_prev = caches[-1][-1] * tc_prev
-        cache = (x, h_prev, c_prev, i, f, g, o, tc)
-        dx, dh, dc = _lstm_step_backward(cache, dH_out[:, t, :] + dh, dc, W, U, dW, dU, db, want_dx)
+    steps = _steps_back(*tape)
+    tape.clear()
+    for t, step in steps:
+        dx, dh, dc = _lstm_step_backward(step, dH_out[:, t, :] + dh, dc, W, U, dW, dU, db, want_dx)
         if want_dx:
             dX[:, t, :] = dx
-        tc = tc_prev
     return dX
 
 
@@ -310,27 +331,28 @@ def _lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, want_dx=True):
 
 
 def _encode_batch(X, params, cfg, want_cache=True):
-    """Encoder outputs p and one cache per direction. The second direction
+    """Encoder outputs p and one tape per direction. The second direction
     reads the sequence reversed and its outputs are re-reversed; the
     directions' outputs are concatenated in order along the feature axis."""
-    outs, caches = [], []
+    outs, tapes = [], []
     for k, name in enumerate(_directions(cfg)):
         step = -1 if k else 1
-        H, _, cache = _lstm_seq(X[:, ::step], *_lstm_arrays(params, name), want_cache=want_cache)
+        H, _, tape = _lstm_seq(X[:, ::step], *_lstm_arrays(params, name), want_cache=want_cache)
         outs.append(H[:, ::step])
-        caches.append(cache)
-    return np.concatenate(outs, axis=2), caches
+        tapes.append(tape)
+    return np.concatenate(outs, axis=2), tapes
 
 
-def _encode_backward(dp, enc_caches, params, cfg, grads):
+def _encode_backward(dp, enc_tapes, params, cfg, grads):
     """Accumulate the encoder's weight gradients; the gradient with respect to
-    the input features is never needed, so it is not computed."""
+    the input features is never needed, so it is not computed. Each
+    direction's tape is freed once its BPTT is done."""
     he = cfg.enc_hidden
-    for k, (name, cache) in enumerate(zip(_directions(cfg), enc_caches)):
+    for k, (name, tape) in enumerate(zip(_directions(cfg), enc_tapes)):
         step = -1 if k else 1
         W, U, _ = _lstm_arrays(params, name)
         _lstm_seq_backward(
-            cache, dp[:, ::step, k * he : (k + 1) * he], W, U, *_lstm_arrays(grads, name), want_dx=False
+            tape, dp[:, ::step, k * he : (k + 1) * he], W, U, *_lstm_arrays(grads, name), want_dx=False
         )
 
 
@@ -416,29 +438,30 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
     B, _, d = X.shape
     if d != cfg.input_dim:
         raise ShapeError(f"input feature dim {d} != configured input_dim {cfg.input_dim}")
-    p, enc_caches = _encode_batch(X, params, cfg, want_cache=want_cache)
+    p, enc_tapes = _encode_batch(X, params, cfg, want_cache=want_cache)
     if dropout_mask is not None:
         p *= dropout_mask
 
-    dec_caches = []
     att_caches = []
     trace = None
     dec = _lstm_arrays(params, "dec")
     if cfg.variant.has_attention:
-        h = np.zeros((B, cfg.dec_hidden))
-        c = np.zeros((B, cfg.dec_hidden))
+        # the decoder's tape has one row per decoder step; its inputs are the
+        # context vectors, which the trace stacks as (B, dec_steps, width)
+        h = h0 = np.zeros((B, cfg.dec_hidden))
+        sig, tg, cell = _tape(cfg.dec_steps if want_cache else 1, B, cfg.dec_hidden)
         steps = []
         with np.errstate(over="ignore"):
-            for _ in range(cfg.dec_steps):
+            for t in range(cfg.dec_steps):
                 a, context, e, att_cache = _attention_forward(h, p, pad, params, cfg)
-                h, c, dec_cache = _lstm_step(context, h, c, *dec)
+                h = _lstm_step(context, h, *dec, sig, tg, cell, t)
                 steps.append((e, a, context))
                 if want_cache:
                     att_caches.append(att_cache)
-                    dec_caches.append(dec_cache)
         trace = tuple(np.stack(parts, axis=1) for parts in zip(*steps))
+        dec_tape = [trace[2], h0, sig, tg, cell]
     else:
-        _, (h, _), dec_caches = _lstm_seq(p, *dec, want_cache=want_cache)
+        _, (h, _), dec_tape = _lstm_seq(p, *dec, want_cache=want_cache)
 
     logits = h @ params["out.W"] + params["out.b"]
     probs = softmax(logits, axis=1)
@@ -448,9 +471,9 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
     if want_cache:
         cache = {
             "p": p,
-            "enc_caches": enc_caches,
+            "enc_tapes": enc_tapes,
             "att_caches": att_caches,
-            "dec_caches": dec_caches,
+            "dec_tape": dec_tape,
             "h_final": h,
         }
     return probs, trace, cache

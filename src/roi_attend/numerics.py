@@ -47,11 +47,14 @@ def softmax(v, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def _sigmoid(v):
+def _sigmoid(v, out=None):
     """The logistic kernel, without sigmoid's np.errstate: below about -709
     exp(-v) overflows (with a warning unless the caller silences it) to inf,
-    and 1 / (1 + inf) is exactly 0.0."""
-    return 1.0 / (1.0 + np.exp(-v))
+    and 1 / (1 + inf) is exactly 0.0. `out`, when given, receives the result
+    and may be v itself; each operation then runs in place in it."""
+    e = np.exp(np.negative(v, out=out), out=out)
+    e += 1.0
+    return np.divide(1.0, e, out=out)
 
 
 def sigmoid(v) -> np.ndarray:

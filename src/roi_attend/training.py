@@ -31,6 +31,7 @@ from .model import (
     _lstm_arrays,
     _lstm_seq_backward,
     _lstm_step_backward,
+    _steps_back,
     init_params,
     make_dropout_mask,
     param_shapes,
@@ -149,8 +150,8 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
         dp = None
         dh = dh_final
         dc = np.zeros_like(dh)
-        for step in reversed(range(cfg.dec_steps)):
-            dcontext, dh_prev, dc_prev = _lstm_step_backward(cache["dec_caches"][step], dh, dc, W, U, *dec_grads)
+        for step, operands in _steps_back(*cache["dec_tape"]):
+            dcontext, dh_prev, dc_prev = _lstm_step_backward(operands, dh, dc, W, U, *dec_grads)
             do_prev, dp_step = _attention_backward(dcontext, cache["att_caches"][step], params, cfg, grads)
             if dp is None:
                 dp = dp_step
@@ -164,14 +165,14 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
     else:
         dH_out = np.zeros((B, X.shape[1], cfg.dec_hidden))
         dH_out[:, -1, :] = dh_final
-        dp = _lstm_seq_backward(cache["dec_caches"], dH_out, W, U, *dec_grads)
+        dp = _lstm_seq_backward(cache["dec_tape"], dH_out, W, U, *dec_grads)
         del dH_out
 
-    enc_caches = cache["enc_caches"]
-    del cache  # p and the attention caches go before the encoder's backward
+    enc_tapes = cache["enc_tapes"]
+    del cache  # p, the attention caches and the decoder's tape go before the encoder's backward
     if dropout_mask is not None:
         dp *= dropout_mask
-    _encode_backward(dp, enc_caches, params, cfg, grads)
+    _encode_backward(dp, enc_tapes, params, cfg, grads)
     return loss, grads
 
 

@@ -17,6 +17,11 @@ one pixel column, sample and cell at a time; the package's array versions
 must produce the same bytes. The package draws the attention curve from the
 ends of its runs of equal values, so the per-sample curve is kept as the
 reference its collapsed form is checked against.
+
+The LSTM reference is the per-step code the model ran before it wrote its
+steps onto one preallocated tape: each step returns a tuple of its gates,
+[i, f] as halves of one sigmoid block, and BPTT pops those tuples. The
+model's tape must give the same outputs and gradients bit for bit.
 """
 
 import math
@@ -244,3 +249,84 @@ def spectrogram_rects(spec, x0, y0, w, h) -> list:
                 f'height="{_f(rh + 0.5)}" fill="{color}" stroke="none"/>'
             )
     return rects
+
+
+def _gate_sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def lstm_step(x, h_prev, c_prev, W, U, b):
+    """One gate update. x: (B, d), h_prev/c_prev: (B, H). Returns (h, c, cache).
+    Callers silence exp's overflow around their loop of steps."""
+    hid = h_prev.shape[1]
+    v = x @ W + h_prev @ U + b
+    i_f = _gate_sigmoid(v[:, : 2 * hid])
+    i = i_f[:, :hid]
+    f = i_f[:, hid:]
+    g = np.tanh(v[:, 2 * hid : 3 * hid])
+    o = _gate_sigmoid(v[:, 3 * hid :])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
+
+
+def lstm_step_backward(cache, dh, dc, W, U, dW, dU, db, want_dx=True):
+    """Reverse one step; accumulates weight grads in place, returns (dx, dh_prev, dc_prev)."""
+    x, h_prev, c_prev, i, f, g, o, tc = cache
+    do = dh * tc
+    dc = dc + dh * o * (1.0 - tc * tc)
+    di = dc * g
+    df = dc * c_prev
+    dg = dc * i
+    dc_prev = dc * f
+    dv = np.concatenate(
+        [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+        axis=1,
+    )
+    dW += x.T @ dv
+    dU += h_prev.T @ dv
+    db += dv.sum(axis=0)
+    return (dv @ W.T if want_dx else None), dv @ U.T, dc_prev
+
+
+def lstm_seq(X, W, U, b, h0=None, c0=None):
+    """Run a whole sequence. X: (B, T, d). Returns (outputs (B,T,H), (h,c), caches);
+    each step's cache drops tanh(c), and h_prev after the first step."""
+    B, T, _ = X.shape
+    hid = U.shape[0]
+    h = np.zeros((B, hid)) if h0 is None else h0
+    c = np.zeros((B, hid)) if c0 is None else c0
+    outs = np.empty((B, T, hid))
+    caches = []
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            h, c, cache = lstm_step(X[:, t, :], h, c, W, U, b)
+            outs[:, t, :] = h
+            x, h_prev, *gates, _ = cache
+            caches.append((x, None if t else h_prev, *gates))
+    return outs, (h, c), caches
+
+
+def lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, want_dx=True):
+    """BPTT over lstm_seq's caches, which it empties; rebuilds the last cell
+    as f * c_prev + i * g and each h_prev as o<t-1> * tanh(c_prev). Returns dX
+    (None when want_dx is False)."""
+    B, T, _ = dH_out.shape
+    dX = np.empty((B, T, W.shape[0])) if want_dx else None
+    dh = np.zeros((B, U.shape[0]))
+    dc = np.zeros((B, U.shape[0]))
+    _, _, c_prev, i, f, g, _ = caches[-1]
+    tc = np.tanh(f * c_prev + i * g)
+    for t in reversed(range(T)):
+        x, h_prev, c_prev, i, f, g, o = caches.pop()
+        tc_prev = None
+        if t:
+            tc_prev = np.tanh(c_prev)
+            h_prev = caches[-1][-1] * tc_prev
+        cache = (x, h_prev, c_prev, i, f, g, o, tc)
+        dx, dh, dc = lstm_step_backward(cache, dH_out[:, t, :] + dh, dc, W, U, dW, dU, db, want_dx)
+        if want_dx:
+            dX[:, t, :] = dx
+        tc = tc_prev
+    return dX

@@ -368,6 +368,30 @@ class TestFeaturesCommand:
         assert rc == 1
         assert "error: step_ms=0.02 rounds to 0 samples at 16000 Hz" in capsys.readouterr().err
 
+    def test_frame_that_rounds_to_no_samples_leaves_no_directory(self, corpus, tmp_path, capsys):
+        # every clip's rate is checked in the first pass, before the cache directory is made
+        cache, out = tmp_path / "cache", tmp_path / "runs"
+        rc = entrypoint([
+            "features", "--frame.allow_any_rate=true", "--frame.step_ms=0.02", f"--paths.corpus_dir={corpus}",
+            f"--paths.cache_dir={cache}", f"--paths.output_dir={out}",
+        ])
+        assert rc == 1
+        assert "error: step_ms=0.02 rounds to 0 samples at 16000 Hz" in capsys.readouterr().err
+        assert not cache.exists() and not out.exists()
+
+    def test_clip_at_another_rate_leaves_no_directory(self, corpus, tmp_path, capsys):
+        mixed = tmp_path / "mixed"
+        shutil.copytree(corpus, mixed)
+        victim = sorted(mixed.glob("*.wav"))[-1]
+        write_wav_file(victim, read_wav_file(victim).samples[::2], 8000)
+        cache, out = tmp_path / "cache", tmp_path / "runs"
+        rc = entrypoint([
+            "features", f"--paths.corpus_dir={mixed}", f"--paths.cache_dir={cache}", f"--paths.output_dir={out}",
+        ])
+        assert rc == 1
+        assert "clip rate 8000 Hz != expected 16000 Hz" in capsys.readouterr().err
+        assert not cache.exists() and not out.exists()
+
     @pytest.mark.parametrize("cut", [(slice(-1), slice(None)), (slice(None), slice(-1))], ids=["frame", "coefficient"])
     def test_cached_file_that_does_not_fit_its_clip_recomputed(self, cut, corpus, tmp_path, capsys):
         # a well-formed file one frame (or one coefficient) short is not served

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import _oracles
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ from roi_attend.model import (
     make_dropout_mask,
     param_shapes,
 )
-from roi_attend.model import _attention_backward, _attention_forward
+from roi_attend.model import _attention_backward, _attention_forward, _lstm_seq, _lstm_seq_backward
 from roi_attend.model import _sigmoid as gate_sigmoid
 from roi_attend.numerics import SeededRng, ShapeError, sigmoid
 
@@ -191,6 +192,61 @@ class TestLstmForward:
         with pytest.raises(ShapeError) as exc:
             lstm_forward(np.zeros((3, 5)), np.zeros((4, 16)), np.zeros((4, 16)), np.zeros(16))
         assert "(4, 16)" in str(exc.value)
+
+
+class TestLstmTapeMatchesStepCaches:
+    """_lstm_seq writes each step onto one preallocated tape and
+    _lstm_seq_backward reads it back; the per-step-cache reference in
+    _oracles must give the same outputs, final state and gradients bit for
+    bit, for a clip read forward or reversed (a negative-stride view, as the
+    encoder's second direction reads it) and for saturated gates."""
+
+    @staticmethod
+    def _case(B, T, state, saturated):
+        rng = SeededRng(100 + 10 * B + T)
+        d, H = 5, 4
+        W, U, b = rng.normal(size=(d, 4 * H)), 0.5 * rng.normal(size=(H, 4 * H)), rng.normal(size=4 * H)
+        if saturated:  # every gate block has columns at +800 and at -800
+            b = np.where(np.arange(4 * H) % 2, 800.0, -800.0)
+        X = rng.normal(size=(B, T, d))
+        h0, c0 = (rng.normal(size=(B, H)), rng.normal(size=(B, H))) if state else (None, None)
+        return X, W, U, b, h0, c0, rng.normal(size=(B, T, H))
+
+    def _check(self, X, W, U, b, h0, c0, dH, want_dx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs, (h, c), tape = _lstm_seq(X, W, U, b, h0=h0, c0=c0)
+            ref_outs, (ref_h, ref_c), caches = _oracles.lstm_seq(X, W, U, b, h0=h0, c0=c0)
+            grads = [np.zeros_like(a) for a in (W, U, b)]
+            ref_grads = [np.zeros_like(a) for a in (W, U, b)]
+            dX = _lstm_seq_backward(tape, dH, W, U, *grads, want_dx=want_dx)
+            ref_dX = _oracles.lstm_seq_backward(caches, dH, W, U, *ref_grads, want_dx=want_dx)
+            free_outs, (free_h, free_c), no_tape = _lstm_seq(X, W, U, b, h0=h0, c0=c0, want_cache=False)
+        for got, want in [(outs, ref_outs), (h, ref_h), (c, ref_c), *zip(grads, ref_grads),
+                          (free_outs, ref_outs), (free_h, ref_h), (free_c, ref_c)]:
+            np.testing.assert_array_equal(got, want)
+        if want_dx:
+            np.testing.assert_array_equal(dX, ref_dX)
+        else:
+            assert dX is None and ref_dX is None
+        assert tape == [] and no_tape is None
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("want_dx", [True, False], ids=["dx", "no-dx"])
+    @pytest.mark.parametrize("state", [False, True], ids=["zero-state", "h0-c0"])
+    @pytest.mark.parametrize("T", [1, 2, 7])
+    @pytest.mark.parametrize("B", [1, 3, 16])
+    def test_outputs_state_and_grads_are_bitwise_the_references(self, B, T, state, want_dx, reverse):
+        X, W, U, b, h0, c0, dH = self._case(B, T, state, saturated=False)
+        if reverse:
+            X, dH = X[:, ::-1], dH[:, ::-1]
+        self._check(X, W, U, b, h0, c0, dH, want_dx)
+
+    @pytest.mark.parametrize("want_dx", [True, False], ids=["dx", "no-dx"])
+    @pytest.mark.parametrize("B", [1, 3, 16])
+    def test_saturated_gates_match_and_raise_no_warning(self, B, want_dx):
+        X, W, U, b, h0, c0, dH = self._case(B, 7, state=True, saturated=True)
+        self._check(X[:, ::-1], W, U, b, h0, c0, dH, want_dx)
 
 
 class TestEncode:

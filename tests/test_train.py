@@ -274,10 +274,10 @@ class TestGradients:
         assert digest.hexdigest() == self.PINNED_ATTENTION[variant, case]
 
     def test_bi_attention_batch_peak_memory_is_bounded(self):
-        """One training batch holds the encoder's LSTM caches (each step keeps
-        its i/f/g/o gates and cell input, 5H floats per row) plus a few
-        (B, T, 2H) arrays: encoder outputs p, dp and transients. Traced bytes
-        only; no RSS or timing assertion."""
+        """One training batch holds the encoder's LSTM tapes (per step and
+        row, the i/f/o and g gates and a cell, 5H floats, plus c0's row) plus
+        a few (B, T, 2H) arrays: encoder outputs p, dp and transients. Traced
+        bytes only; no RSS or timing assertion."""
         cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=13, enc_hidden=64, dec_hidden=64)
         B, T, H = 16, 49, 64
         rng = SeededRng(33)
