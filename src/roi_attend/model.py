@@ -238,16 +238,16 @@ def _lstm_step(x, h_prev, W, U, b, sig, tg, cell, t):
     loop of steps in np.errstate(over="ignore") once, and a saturated gate
     gives exactly 0.0 without an overflow warning."""
     hid = h_prev.shape[1]
-    n = len(cell)
+    k, n = t % len(sig), len(cell)
     v = x @ W
     v += h_prev @ U
     v += b
     v = v.reshape(-1, 4, hid).transpose(1, 0, 2)  # the [i, f, g, o] blocks
-    gates = sig[t % len(sig)]
+    gates = sig[k]
     gates[:2] = v[:2]
     gates[2] = v[3]
     i, f, o = _sigmoid(gates, out=gates)
-    g = np.tanh(v[2], out=tg[t % len(tg)])
+    g = np.tanh(v[2], out=tg[k])
     c = np.multiply(f, cell[t % n], out=cell[(t + 1) % n])
     c += i * g
     return o * np.tanh(c)
