@@ -49,13 +49,10 @@ from .model import (
     ModelConfig,
     ModelParams,
     Variant,
-    attention_step,
-    encode,
     forward,
     init_params,
-    lstm_forward,
 )
-from .numerics import GradCheckReport, SeededRng, grad_check, sigmoid, softmax
+from .numerics import GradCheckReport, SeededRng, grad_check, softmax
 from .roi import (
     AttentionMap,
     RoiRegion,

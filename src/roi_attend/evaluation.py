@@ -127,9 +127,6 @@ class ConfusionMatrix:
         out[nz] = self.counts[nz] / sup[nz, None]
         return out
 
-    def per_class_recall(self) -> np.ndarray:
-        return np.diag(self.normalized()).copy()
-
 
 @dataclass
 class FoldResult:

@@ -15,7 +15,7 @@ computed once per step and broadcast over the frames, and a p<t'> part: the
 same function, with the same stored weights, as scoring the concatenation.
 
 All forward internals are batched (B, T, d) and keep caches so training can
-backpropagate through every step; public single-clip wrappers are at the end.
+backpropagate through every step; the public single-clip forward is at the end.
 Each LSTM sequence (each encoder direction, and the decoder) writes its steps
 onto one tape preallocated for the whole sequence: its sigmoid gates as
 contiguous [i, f, o] blocks, its tanh gate and its cells. The tape keeps no
@@ -38,16 +38,12 @@ __all__ = [
     "Variant",
     "ModelConfig",
     "ModelParams",
-    "EncoderOutput",
     "AttentionTrace",
     "ForwardResult",
     "NumericError",
     "NoAttentionError",
     "param_shapes",
     "init_params",
-    "lstm_forward",
-    "encode",
-    "attention_step",
     "forward",
 ]
 
@@ -233,10 +229,10 @@ def _lstm_step(x, h_prev, W, U, b, sig, tg, cell, t):
     Reads cell row t % len(cell), writes gate row t % len(sig) and cell row
     (t + 1) % len(cell), and returns h; so one gate row and two cell rows
     serve a whole forward-only pass.
-    Its gates use numerics._sigmoid, which skips sigmoid's np.errstate: that
-    costs more than the sigmoid itself at batch size 1. So callers wrap their
-    loop of steps in np.errstate(over="ignore") once, and a saturated gate
-    gives exactly 0.0 without an overflow warning."""
+    Its gates use numerics._sigmoid, which enters no np.errstate of its own:
+    entering one per step costs more than the sigmoid itself at batch size 1.
+    So callers wrap their loop of steps in np.errstate(over="ignore") once,
+    and a saturated gate gives exactly 0.0 without an overflow warning."""
     hid = h_prev.shape[1]
     k, n = t % len(sig), len(cell)
     v = x @ W
@@ -492,21 +488,6 @@ def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng) 
 
 
 @dataclass
-class EncoderOutput:
-    """Encoder outputs p<1>..p<x>, one row per frame."""
-
-    p: np.ndarray
-
-    @property
-    def x(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.p.shape[1]
-
-
-@dataclass
 class AttentionTrace:
     """Scores, weights, and context vectors per decoder step (rows)."""
 
@@ -530,45 +511,6 @@ def _features_array(features) -> tuple[np.ndarray, np.ndarray | None]:
     if isinstance(features, FeatureSequence):
         return features.frames, features.pad_mask
     return np.asarray(features, dtype=np.float64), None
-
-
-def lstm_forward(seq, W, U, b, h0=None, c0=None):
-    """Single-sequence LSTM pass. seq: (T, d). Returns (outputs (T, H), (h, c))."""
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2:
-        raise ShapeError("lstm_forward expects a T x d sequence")
-    W = np.asarray(W, dtype=np.float64)
-    U = np.asarray(U, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    hid = U.shape[0]
-    if W.shape != (seq.shape[1], 4 * hid) or U.shape != (hid, 4 * hid) or b.shape != (4 * hid,):
-        raise ShapeError(
-            f"inconsistent LSTM shapes: W{W.shape} U{U.shape} b{b.shape} for input dim {seq.shape[1]}"
-        )
-    h0b = None if h0 is None else np.asarray(h0, dtype=np.float64)[None, :]
-    c0b = None if c0 is None else np.asarray(c0, dtype=np.float64)[None, :]
-    outs, (h, c), _ = _lstm_seq(seq[None, :, :], W, U, b, h0=h0b, c0=c0b, want_cache=False)
-    return outs[0], (h[0], c[0])
-
-
-def encode(features, params: ModelParams, cfg: ModelConfig) -> EncoderOutput:
-    """Encoder outputs for one clip (uni: forward outputs; bi: concatenated)."""
-    x, _ = _features_array(features)
-    p, _ = _encode_batch(x[None, :, :], params, cfg, want_cache=False)
-    return EncoderOutput(p=p[0])
-
-
-def attention_step(p, o_prev, params: ModelParams, cfg: ModelConfig, pad_mask=None):
-    """One attention evaluation for a single clip. Returns (a, context)."""
-    if not cfg.variant.has_attention:
-        raise NoAttentionError(f"variant {cfg.variant.value} has no attention block")
-    pm = p.p if isinstance(p, EncoderOutput) else np.asarray(p, dtype=np.float64)
-    o_prev = np.asarray(o_prev, dtype=np.float64)
-    if o_prev.shape != (cfg.dec_hidden,):
-        raise ShapeError(f"o_prev must have shape ({cfg.dec_hidden},), got {o_prev.shape}")
-    pad = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[None, :]
-    a, context, _, _ = _attention_forward(o_prev[None, :], pm[None, :, :], pad, params, cfg)
-    return a[0], context[0]
 
 
 def forward(

@@ -1,8 +1,8 @@
-"""Softmax and sigmoid, seeded randomness, and a finite-difference gradient
-checker.
+"""Softmax and the LSTM gates' sigmoid kernel, seeded randomness, and a
+finite-difference gradient checker.
 
 Arrays are float64. softmax gives exactly zero weight to -inf scores;
-sigmoid saturates to exactly 0.0 and 1.0; grad_check raises EvaluationError
+_sigmoid saturates to exactly 0.0 and 1.0; grad_check raises EvaluationError
 when the function it probes returns a non-finite value.
 """
 
@@ -20,7 +20,6 @@ __all__ = [
     "SeededRng",
     "check_seed",
     "softmax",
-    "sigmoid",
     "grad_check",
 ]
 
@@ -48,20 +47,15 @@ def softmax(v, axis: int = -1) -> np.ndarray:
 
 
 def _sigmoid(v, out=None):
-    """The logistic kernel, without sigmoid's np.errstate: below about -709
-    exp(-v) overflows (with a warning unless the caller silences it) to inf,
-    and 1 / (1 + inf) is exactly 0.0. `out`, when given, receives the result
-    and may be v itself; each operation then runs in place in it."""
+    """The logistic function 1 / (1 + exp(-v)), elementwise in float64. It
+    enters no np.errstate: below about -709 exp(-v) overflows to inf, with a
+    warning unless the caller runs it under np.errstate(over="ignore"), and
+    1 / (1 + inf) is exactly 0.0. `out`, when given, receives the result and
+    may be v itself; each operation then runs in place in it."""
     e = np.exp(np.negative(v, out=out), out=out)
     e += 1.0
     return np.divide(1.0, e, out=out)
 
-
-def sigmoid(v) -> np.ndarray:
-    """Logistic function 1 / (1 + exp(-v)), elementwise in float64. Large
-    negative inputs give exactly 0.0 without an overflow warning."""
-    with np.errstate(over="ignore"):
-        return _sigmoid(np.asarray(v, dtype=np.float64))
 
 
 @dataclass
@@ -72,7 +66,6 @@ class GradCheckReport:
     analytic: np.ndarray
     rel_err: np.ndarray
     max_rel_err: float
-    mean_rel_err: float
     # roundoff scale of one fd entry: a one-ulp error in f, eps*max|f|, over h
     fd_noise: float
 
@@ -117,7 +110,6 @@ def grad_check(f, theta, analytic, h: float = 1e-5) -> GradCheckReport:
         analytic=analytic,
         rel_err=rel,
         max_rel_err=float(rel.max()) if rel.size else 0.0,
-        mean_rel_err=float(rel.mean()) if rel.size else 0.0,
         fd_noise=float(np.finfo(np.float64).eps) * f_max / h,
     )
 

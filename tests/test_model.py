@@ -10,20 +10,23 @@ from roi_attend.model import (
     AttentionTrace,
     ModelConfig,
     ModelParams,
-    NoAttentionError,
     NumericError,
     Variant,
-    attention_step,
-    encode,
     forward,
     init_params,
-    lstm_forward,
     make_dropout_mask,
     param_shapes,
 )
-from roi_attend.model import _attention_backward, _attention_forward, _lstm_seq, _lstm_seq_backward
+from roi_attend.model import (
+    _attention_backward,
+    _attention_forward,
+    _encode_batch,
+    _lstm_seq,
+    _lstm_seq_backward,
+)
 from roi_attend.model import _sigmoid as gate_sigmoid
-from roi_attend.numerics import SeededRng, ShapeError, sigmoid
+from roi_attend.numerics import SeededRng, ShapeError
+from roi_attend.numerics import _sigmoid as numerics_sigmoid
 
 
 def zero_params(cfg: ModelConfig) -> ModelParams:
@@ -138,11 +141,13 @@ class TestParams:
             params.validate_shapes(cfg)
 
 
-class TestLstmForward:
+class TestLstmSeq:
+    """A forward-only _lstm_seq pass over one sequence, seq[None]."""
+
     def test_zero_weights_annihilate(self):
         rng = SeededRng(2)
         seq = rng.normal(size=(3, 5))
-        outs, (h, c) = lstm_forward(seq, np.zeros((5, 16)), np.zeros((4, 16)), np.zeros(16))
+        outs, (h, c), _ = _lstm_seq(seq[None], np.zeros((5, 16)), np.zeros((4, 16)), np.zeros(16), want_cache=False)
         assert not outs.any() and not h.any() and not c.any()
 
     def test_scalar_hand_oracle(self):
@@ -150,25 +155,23 @@ class TestLstmForward:
         W = np.array([[0.0, 0.0, 1.0, 0.0]])
         U = np.zeros((1, 4))
         b = np.zeros(4)
-        outs, (h, c) = lstm_forward(np.array([[0.5]]), W, U, b)
+        outs, (h, c), _ = _lstm_seq(np.array([[[0.5]]]), W, U, b, want_cache=False)
         c_want = 0.5 * math.tanh(0.5)  # 0.231059...
         h_want = 0.5 * math.tanh(c_want)  # 0.113516...
-        assert c[0] == pytest.approx(c_want, abs=1e-12)
-        assert h[0] == pytest.approx(h_want, abs=1e-12)
+        assert c[0, 0] == pytest.approx(c_want, abs=1e-12)
+        assert h[0, 0] == pytest.approx(h_want, abs=1e-12)
         assert c_want == pytest.approx(0.231059, abs=1e-6)
         assert h_want == pytest.approx(0.113516, abs=1e-6)
 
-    def test_gate_sigmoid_is_numerics_sigmoid_bitwise(self):
-        v = np.concatenate([np.linspace(-760.0, 760.0, 20001), SeededRng(5).normal(scale=4.0, size=2000)])
-        with np.errstate(over="ignore"):
-            np.testing.assert_array_equal(gate_sigmoid(v), sigmoid(v))
+    def test_gate_sigmoid_is_numerics_sigmoid(self):
+        assert gate_sigmoid is numerics_sigmoid
 
     def test_saturated_gates_are_exact_and_silent(self):
         # every gate preactivation is -800: i = f = o = 0 exactly, g = -1
         b = np.full(8, -800.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outs, (h, c) = lstm_forward(np.zeros((3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), b)
+            outs, (h, c), _ = _lstm_seq(np.zeros((1, 3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), b, want_cache=False)
             cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=2, enc_hidden=2, dec_hidden=2)
             params = zero_params(cfg)
             params["dec.b"][:] = -800.0
@@ -180,18 +183,15 @@ class TestLstmForward:
         rng = SeededRng(4)
         W, U, b = rng.normal(size=(3, 8)), rng.normal(size=(2, 8)), rng.normal(size=8)
         seq = rng.normal(size=(4, 3))
-        full, (h, c) = lstm_forward(seq, W, U, b)
-        h_step = c_step = np.zeros(2)
+        full, (h, c), _ = _lstm_seq(seq[None], W, U, b, want_cache=False)
+        h_step = c_step = np.zeros((1, 2))
         for t in range(4):
-            out_t, (h_step, c_step) = lstm_forward(seq[t : t + 1], W, U, b, h0=h_step, c0=c_step)
-            np.testing.assert_allclose(out_t[0], full[t], atol=1e-12)
+            out_t, (h_step, c_step), _ = _lstm_seq(
+                seq[None, t : t + 1], W, U, b, h0=h_step, c0=c_step, want_cache=False
+            )
+            np.testing.assert_allclose(out_t[0, 0], full[0, t], atol=1e-12)
         np.testing.assert_allclose(h_step, h, atol=1e-12)
         np.testing.assert_allclose(c_step, c, atol=1e-12)
-
-    def test_shape_error_names_shapes(self):
-        with pytest.raises(ShapeError) as exc:
-            lstm_forward(np.zeros((3, 5)), np.zeros((4, 16)), np.zeros((4, 16)), np.zeros(16))
-        assert "(4, 16)" in str(exc.value)
 
 
 class TestLstmTapeMatchesStepCaches:
@@ -249,18 +249,24 @@ class TestLstmTapeMatchesStepCaches:
         self._check(X[:, ::-1], W, U, b, h0, c0, dH, want_dx)
 
 
-class TestEncode:
+class TestEncodeBatch:
+    """_encode_batch over one clip, frames[None]; p is its (x, width) row block."""
+
+    @staticmethod
+    def _encode(features, params, cfg):
+        p, _ = _encode_batch(features.frames[None], params, cfg, want_cache=False)
+        return p[0]
+
     def test_bi_width_doubles(self):
         cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=6, enc_hidden=4)
-        out = encode(feats(5, 6), init_params(cfg, SeededRng(0)), cfg)
-        assert out.p.shape == (5, 8)
-        assert out.x == 5 and out.width == 8
+        p = self._encode(feats(5, 6), init_params(cfg, SeededRng(0)), cfg)
+        assert p.shape == (5, 8)
 
     def test_zero_params_yield_zero_outputs(self):
         for variant in (Variant.UNI_PLAIN, Variant.BI_PLAIN):
             cfg = ModelConfig(variant=variant, input_dim=6, enc_hidden=4)
-            out = encode(feats(5, 6), zero_params(cfg), cfg)
-            assert not out.p.any()
+            p = self._encode(feats(5, 6), zero_params(cfg), cfg)
+            assert not p.any()
 
     def test_uni_equals_forward_half_of_bi(self):
         uni = ModelConfig(variant=Variant.UNI_ATTENTION, input_dim=6, enc_hidden=4)
@@ -270,8 +276,8 @@ class TestEncode:
         for part in ("W", "U", "b"):
             b_params.arrays[f"enc_fw.{part}"] = u_params[f"enc_fw.{part}"].copy()
         f = feats(5, 6, seed=1)
-        p_uni = encode(f, u_params, uni).p
-        p_bi = encode(f, b_params, bi).p
+        p_uni = self._encode(f, u_params, uni)
+        p_bi = self._encode(f, b_params, bi)
         np.testing.assert_array_equal(p_bi[:, :4], p_uni)
         assert not p_bi[:, 4:].any()
 
@@ -286,13 +292,16 @@ class TestEncode:
             swapped.arrays[f"enc_bw.{part}"] = params[f"enc_fw.{part}"].copy()
         f = feats(5, 6, seed=2)
         rev = FeatureSequence(f.frames[::-1].copy(), f.frame_times, f.pad_mask)
-        p = encode(f, params, cfg).p
-        q = encode(rev, swapped, cfg).p
+        p = self._encode(f, params, cfg)
+        q = self._encode(rev, swapped, cfg)
         np.testing.assert_allclose(q[:, :4], p[::-1, 4:], atol=1e-12)
         np.testing.assert_allclose(q[:, 4:], p[::-1, :4], atol=1e-12)
 
 
-class TestAttentionStep:
+class TestAttentionForward:
+    """_attention_forward for one clip: p (x, width) and o_prev (H_d,) as a
+    batch of one."""
+
     def _cfg(self, enc_hidden=2, dec_hidden=3, attn_hidden=0):
         return ModelConfig(
             variant=Variant.UNI_ATTENTION,
@@ -302,11 +311,16 @@ class TestAttentionStep:
             attn_hidden=attn_hidden,
         )
 
+    @staticmethod
+    def _attend(p, o_prev, params, cfg):
+        a, context, _, _ = _attention_forward(o_prev[None], p[None], None, params, cfg)
+        return a[0], context[0]
+
     def test_zero_scorer_gives_uniform_weights_and_mean_context(self):
         cfg = self._cfg()
         rng = SeededRng(7)
         p = rng.normal(size=(6, 2))
-        a, context = attention_step(p, np.zeros(3), zero_params(cfg), cfg)
+        a, context = self._attend(p, np.zeros(3), zero_params(cfg), cfg)
         np.testing.assert_allclose(a, np.full(6, 1 / 6), atol=1e-12)
         np.testing.assert_allclose(context, p.mean(axis=0), atol=1e-12)
 
@@ -315,7 +329,7 @@ class TestAttentionStep:
         params = zero_params(cfg)
         params.arrays["attn.w"][3 + 1] = math.log(3.0)  # score = ln 3 * p[:, 1]
         p = np.array([[1.0, 0.0], [0.0, 1.0]])
-        a, context = attention_step(p, np.zeros(3), params, cfg)
+        a, context = self._attend(p, np.zeros(3), params, cfg)
         np.testing.assert_allclose(a, [0.25, 0.75], atol=1e-12)
         np.testing.assert_allclose(context, [0.25, 0.75], atol=1e-12)
 
@@ -326,7 +340,7 @@ class TestAttentionStep:
         rng = SeededRng(8)
         p = rng.normal(size=(5, 2))
         p[3, 0] = 1000.0  # score gap underflows every other weight to zero
-        a, context = attention_step(p, np.zeros(3), params, cfg)
+        a, context = self._attend(p, np.zeros(3), params, cfg)
         assert a[3] == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(context, p[3], atol=1e-9)
 
@@ -335,7 +349,7 @@ class TestAttentionStep:
         params = init_params(cfg, SeededRng(9))
         rng = SeededRng(10)
         p = rng.normal(size=(7, 2))
-        a, context = attention_step(p, rng.normal(size=3), params, cfg)
+        a, context = self._attend(p, rng.normal(size=3), params, cfg)
         perm = SeededRng(11).permutation(7)
         np.testing.assert_allclose(a[perm] @ p[perm], context, atol=1e-12)
 
@@ -343,24 +357,14 @@ class TestAttentionStep:
         cfg = self._cfg(attn_hidden=4)
         params = init_params(cfg, SeededRng(12))
         rng = SeededRng(13)
-        a, context = attention_step(rng.normal(size=(6, 2)), rng.normal(size=3), params, cfg)
+        a, context = self._attend(rng.normal(size=(6, 2)), rng.normal(size=3), params, cfg)
         assert a.shape == (6,)
         assert abs(a.sum() - 1.0) <= 1e-9
-
-    def test_plain_variant_has_no_attention(self):
-        cfg = ModelConfig(variant=Variant.UNI_PLAIN, enc_hidden=2, dec_hidden=3)
-        with pytest.raises(NoAttentionError):
-            attention_step(np.zeros((4, 2)), np.zeros(3), zero_params(self._cfg()), cfg)
 
     def test_empty_sequence_rejected(self):
         cfg = self._cfg()
         with pytest.raises(ShapeError):
-            attention_step(np.zeros((0, 2)), np.zeros(3), zero_params(cfg), cfg)
-
-    def test_o_prev_dimension_checked(self):
-        cfg = self._cfg()
-        with pytest.raises(ShapeError):
-            attention_step(np.zeros((4, 2)), np.zeros(5), zero_params(cfg), cfg)
+            self._attend(np.zeros((0, 2)), np.zeros(3), zero_params(cfg), cfg)
 
 
 class TestSplitScorer:
