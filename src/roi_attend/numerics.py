@@ -57,7 +57,6 @@ def _sigmoid(v, out=None):
     return np.divide(1.0, e, out=out)
 
 
-
 @dataclass
 class GradCheckReport:
     """Central-difference gradient comparison, one entry per coordinate."""

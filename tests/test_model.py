@@ -147,7 +147,8 @@ class TestLstmSeq:
     def test_zero_weights_annihilate(self):
         rng = SeededRng(2)
         seq = rng.normal(size=(3, 5))
-        outs, (h, c), _ = _lstm_seq(seq[None], np.zeros((5, 16)), np.zeros((4, 16)), np.zeros(16), want_cache=False)
+        W, U, b = np.zeros((5, 16)), np.zeros((4, 16)), np.zeros(16)
+        outs, (h, c), _ = _lstm_seq(seq[None], W, U, b, want_cache=False)
         assert not outs.any() and not h.any() and not c.any()
 
     def test_scalar_hand_oracle(self):
@@ -171,7 +172,9 @@ class TestLstmSeq:
         b = np.full(8, -800.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outs, (h, c), _ = _lstm_seq(np.zeros((1, 3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), b, want_cache=False)
+            outs, (h, c), _ = _lstm_seq(
+                np.zeros((1, 3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), b, want_cache=False
+            )
             cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=2, enc_hidden=2, dec_hidden=2)
             params = zero_params(cfg)
             params["dec.b"][:] = -800.0

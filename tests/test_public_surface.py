@@ -44,10 +44,3 @@ def _loaded() -> set[str]:
 def test_every_export_is_loaded_by_the_package_or_kept():
     unloaded = sorted(_exports() - _loaded() - KEPT.keys())
     assert not unloaded, f"re-exported but loaded by no module of roi_attend: {unloaded}"
-
-
-def test_kept_names_are_exported_and_unloaded():
-    # an entry the package has started to load, or no longer exports, is stale
-    exports, loaded = _exports(), _loaded()
-    assert KEPT.keys() <= exports
-    assert not KEPT.keys() & loaded
