@@ -88,6 +88,13 @@ class TestConfusionMatrix:
         for i in (DIS, FEA, HAP, NEU):
             np.testing.assert_array_equal(rates[i], np.zeros(6))
 
+    def test_recall_is_diagonal_of_normalized(self):
+        cm = ConfusionMatrix(counts6([(ANG, ANG, 1), (ANG, DIS, 1), (SAD, SAD, 1)]))
+        np.testing.assert_allclose(np.diag(cm.normalized()), [0.5, 0, 0, 0, 0, 1.0])
+        report = aggregate([cm])
+        np.testing.assert_allclose(np.diag(report.rates), [0.5, 0, 0, 0, 0, 1.0])
+        assert report.mean_recall == pytest.approx((0.5 + 1.0) / 2)
+
     def test_shape_and_sign_validated(self):
         with pytest.raises(ValueError):
             ConfusionMatrix(np.zeros((5, 5), dtype=np.int64))

@@ -140,6 +140,14 @@ class TestParams:
         with pytest.raises(ShapeError):
             params.validate_shapes(cfg)
 
+    def test_shape_error_names_shapes(self):
+        cfg = ModelConfig(variant=Variant.UNI_PLAIN, input_dim=5, enc_hidden=4)
+        params = init_params(cfg, SeededRng(0))
+        params.arrays["enc_fw.W"] = np.zeros((4, 16))
+        with pytest.raises(ShapeError) as exc:
+            params.validate_shapes(cfg)
+        assert "(4, 16)" in str(exc.value) and "(5, 16)" in str(exc.value)
+
 
 class TestLstmSeq:
     """A forward-only _lstm_seq pass over one sequence, seq[None]."""
@@ -557,6 +565,11 @@ class TestForward:
         params.arrays["out.b"][0] = np.nan
         with pytest.raises(NumericError):
             forward(feats(6, 5, seed=9), params, cfg)
+
+    def test_input_dimension_checked(self):
+        cfg = self._cfg(Variant.UNI_ATTENTION)
+        with pytest.raises(ShapeError, match="input feature dim 4 != configured input_dim 5"):
+            forward(feats(6, 4), zero_params(cfg), cfg)
 
     def test_plain_array_input_accepted(self):
         cfg = self._cfg(Variant.UNI_ATTENTION)
