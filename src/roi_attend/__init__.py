@@ -22,7 +22,6 @@ from .dsp import (
     AudioClip,
     FeatureSequence,
     FrameConfig,
-    extract_corpus_features,
     extract_features,
     load_feature_cache,
     mel_filterbank,
@@ -44,12 +43,9 @@ from .evaluation import (
     predict_batch,
 )
 from .model import (
-    AttentionTrace,
-    ForwardResult,
     ModelConfig,
     ModelParams,
     Variant,
-    forward,
     init_params,
 )
 from .numerics import GradCheckReport, SeededRng, grad_check, softmax

@@ -32,7 +32,6 @@ __all__ = [
     "EmptyCorpusError",
     "CannotSplitError",
     "parse_filename",
-    "format_filename",
     "build_manifest",
     "scan_corpus",
     "loso_folds",
@@ -127,10 +126,6 @@ def parse_filename(name: str) -> UtteranceMeta:
     if level not in LEVELS:
         raise FilenameParseError(f"unknown level code '{level}'")
     return UtteranceMeta(actor, sentence, emotion, level, path=name)
-
-
-def format_filename(meta: UtteranceMeta) -> str:
-    return f"{meta.actor_id}_{meta.sentence_code}_{meta.emotion.code}_{meta.level}.wav"
 
 
 @dataclass

@@ -33,7 +33,6 @@ __all__ = [
     "mel_filterbank",
     "mfcc",
     "extract_features",
-    "extract_corpus_features",
     "power_spectrogram",
     "save_feature_cache",
     "load_feature_cache",
@@ -191,9 +190,9 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
     """Parse a RIFF/WAVE byte stream. Only PCM 16-bit mono is accepted.
 
     Samples are converted to float64 by dividing the int16 value by 32768.
-    A chunk shorter than its declared size (a cut-off file) and a data chunk
-    with an odd byte count (a partial sample) raise WavFormatError; bytes are
-    never dropped silently.
+    A chunk shorter than its declared size (a cut-off file), a data chunk
+    with an odd byte count (a partial sample) and a second fmt or data chunk
+    raise WavFormatError; bytes are never dropped silently.
     """
     if len(data) < 12 or data[0:4] != b"RIFF":
         head = data[0:4].decode("ascii", errors="replace") if len(data) >= 4 else repr(data)
@@ -213,10 +212,14 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
                 f"truncated {chunk_id!r} chunk: declares {chunk_size} bytes, {len(body)} present"
             )
         if chunk_id == b"fmt ":
+            if fmt is not None:
+                raise WavFormatError("second fmt chunk")
             if len(body) < 16:
                 raise WavFormatError("fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
+            if payload is not None:
+                raise WavFormatError("second data chunk")
             payload = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
@@ -462,11 +465,6 @@ def extract_features(clip: AudioClip, cfg: FrameConfig, power: np.ndarray | None
         )
     times = np.arange(count, dtype=np.int64) * step
     return _cepstra(power, clip.sample_rate, cfg, times, clip.original_len)
-
-
-def extract_corpus_features(clips: list[AudioClip], cfg: FrameConfig, target: int | None = None) -> list[FeatureSequence]:
-    """Pad every clip to the corpus maximum (or `target`), then extract MFCCs."""
-    return [extract_features(c, cfg) for c in pad_to_length(clips, target)]
 
 
 def power_spectrogram(clip: AudioClip, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:

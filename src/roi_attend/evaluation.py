@@ -105,9 +105,6 @@ class ConfusionMatrix:
         np.add.at(cm.counts, (np.asarray(true, dtype=np.int64), np.asarray(pred, dtype=np.int64)), 1)
         return cm
 
-    def add(self, true_label: int, pred_label: int, n: int = 1) -> None:
-        self.counts[true_label, pred_label] += n
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -136,9 +133,6 @@ class FoldResult:
     true_labels: np.ndarray
     pred_labels: np.ndarray
     probs: np.ndarray
-
-    def accuracy(self) -> float:
-        return self.confusion.accuracy()
 
 
 @dataclass

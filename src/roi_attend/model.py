@@ -14,8 +14,9 @@ is never built: its first affine map is split by rows into an o<t-1> part,
 computed once per step and broadcast over the frames, and a p<t'> part: the
 same function, with the same stored weights, as scoring the concatenation.
 
-All forward internals are batched (B, T, d) and keep caches so training can
-backpropagate through every step; the public single-clip forward is at the end.
+Every pass is batched (B, T, d): _forward_batch is the one forward, which
+training runs with caches to backpropagate through every step, and evaluation
+and ROI extraction run without them.
 Each LSTM sequence (each encoder direction, and the decoder) writes its steps
 onto one tape preallocated for the whole sequence: its sigmoid gates as
 contiguous [i, f, o] blocks, its tanh gate and its cells. The tape keeps no
@@ -31,20 +32,16 @@ from enum import Enum
 
 import numpy as np
 
-from .dsp import FeatureSequence
 from .numerics import SeededRng, ShapeError, _sigmoid, softmax
 
 __all__ = [
     "Variant",
     "ModelConfig",
     "ModelParams",
-    "AttentionTrace",
-    "ForwardResult",
     "NumericError",
     "NoAttentionError",
     "param_shapes",
     "init_params",
-    "forward",
 ]
 
 
@@ -164,9 +161,6 @@ class ModelParams:
 
     def names(self) -> list[str]:
         return list(self.arrays)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.arrays.items()})
 
     def zeros_like(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.arrays.items()}
@@ -482,64 +476,3 @@ def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng) 
     b, t = shape
     keep = rng.uniform(size=(b, t, cfg.enc_width)) >= cfg.dropout_rate
     return keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
-
-
-# -- public, single-clip surfaces ------------------------------------------------
-
-
-@dataclass
-class AttentionTrace:
-    """Scores, weights, and context vectors per decoder step (rows)."""
-
-    e: np.ndarray
-    a: np.ndarray
-    context: np.ndarray
-
-    def __post_init__(self):
-        sums = self.a.sum(axis=1)
-        if self.a.min() < 0 or np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError("attention rows must be non-negative and sum to 1")
-
-
-@dataclass
-class ForwardResult:
-    posterior: np.ndarray
-    trace: AttentionTrace | None
-
-
-def _features_array(features) -> tuple[np.ndarray, np.ndarray | None]:
-    if isinstance(features, FeatureSequence):
-        return features.frames, features.pad_mask
-    return np.asarray(features, dtype=np.float64), None
-
-
-def forward(
-    features,
-    params: ModelParams,
-    cfg: ModelConfig,
-    mode: str = "eval",
-    rng: SeededRng | None = None,
-) -> ForwardResult:
-    """Posterior (and attention trace, when the variant has one) for one clip.
-
-    mode 'train' applies inverted dropout to the encoder outputs and needs an
-    rng when dropout_rate > 0; 'eval' is deterministic.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError("mode must be 'train' or 'eval'")
-    x, pad = _features_array(features)
-    if x.shape[0] < 1:
-        raise ShapeError("need at least one frame")
-    mask = None
-    if mode == "train" and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("train mode with dropout needs an rng")
-        mask = make_dropout_mask(cfg, (1, x.shape[0]), rng)
-    probs, trace, _ = _forward_batch(
-        x[None, :, :], None if pad is None else pad[None, :], params, cfg, dropout_mask=mask
-    )
-    att = None
-    if trace is not None:
-        e_steps, a_steps, ctx_steps = trace
-        att = AttentionTrace(e=e_steps[0], a=a_steps[0], context=ctx_steps[0])
-    return ForwardResult(posterior=probs[0], trace=att)

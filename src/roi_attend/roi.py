@@ -79,9 +79,6 @@ class RoiResult:
     salient: np.ndarray
     silence_mass: float
 
-    def total_mass(self) -> float:
-        return float(sum(r.mass for r in self.regions))
-
 
 def extract_attention(ckpt: Checkpoint, features: FeatureSequence, frame_len: int | None = None):
     """Attention maps for one clip, one per decoder step, using the

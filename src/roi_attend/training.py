@@ -113,11 +113,9 @@ class TrainConfig:
 
 
 def cross_entropy(probs, labels):
-    """Mean negative log likelihood; probabilities are floored at 1e-12."""
+    """Mean negative log likelihood of labels under (B, C) probability rows;
+    probabilities are floored at 1e-12."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = probs[None, :]
-        labels = np.asarray([labels])
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != probs.shape[0]:
         raise ShapeError(f"{labels.shape[0]} labels for {probs.shape[0]} probability rows")
@@ -304,7 +302,6 @@ class Checkpoint:
     loss_history: list = field(default_factory=list)
     rng_state: str | None = None  # SeededRng.get_state() JSON text
     feature_stats: dict | None = None
-    optimizer_kind: str = "adam"
     optimizer_t: int = 0
     optimizer_m: dict = field(default_factory=dict)
     optimizer_v: dict = field(default_factory=dict)
@@ -449,7 +446,7 @@ _OPTIONAL_SECTIONS = {"frame_config", "rng_state", "feature_stats"}
 
 def save_checkpoint(ckpt: Checkpoint) -> bytes:
     """The checkpoint's bytes, joined once from one flat list of chunks."""
-    kind = ckpt.optimizer_kind.encode("utf-8")
+    kind = ckpt.train_cfg.optimizer.encode("utf-8")
     hist = np.asarray(ckpt.loss_history, dtype="<f8")
     present = {
         "model_config": [_config_text(_config_pairs(ckpt.model_cfg))],
@@ -577,7 +574,6 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
         loss_history=hist,
         rng_state=rng_state,
         feature_stats=stats,
-        optimizer_kind=kind,
         optimizer_t=opt_t,
         optimizer_m=m_arrays,
         optimizer_v=v_arrays,
@@ -630,7 +626,6 @@ def train(train_set, model_cfg: ModelConfig, train_cfg: TrainConfig, frame_cfg=N
         loss_history=loss_history,
         rng_state=rng.get_state(),
         feature_stats=stats,
-        optimizer_kind=train_cfg.optimizer,
         optimizer_t=opt.t,
         optimizer_m=opt.m,
         optimizer_v=opt.v,

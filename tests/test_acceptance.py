@@ -24,7 +24,7 @@ from roi_attend.dataset import (
     generate_synthetic,
     loso_folds,
 )
-from roi_attend.dsp import FeatureSequence, FrameConfig, extract_corpus_features, mfcc
+from roi_attend.dsp import FeatureSequence, FrameConfig, extract_features, mfcc, pad_to_length
 from roi_attend.evaluation import (
     ConfusionMatrix,
     EvalItem,
@@ -90,6 +90,11 @@ class announce:
         return False
 
 
+def corpus_features(clips, target=None):
+    """MFCCs of each clip after padding all of them to `target` (default: the longest)."""
+    return [extract_features(c, FRAME) for c in pad_to_length(clips, target)]
+
+
 def _accuracy(ckpt, feats, labels):
     preds = np.argmax(predict_batch(ckpt, feats), axis=1)
     return float((preds == labels).mean()), preds
@@ -100,8 +105,8 @@ def synth_data():
     t0 = time.monotonic()
     train_clips = list(generate_synthetic(TRAIN_SPEC))
     test_clips = list(generate_synthetic(TEST_SPEC))
-    train_feats = extract_corpus_features([c.clip for c in train_clips], FRAME, target=PAD_TARGET)
-    test_feats = extract_corpus_features([c.clip for c in test_clips], FRAME, target=PAD_TARGET)
+    train_feats = corpus_features([c.clip for c in train_clips], PAD_TARGET)
+    test_feats = corpus_features([c.clip for c in test_clips], PAD_TARGET)
     return {
         "train_set": [(f, int(c.label)) for f, c in zip(train_feats, train_clips)],
         "train_actors": {c.actor_id for c in train_clips},
@@ -317,7 +322,7 @@ def test_criterion_7_loso_fold_laws(capsys):
 def mini_corpus():
     spec = SyntheticSpec(n_clips_per_class=2, clip_len=4000, burst_len=800, n_actors=3, seed=88)
     clips = list(generate_synthetic(spec))
-    feats = extract_corpus_features([c.clip for c in clips], FRAME)
+    feats = corpus_features([c.clip for c in clips])
     entries = [(f, int(c.label)) for f, c in zip(feats, clips)]
     actors = [c.actor_id for c in clips]
     return entries, actors

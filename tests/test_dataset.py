@@ -16,7 +16,6 @@ from roi_attend.dataset import (
     FilenameParseError,
     SyntheticSpec,
     build_manifest,
-    format_filename,
     generate_synthetic,
     loso_folds,
     manifest_csv,
@@ -25,6 +24,11 @@ from roi_attend.dataset import (
     write_synthetic_corpus,
 )
 from roi_attend.dsp import read_wav_file
+
+
+def filename_of(meta):
+    """ACTOR_SENTENCE_EMOTION_LEVEL.wav, rebuilt from parsed fields."""
+    return f"{meta.actor_id}_{meta.sentence_code}_{meta.emotion.code}_{meta.level}.wav"
 
 
 class TestEmotionLabel:
@@ -97,14 +101,14 @@ class TestParseFilename:
             "7_X_NEU_MD.wav",
         ]
         for name in names:
-            assert format_filename(parse_filename(name)) == name
+            assert filename_of(parse_filename(name)) == name
 
     def test_roundtrip_over_all_label_level_combinations(self):
         for lab in EmotionLabel:
             for level in ("LO", "MD", "HI", "XX"):
                 name = f"1234_ABC_{lab.code}_{level}.wav"
                 meta = parse_filename(name)
-                assert format_filename(meta) == name
+                assert filename_of(meta) == name
                 assert meta.emotion is lab
 
 

@@ -106,6 +106,16 @@ class TestReadWav:
         data = wav_bytes([0, 16384]) + b"LIST" + struct.pack("<I", 3) + b"abc\x00"
         np.testing.assert_array_equal(read_wav(data).samples, [0.0, 0.5])
 
+    @pytest.mark.parametrize("second", [
+        b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16),
+        b"data" + struct.pack("<I2h", 4, 5, 6),
+    ], ids=["fmt", "data"])
+    def test_second_fmt_or_data_chunk_rejected(self, second):
+        # a 4-sample file followed by a second chunk of one of its ids: reading
+        # either copy would drop the other's bytes silently
+        with pytest.raises(WavFormatError, match=f"second {second[:4].decode().strip()} chunk"):
+            read_wav(wav_bytes([0, 1, 2, 3]) + second)
+
     def test_odd_data_chunk_rejected(self):
         # a trailing odd byte is half a sample: refuse it rather than drop it
         fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)

@@ -72,10 +72,7 @@ def counts6(entries):
 
 class TestConfusionMatrix:
     def test_add_and_totals(self):
-        cm = ConfusionMatrix()
-        cm.add(ANG, ANG)
-        cm.add(ANG, SAD)
-        cm.add(SAD, SAD, n=3)
+        cm = ConfusionMatrix.from_labels([ANG, ANG, SAD, SAD, SAD], [ANG, SAD, SAD, SAD, SAD])
         assert cm.total == 5
         np.testing.assert_array_equal(cm.support(), [2, 0, 0, 0, 0, 3])
         assert cm.accuracy() == pytest.approx(4 / 5)
@@ -118,7 +115,7 @@ class TestPredictAndFold:
         assert result.confusion.counts[ANG, ANG] == 3
         assert result.confusion.counts[SAD, ANG] == 2
         assert result.confusion.total == 5
-        assert result.accuracy() == pytest.approx(3 / 5)
+        assert result.confusion.accuracy() == pytest.approx(3 / 5)
         np.testing.assert_array_equal(result.pred_labels, [ANG] * 5)
 
     def test_sign_predictor_splits_classes(self):

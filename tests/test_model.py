@@ -7,12 +7,10 @@ import pytest
 
 from roi_attend.dsp import FeatureSequence
 from roi_attend.model import (
-    AttentionTrace,
     ModelConfig,
     ModelParams,
     NumericError,
     Variant,
-    forward,
     init_params,
     make_dropout_mask,
     param_shapes,
@@ -21,6 +19,7 @@ from roi_attend.model import (
     _attention_backward,
     _attention_forward,
     _encode_batch,
+    _forward_batch,
     _lstm_seq,
     _lstm_seq_backward,
 )
@@ -186,9 +185,9 @@ class TestLstmSeq:
             cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=2, enc_hidden=2, dec_hidden=2)
             params = zero_params(cfg)
             params["dec.b"][:] = -800.0
-            out = forward(feats(4, 2).frames, params, cfg)
+            probs, _, _ = _forward_batch(feats(4, 2).frames[None], None, params, cfg)
         assert not outs.any() and not h.any() and not c.any()
-        np.testing.assert_array_equal(out.posterior, np.full(6, 1 / 6))
+        np.testing.assert_array_equal(probs[0], np.full(6, 1 / 6))
 
     def test_state_threading_matches_stepwise_calls(self):
         rng = SeededRng(4)
@@ -297,7 +296,7 @@ class TestEncodeBatch:
         # with its forward/backward halves exchanged.
         cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=6, enc_hidden=4)
         params = init_params(cfg, SeededRng(6))
-        swapped = params.copy()
+        swapped = ModelParams(params.arrays)  # a new dict; the loop only replaces its arrays
         for part in ("W", "U", "b"):
             swapped.arrays[f"enc_fw.{part}"] = params[f"enc_bw.{part}"].copy()
             swapped.arrays[f"enc_bw.{part}"] = params[f"enc_fw.{part}"].copy()
@@ -469,6 +468,13 @@ class TestAttentionQueryGradient:
 ALL_VARIANTS = list(Variant)
 
 
+def forward_one(f, params, cfg):
+    """_forward_batch on one clip: (posterior, (e, a, context) or None), with
+    the batch axis dropped."""
+    probs, trace, _ = _forward_batch(f.frames[None], f.pad_mask[None], params, cfg)
+    return probs[0], None if trace is None else tuple(part[0] for part in trace)
+
+
 class TestForward:
     def _cfg(self, variant, **kw):
         kw.setdefault("input_dim", 5)
@@ -479,77 +485,55 @@ class TestForward:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_zero_params_give_uniform_posterior(self, variant):
         cfg = self._cfg(variant)
-        res = forward(feats(6, 5), zero_params(cfg), cfg)
-        np.testing.assert_allclose(res.posterior, np.full(6, 1 / 6), atol=1e-12)
+        posterior, trace = forward_one(feats(6, 5), zero_params(cfg), cfg)
+        np.testing.assert_allclose(posterior, np.full(6, 1 / 6), atol=1e-12)
         if variant.has_attention:
-            np.testing.assert_allclose(res.trace.a[0], np.full(6, 1 / 6), atol=1e-12)
+            np.testing.assert_allclose(trace[1][0], np.full(6, 1 / 6), atol=1e-12)
         else:
-            assert res.trace is None
+            assert trace is None
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_posterior_sums_to_one(self, variant):
         cfg = self._cfg(variant)
         params = init_params(cfg, SeededRng(14))
         for seed in range(5):
-            res = forward(feats(7, 5, seed=seed), params, cfg)
-            assert abs(res.posterior.sum() - 1.0) <= 1e-9
-            assert res.posterior.min() >= 0.0
+            posterior, _ = forward_one(feats(7, 5, seed=seed), params, cfg)
+            assert abs(posterior.sum() - 1.0) <= 1e-9
+            assert posterior.min() >= 0.0
 
     def test_eval_mode_is_bitwise_deterministic(self):
         cfg = self._cfg(Variant.BI_ATTENTION, dec_steps=2)
         params = init_params(cfg, SeededRng(15))
         f = feats(6, 5, seed=3)
-        r1 = forward(f, params, cfg)
-        r2 = forward(f, params, cfg)
-        np.testing.assert_array_equal(r1.posterior, r2.posterior)
-        np.testing.assert_array_equal(r1.trace.a, r2.trace.a)
-        np.testing.assert_array_equal(r1.trace.context, r2.trace.context)
-
-    def test_train_mode_without_dropout_equals_eval(self):
-        cfg = self._cfg(Variant.UNI_ATTENTION, dropout_rate=0.0)
-        params = init_params(cfg, SeededRng(16))
-        f = feats(6, 5, seed=4)
-        np.testing.assert_array_equal(
-            forward(f, params, cfg, mode="train").posterior,
-            forward(f, params, cfg, mode="eval").posterior,
-        )
-
-    def test_train_mode_with_dropout_needs_rng(self):
-        cfg = self._cfg(Variant.UNI_ATTENTION, dropout_rate=0.5)
-        params = init_params(cfg, SeededRng(17))
-        with pytest.raises(ValueError):
-            forward(feats(6, 5), params, cfg, mode="train")
-        r = forward(feats(6, 5), params, cfg, mode="train", rng=SeededRng(18))
-        assert abs(r.posterior.sum() - 1.0) <= 1e-9
-
-    def test_bad_mode_rejected(self):
-        cfg = self._cfg(Variant.UNI_PLAIN)
-        with pytest.raises(ValueError):
-            forward(feats(6, 5), zero_params(cfg), cfg, mode="predict")
+        p1, (_, a1, ctx1) = forward_one(f, params, cfg)
+        p2, (_, a2, ctx2) = forward_one(f, params, cfg)
+        np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(a1, a2)
+        np.testing.assert_array_equal(ctx1, ctx2)
 
     def test_attention_trace_shapes_over_decoder_steps(self):
         cfg = self._cfg(Variant.BI_ATTENTION, dec_steps=3)
         params = init_params(cfg, SeededRng(19))
-        res = forward(feats(6, 5, seed=5), params, cfg)
-        assert res.trace.e.shape == (3, 6)
-        assert res.trace.a.shape == (3, 6)
-        assert res.trace.context.shape == (3, 6)  # bi width = 2 * 3
-        sums = res.trace.a.sum(axis=1)
+        _, (e, a, context) = forward_one(feats(6, 5, seed=5), params, cfg)
+        assert e.shape == (3, 6)
+        assert a.shape == (3, 6)
+        assert context.shape == (3, 6)  # bi width = 2 * 3
+        sums = a.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_masked_padding_zeroes_attention_exactly(self):
         cfg = self._cfg(Variant.BI_ATTENTION, mask_padding=True, dec_steps=2)
         params = init_params(cfg, SeededRng(20))
         f = feats(8, 5, seed=6, n_pad=3)
-        res = forward(f, params, cfg)
-        assert not res.trace.a[:, -3:].any()
-        np.testing.assert_allclose(res.trace.a.sum(axis=1), 1.0, atol=1e-9)
+        _, (_, a, _) = forward_one(f, params, cfg)
+        assert not a[:, -3:].any()
+        np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-9)
 
     def test_unmasked_padding_keeps_positive_weights(self):
         cfg = self._cfg(Variant.BI_ATTENTION, mask_padding=False)
         params = init_params(cfg, SeededRng(21))
-        res = forward(feats(8, 5, seed=7, n_pad=3), params, cfg)
-        assert res.trace.a[0, -3:].min() > 0.0
+        _, (_, a, _) = forward_one(feats(8, 5, seed=7, n_pad=3), params, cfg)
+        assert a[0, -3:].min() > 0.0
 
     def test_nan_input_raises_numeric_error(self):
         cfg = self._cfg(Variant.UNI_PLAIN)
@@ -557,25 +541,19 @@ class TestForward:
         bad = feats(6, 5, seed=8)
         bad.frames[2, 2] = np.nan
         with pytest.raises(NumericError):
-            forward(bad, params, cfg)
+            forward_one(bad, params, cfg)
 
     def test_nan_parameter_raises_numeric_error(self):
         cfg = self._cfg(Variant.UNI_PLAIN)
         params = init_params(cfg, SeededRng(23))
         params.arrays["out.b"][0] = np.nan
         with pytest.raises(NumericError):
-            forward(feats(6, 5, seed=9), params, cfg)
+            forward_one(feats(6, 5, seed=9), params, cfg)
 
     def test_input_dimension_checked(self):
         cfg = self._cfg(Variant.UNI_ATTENTION)
         with pytest.raises(ShapeError, match="input feature dim 4 != configured input_dim 5"):
-            forward(feats(6, 4), zero_params(cfg), cfg)
-
-    def test_plain_array_input_accepted(self):
-        cfg = self._cfg(Variant.UNI_ATTENTION)
-        params = init_params(cfg, SeededRng(24))
-        res = forward(SeededRng(25).normal(size=(6, 5)), params, cfg)
-        assert res.posterior.shape == (6,)
+            forward_one(feats(6, 4), zero_params(cfg), cfg)
 
 
 class TestDropoutMask:
@@ -596,12 +574,3 @@ class TestDropoutMask:
         keep = float((mask > 0).mean())
         assert 0.45 < keep < 0.55
 
-
-class TestAttentionTrace:
-    def test_row_sum_validation(self):
-        with pytest.raises(ValueError):
-            AttentionTrace(e=np.zeros((1, 3)), a=np.array([[0.5, 0.2, 0.2]]), context=np.zeros((1, 2)))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            AttentionTrace(e=np.zeros((1, 2)), a=np.array([[1.5, -0.5]]), context=np.zeros((1, 2)))

@@ -13,10 +13,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "roi_attend"
 
 # exported, loaded by no module of the package, and kept for what names them
 KEPT = {
-    "forward": "the single-clip forward pass; tests/test_train.py's checkpoint round trip calls it",
     "mfcc": "bench/tracing.py patches it by name; acceptance criterion 2 calls it",
     "mel_filterbank": "bench/tracing.py patches it by name",
-    "extract_corpus_features": "the acceptance fixtures and criterion 7 call it",
 }
 
 
@@ -44,3 +42,8 @@ def _loaded() -> set[str]:
 def test_every_export_is_loaded_by_the_package_or_kept():
     unloaded = sorted(_exports() - _loaded() - KEPT.keys())
     assert not unloaded, f"re-exported but loaded by no module of roi_attend: {unloaded}"
+
+
+def test_every_kept_name_is_still_exported():
+    gone = sorted(KEPT.keys() - _exports())
+    assert not gone, f"KEPT names that roi_attend no longer exports: {gone}"
