@@ -511,6 +511,36 @@ class TestForward:
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(ctx1, ctx2)
 
+    def test_train_mode_without_dropout_equals_eval(self):
+        # training's forward at rate 0 draws no mask, and its cached pass gives
+        # the eval posterior bit for bit
+        cfg = self._cfg(Variant.UNI_ATTENTION, dropout_rate=0.0)
+        params = init_params(cfg, SeededRng(16))
+        f = feats(6, 5, seed=4)
+        mask = make_dropout_mask(cfg, (1, 6), SeededRng(18))
+        probs, _, cache = _forward_batch(
+            f.frames[None], f.pad_mask[None], params, cfg, dropout_mask=mask, want_cache=True
+        )
+        assert mask is None and cache is not None
+        np.testing.assert_array_equal(probs[0], forward_one(f, params, cfg)[0])
+
+    def test_train_mode_dropout_is_drawn_from_rng(self):
+        cfg = self._cfg(Variant.UNI_ATTENTION, dropout_rate=0.5)
+        params = init_params(cfg, SeededRng(17))
+        f = feats(6, 5)
+
+        def train_posterior(seed):
+            mask = make_dropout_mask(cfg, (1, 6), SeededRng(seed))
+            probs, _, _ = _forward_batch(
+                f.frames[None], f.pad_mask[None], params, cfg, dropout_mask=mask, want_cache=True
+            )
+            return probs[0]
+
+        posterior = train_posterior(18)
+        assert abs(posterior.sum() - 1.0) <= 1e-9
+        np.testing.assert_array_equal(posterior, train_posterior(18))
+        assert not np.array_equal(posterior, forward_one(f, params, cfg)[0])
+
     def test_attention_trace_shapes_over_decoder_steps(self):
         cfg = self._cfg(Variant.BI_ATTENTION, dec_steps=3)
         params = init_params(cfg, SeededRng(19))

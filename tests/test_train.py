@@ -743,6 +743,16 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointFormatError, match="holds 'adxm', train_config says 'adam'"):
             load_checkpoint(data.replace(kind, struct.pack("<I", 4) + b"adxm"))
 
+    def test_sgd_train_config_with_moments_refused(self):
+        # the optimizer section's kind is train_config's: relabelling an Adam
+        # checkpoint as SGD writes 'sgd' there, and its moments are then refused
+        ckpt = self._checkpoint(Variant.UNI_PLAIN)
+        sgd = dataclasses.replace(ckpt, train_cfg=dataclasses.replace(ckpt.train_cfg, optimizer="sgd"))
+        data = save_checkpoint(sgd)
+        assert data.count(struct.pack("<I", 3) + b"sgd") == 1
+        with pytest.raises(CheckpointFormatError, match="sgd optimizer section holds moments"):
+            load_checkpoint(data)
+
     def test_config_sections_pinned(self):
         # the section bytes the hand-written serializers produced: values in
         # the field's declared type (dropout_rate=0 -> 0.0, lr=1 -> 1.0), None
