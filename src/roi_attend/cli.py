@@ -315,7 +315,7 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
             cpath = cache / f"{stem}.{key}.roif"
             if cpath.exists():
                 try:
-                    seq = load_feature_cache(cpath.read_bytes(), frame_cfg.frame_step(rate))
+                    seq = load_feature_cache(cpath.read_bytes())
                     shape = (frame_cfg.frame_count(target, rate), frame_cfg.n_mfcc)
                     if seq.frames.shape != shape:
                         raise FeatureCacheError(f"holds {seq.frames.shape} features, the clip gives {shape}")
@@ -490,10 +490,11 @@ def _cmd_explain(cfg: dict) -> int:
         )
     frame_cfg = ckpt.frame_cfg if ckpt.frame_cfg is not None else _settings(cfg, "frame")
     clip = read_wav_file(wav_path)
-    spec, _ = power_spectrogram(clip, frame_cfg)
+    spec = power_spectrogram(clip, frame_cfg)
     features = extract_features(clip, frame_cfg, power=spec)
     out = _run_dir("explain", cfg)
-    maps = extract_attention(ckpt, features, frame_len=frame_cfg.frame_len(clip.sample_rate))
+    rate = clip.sample_rate
+    maps = extract_attention(ckpt, features, frame_cfg.frame_step(rate), frame_cfg.frame_len(rate))
     for step_no, amap in enumerate(maps, start=1):
         roi = detect_roi(amap, ratio=cfg["roi.ratio"])
         payload = attention_json(wav_path, amap, roi)

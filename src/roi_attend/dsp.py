@@ -4,6 +4,9 @@ Pipeline: 16-bit mono PCM WAV -> float samples in [-1, 1] -> zero padding to a
 common length -> 20 ms frames with 10 ms step -> per-frame pre-emphasis,
 Hamming window, power spectrum, triangular mel filterbank (HTK mel scale),
 log with floor, orthonormal DCT-II, first `n_mfcc` coefficients.
+
+Frame i of a clip starts at sample i * step, with step = FrameConfig.frame_step
+at the clip's rate; no array of frame starts is kept.
 """
 
 from __future__ import annotations
@@ -141,27 +144,20 @@ class FrameConfig:
 
 @dataclass
 class FeatureSequence:
-    """T x n_mfcc feature matrix plus per-frame bookkeeping.
+    """T x n_mfcc feature matrix plus a per-frame padding flag.
 
-    frame_times: start sample index of each frame (constant stride).
-    pad_mask: True for frames lying entirely inside appended zero padding.
+    pad_mask: True for frames starting at or past the clip's original length,
+    so lying entirely inside appended zero padding.
     """
 
     frames: np.ndarray
-    frame_times: np.ndarray
     pad_mask: np.ndarray
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
-        self.frame_times = np.asarray(self.frame_times, dtype=np.int64)
         self.pad_mask = np.asarray(self.pad_mask, dtype=bool)
-        t = self.frames.shape[0]
-        if self.frame_times.shape != (t,) or self.pad_mask.shape != (t,):
-            raise ValueError("frame_times/pad_mask length must equal frame count")
-        if t > 1:
-            strides = np.diff(self.frame_times)
-            if strides.min() <= 0 or strides.min() != strides.max():
-                raise ValueError("frame_times must increase with a constant positive stride")
+        if self.pad_mask.shape != (self.frames.shape[0],):
+            raise ValueError("pad_mask length must equal frame count")
 
     @property
     def T(self) -> int:
@@ -315,16 +311,14 @@ def _frame_geometry(clip: AudioClip, cfg: FrameConfig) -> tuple[int, int, int]:
     return cfg.frame_count(len(clip), rate), cfg.frame_step(rate), cfg.frame_len(rate)
 
 
-def frame_signal(clip: AudioClip, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Slice a clip into overlapping frames.
-
-    Returns (frames, frame_times) where frames is T x L and frame i starts at
-    sample i*S. T = 1 + floor((N - L) / S); a trailing partial frame is dropped.
-    frames is a read-only strided view of the clip's samples, not a copy.
+def frame_signal(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
+    """Slice a clip into overlapping frames: T x L, row i holding samples
+    [i*S, i*S + L). T = 1 + floor((N - L) / S); a trailing partial frame is
+    dropped. The result is a read-only strided view of the clip's samples,
+    not a copy.
     """
     count, step, length = _frame_geometry(clip, cfg)
-    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, length)[::step][:count]
-    return frames, np.arange(count, dtype=np.int64) * step
+    return np.lib.stride_tricks.sliding_window_view(clip.samples, length)[::step][:count]
 
 
 def _check_rate(clip: AudioClip, cfg: FrameConfig) -> None:
@@ -356,17 +350,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@_read_only
 def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Triangular filters on the HTK mel scale, spanning 0 Hz to Nyquist.
 
     Triangles are sampled at the exact FFT bin frequencies (no bin snapping).
-    Returns a fresh n_mels x (fft_size//2 + 1) weight matrix.
+    Returns the cached, read-only n_mels x (fft_size//2 + 1) weight matrix.
     """
-    return _mel_filterbank(n_mels, fft_size, sample_rate).copy()
-
-
-@_read_only
-def _mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2))
     bin_hz = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
     fb = np.zeros((n_mels, bin_hz.size))
@@ -411,41 +401,27 @@ def _power_spectrum(frames: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     return np.abs(np.fft.rfft(windowed, n=cfg.fft_size, axis=1)) ** 2
 
 
-def _cepstra(
-    power: np.ndarray,
-    sample_rate: int,
-    cfg: FrameConfig,
-    frame_times: np.ndarray,
-    original_len: int | None,
-) -> FeatureSequence:
+def _cepstra(power: np.ndarray, sample_rate: int, cfg: FrameConfig, original_len: int | None) -> FeatureSequence:
     """Mel energies, log with floor, DCT-II: the MFCCs of a power matrix."""
-    fb = _mel_filterbank(cfg.n_mels, cfg.fft_size, sample_rate)
+    fb = mel_filterbank(cfg.n_mels, cfg.fft_size, sample_rate)
     logmel = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
     coeffs = logmel @ _dct_table(cfg.n_mels, cfg.n_mfcc)
 
-    times = np.asarray(frame_times, dtype=np.int64)
-    pad_mask = times >= original_len if original_len is not None else np.zeros(times.shape, dtype=bool)
-    return FeatureSequence(frames=coeffs, frame_times=times, pad_mask=pad_mask)
+    starts = np.arange(power.shape[0]) * cfg.frame_step(sample_rate)
+    pad_mask = starts >= original_len if original_len is not None else np.zeros(starts.shape, dtype=bool)
+    return FeatureSequence(frames=coeffs, pad_mask=pad_mask)
 
 
-def mfcc(
-    frames: np.ndarray,
-    sample_rate: int,
-    cfg: FrameConfig,
-    frame_times: np.ndarray | None = None,
-    original_len: int | None = None,
-) -> FeatureSequence:
+def mfcc(frames: np.ndarray, sample_rate: int, cfg: FrameConfig, original_len: int | None = None) -> FeatureSequence:
     """MFCCs for pre-cut frames (one row per frame, as from frame_signal).
 
-    pad_mask marks frames starting at or beyond `original_len`; without that
-    length every frame counts as genuine signal.
+    pad_mask marks frames starting (at i * step) at or beyond `original_len`;
+    without that length every frame counts as genuine signal.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("frames must be a non-empty T x L array")
-    if frame_times is None:
-        frame_times = np.arange(frames.shape[0], dtype=np.int64) * cfg.frame_step(sample_rate)
-    return _cepstra(_power_spectrum(frames, cfg), sample_rate, cfg, frame_times, original_len)
+    return _cepstra(_power_spectrum(frames, cfg), sample_rate, cfg, original_len)
 
 
 def extract_features(clip: AudioClip, cfg: FrameConfig, power: np.ndarray | None = None) -> FeatureSequence:
@@ -456,21 +432,19 @@ def extract_features(clip: AudioClip, cfg: FrameConfig, power: np.ndarray | None
     clip a second time.
     """
     if power is None:
-        power, _ = power_spectrogram(clip, cfg)
-    count, step, _ = _frame_geometry(clip, cfg)
+        power = power_spectrogram(clip, cfg)
+    count, _, _ = _frame_geometry(clip, cfg)
     if power.shape != (count, cfg.fft_size // 2 + 1):
         raise ValueError(
             f"power matrix of shape {power.shape} does not fit this clip "
             f"({count} frames x {cfg.fft_size // 2 + 1} bins)"
         )
-    times = np.arange(count, dtype=np.int64) * step
-    return _cepstra(power, clip.sample_rate, cfg, times, clip.original_len)
+    return _cepstra(power, clip.sample_rate, cfg, clip.original_len)
 
 
-def power_spectrogram(clip: AudioClip, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Windowed power spectra per frame (for plotting). Returns (T x K, frame_times)."""
-    frames, times = frame_signal(clip, cfg)
-    return _power_spectrum(frames, cfg), times
+def power_spectrogram(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
+    """Windowed power spectra per frame (for plotting): T x (fft_size//2 + 1)."""
+    return _power_spectrum(frame_signal(clip, cfg), cfg)
 
 
 # -- feature cache ("ROIF") ----------------------------------------------------
@@ -524,8 +498,8 @@ def save_feature_cache(seq: FeatureSequence) -> bytes:
     return head + body + mask
 
 
-def load_feature_cache(data: bytes, step: int) -> FeatureSequence:
-    """Inverse of save_feature_cache; `step` rebuilds frame_times (i*step)."""
+def load_feature_cache(data: bytes) -> FeatureSequence:
+    """Inverse of save_feature_cache."""
     cur = _Cursor(data, "feature cache", FeatureCacheError)
     if cur.take(4) != ROIF_MAGIC:
         raise FeatureCacheError("bad feature cache magic")
@@ -537,5 +511,4 @@ def load_feature_cache(data: bytes, step: int) -> FeatureSequence:
     cur.finish()
     if mask.max(initial=0) > 1:
         raise FeatureCacheError("pad mask bytes must be 0 or 1")
-    mask = mask.astype(bool)
-    return FeatureSequence(frames=frames, frame_times=np.arange(t, dtype=np.int64) * step, pad_mask=mask)
+    return FeatureSequence(frames=frames, pad_mask=mask.astype(bool))

@@ -2,8 +2,9 @@
 
 A frame is salient when its weight exceeds ratio * (1/x), i.e. ratio times
 the uniform share over x frames. Maximal runs of salient frames become
-regions; each region maps back to a sample span via the frame start times
-and frame length, and carries the total attention mass inside it.
+regions; frame i covers samples [i * step, i * step + frame_len), so each
+region maps back to a sample span, and carries the total attention mass
+inside it.
 """
 
 from __future__ import annotations
@@ -31,31 +32,27 @@ __all__ = [
 
 @dataclass
 class AttentionMap:
-    """One decoder step's weights over the x encoder frames."""
+    """One decoder step's weights over the x encoder frames; frame i starts
+    at sample i * step and is frame_len samples long."""
 
     weights: np.ndarray
-    frame_times: np.ndarray
+    step: int
     frame_len: int
     pad_mask: np.ndarray
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.frame_times = np.asarray(self.frame_times, dtype=np.int64)
         self.pad_mask = np.asarray(self.pad_mask, dtype=bool)
-        if self.weights.ndim != 1 or self.weights.shape != self.frame_times.shape or self.weights.shape != self.pad_mask.shape:
-            raise ValueError("weights, frame_times, and pad_mask must be equal-length 1-D arrays")
-        if self.frame_len < 1:
-            raise ValueError("frame_len must be positive")
+        if self.weights.ndim != 1 or self.weights.shape != self.pad_mask.shape:
+            raise ValueError("weights and pad_mask must be equal-length 1-D arrays")
+        if self.step < 1 or self.frame_len < 1:
+            raise ValueError("step and frame_len must be positive")
         if self.weights.min() < 0 or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("attention weights must be non-negative and sum to 1")
 
     @property
     def x(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def step(self) -> int:
-        return int(self.frame_times[1] - self.frame_times[0]) if self.x > 1 else self.frame_len
 
     def silence_mass(self) -> float:
         """Attention mass sitting on padded (appended-silence) frames."""
@@ -80,13 +77,12 @@ class RoiResult:
     silence_mass: float
 
 
-def extract_attention(ckpt: Checkpoint, features: FeatureSequence, frame_len: int | None = None):
+def extract_attention(ckpt: Checkpoint, features: FeatureSequence, step: int, frame_len: int):
     """Attention maps for one clip, one per decoder step, using the
     checkpoint's stored standardization. Plain variants have none.
 
-    `frame_len` (samples per frame) may be left out only when the checkpoint's
-    frame settings fix the sample rate: FeatureSequence does not record the
-    clip's rate, so under allow_any_rate it cannot be derived."""
+    `step` and `frame_len` are the clip's frame geometry in samples, from the
+    FrameConfig at the clip's rate; the features do not record the rate."""
     cfg = ckpt.model_cfg
     if not cfg.variant.has_attention:
         raise NoAttentionError(
@@ -94,24 +90,12 @@ def extract_attention(ckpt: Checkpoint, features: FeatureSequence, frame_len: in
         )
     if features.n_mfcc != cfg.input_dim:
         raise ValueError(f"features have {features.n_mfcc} coefficients, checkpoint expects {cfg.input_dim}")
-    if frame_len is None:
-        if ckpt.frame_cfg is None or ckpt.frame_cfg.allow_any_rate:
-            raise ValueError(
-                "frame_len is required unless the checkpoint's frame settings fix the sample rate "
-                "(pass frame_cfg.frame_len(clip.sample_rate))"
-            )
-        frame_len = ckpt.frame_cfg.frame_len(ckpt.frame_cfg.expected_sample_rate)
     X = apply_standardizer(features.frames[None, :, :], ckpt.feature_stats)
     _, trace, _ = _forward_batch(X, features.pad_mask[None, :], ckpt.params, cfg)
     _, a_steps, _ = trace
     return [
-        AttentionMap(
-            weights=a_steps[0, step],
-            frame_times=features.frame_times,
-            frame_len=frame_len,
-            pad_mask=features.pad_mask,
-        )
-        for step in range(cfg.dec_steps)
+        AttentionMap(weights=weights, step=step, frame_len=frame_len, pad_mask=features.pad_mask)
+        for weights in a_steps[0]
     ]
 
 
@@ -125,7 +109,7 @@ def expand_to_samples(amap: AttentionMap, n_samples: int) -> np.ndarray:
     total = np.zeros(n_samples)
     cover = np.zeros(n_samples)
     for i in range(amap.x):
-        start = int(amap.frame_times[i])
+        start = i * amap.step
         if start >= n_samples:
             if not amap.pad_mask[i]:
                 raise ValueError(
@@ -161,8 +145,8 @@ def detect_roi(amap: AttentionMap, ratio: float = 2.0) -> RoiResult:
             RoiRegion(
                 start_frame=i,
                 end_frame=j,
-                start_sample=int(amap.frame_times[i]),
-                end_sample=int(amap.frame_times[j - 1]) + amap.frame_len,
+                start_sample=i * amap.step,
+                end_sample=(j - 1) * amap.step + amap.frame_len,
                 mass=float(amap.weights[i:j].sum()),
             )
         )
@@ -177,12 +161,13 @@ def detect_roi(amap: AttentionMap, ratio: float = 2.0) -> RoiResult:
 
 
 def attention_json(path: str, amap: AttentionMap, roi: RoiResult) -> dict:
-    """JSON-ready description of one clip's attention and detected regions."""
+    """JSON-ready description of one clip's attention and detected regions.
+    A one-frame clip has no second frame start, so its "step" is frame_len."""
     return {
         "path": path,
         "x": amap.x,
         "frame_len": amap.frame_len,
-        "step": amap.step,
+        "step": amap.step if amap.x > 1 else amap.frame_len,
         "weights": [float(w) for w in amap.weights],
         "regions": [
             {"start": r.start_sample, "end": r.end_sample, "mass": r.mass} for r in roi.regions

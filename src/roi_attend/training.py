@@ -100,6 +100,11 @@ class TrainConfig:
             raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

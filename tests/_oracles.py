@@ -126,7 +126,7 @@ def mfcc_oracle(
 
 
 def frontend_reference(samples, sample_rate: int, cfg, original_len=None):
-    """(power, frame_times, mfcc, pad_mask) for one clip under FrameConfig `cfg`,
+    """(power, frame starts, mfcc, pad_mask) for one clip under FrameConfig `cfg`,
     computed with the per-clip code the package's cached path replaced."""
     samples = np.asarray(samples, dtype=np.float64)
     length = int(round(cfg.frame_len_ms * sample_rate / 1000.0))

@@ -132,7 +132,8 @@ def model2(synth_data):
 def attention_analysis(synth_data, model2):
     ckpt = model2["ckpt"]
     acc, preds = _accuracy(ckpt, synth_data["test_feats"], synth_data["test_labels"])
-    maps = [extract_attention(ckpt, seq)[0] for seq in synth_data["test_feats"]]
+    step, frame_len = FRAME.frame_step(16000), FRAME.frame_len(16000)
+    maps = [extract_attention(ckpt, seq, step, frame_len)[0] for seq in synth_data["test_feats"]]
     return {"maps": maps, "correct": preds == synth_data["test_labels"], "accuracy": acc}
 
 
@@ -214,7 +215,7 @@ def test_criterion_4_attention_localizes_bursts(synth_data, attention_analysis, 
         ):
             if not ok:
                 continue
-            starts = amap.frame_times
+            starts = np.arange(amap.x) * amap.step
             inside = (starts < b1) & (starts + frame_len > b0)
             # the burst region is small, so uniform attention could not pass
             assert inside.mean() < 0.25
@@ -363,9 +364,7 @@ def test_criterion_8_determinism_and_persistence(mini_corpus, synth_data, model2
         T = synth_data["test_feats"][0].T
         probe_rng = SeededRng(80)
         probes = [
-            FeatureSequence(
-                probe_rng.normal(size=(T, 13)), np.arange(T) * 160, np.zeros(T, dtype=bool)
-            )
+            FeatureSequence(probe_rng.normal(size=(T, 13)), np.zeros(T, dtype=bool))
             for _ in range(50)
         ]
         assert np.array_equal(predict_batch(ckpt, probes), predict_batch(clone, probes))

@@ -400,11 +400,9 @@ class TestFeaturesCommand:
         assert entrypoint(["features", *paths]) == 0
         victim = sorted(cache.glob("*.roif"))[0]
         cold = victim.read_bytes()
-        seq = load_feature_cache(cold, 160)
+        seq = load_feature_cache(cold)
         frames, coeffs = cut
-        victim.write_bytes(save_feature_cache(
-            FeatureSequence(seq.frames[frames, coeffs], seq.frame_times[frames], seq.pad_mask[frames])
-        ))
+        victim.write_bytes(save_feature_cache(FeatureSequence(seq.frames[frames, coeffs], seq.pad_mask[frames])))
         capsys.readouterr()
         assert entrypoint(["features", *paths]) == 0
         assert f"recomputing {victim.name}: " in capsys.readouterr().err
@@ -502,7 +500,6 @@ class TestFeatureCacheKey:
             want = extract_features(pad_to_length([read_wav_file(entry.path)], target)[0], frame_cfg)
             assert seq.T == frames_t
             np.testing.assert_array_equal(seq.frames, want.frames)
-            np.testing.assert_array_equal(seq.frame_times, want.frame_times)
             np.testing.assert_array_equal(seq.pad_mask, want.pad_mask)
             (name,) = [n for n in fresh if n.startswith(Path(entry.path).stem + ".")]
             assert fresh[name][2] == save_feature_cache(want)
@@ -621,7 +618,7 @@ class TestCorpusFeaturesMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return peak, sum(f.frames.nbytes + f.frame_times.nbytes + f.pad_mask.nbytes for f in feats)
+            return peak, sum(f.frames.nbytes + f.pad_mask.nbytes for f in feats)
 
         cold_pass(1)  # builds the cached tables
         small_peak, small_feats = cold_pass(2)
@@ -920,8 +917,8 @@ class TestExplainCommand:
         out = only_dir(tmp_path, "explain")
         ckpt = load_checkpoint(attention_ckpt.read_bytes())
         clip = read_wav_file(wav)
-        power, times, coeffs, mask = _oracles.frontend_reference(clip.samples, 16000, ckpt.frame_cfg)
-        (amap,) = extract_attention(ckpt, FeatureSequence(coeffs, times, mask))
+        power, _, coeffs, mask = _oracles.frontend_reference(clip.samples, 16000, ckpt.frame_cfg)
+        (amap,) = extract_attention(ckpt, FeatureSequence(coeffs, mask), 160, 320)
         roi = detect_roi(amap, ratio=2.0)
         assert (out / "attention-step1.json").read_text() == dump_attention_json(
             attention_json(str(wav), amap, roi)
@@ -953,8 +950,9 @@ class TestExplainCommand:
         ]) == 0
         text = (only_dir(tmp_path, "explain") / "attention-step1.json").read_text()
         assert json.loads(text)["frame_len"] == 160  # 20 ms at 8 kHz
+        assert json.loads(text)["step"] == 80
         ckpt = load_checkpoint(ckpt_path.read_bytes())
-        (amap,) = extract_attention(ckpt, extract_features(read_wav_file(wav), ckpt.frame_cfg), frame_len=160)
+        (amap,) = extract_attention(ckpt, extract_features(read_wav_file(wav), ckpt.frame_cfg), 80, 160)
         assert text == dump_attention_json(attention_json(str(wav), amap, detect_roi(amap, ratio=2.0)))
 
     def test_checkpoint_without_frame_settings_uses_frame_keys(self, corpus, attention_ckpt, tmp_path):
@@ -1046,6 +1044,26 @@ class TestConfigurationErrorsStopBeforeWork:
         argv = [command, flag, f"--paths.corpus_dir={corpus}", f"--paths.output_dir={tmp_path}"]
         assert entrypoint(argv) == 2
         assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,flag,message",
+        [
+            ("train", "--train.beta1=1", "beta1 must be in [0, 1)"),
+            ("train", "--train.beta1=-0.5", "beta1 must be in [0, 1)"),
+            ("train", "--train.beta1=2", "beta1 must be in [0, 1)"),
+            ("train", "--train.beta2=1", "beta2 must be in [0, 1)"),
+            ("train", "--train.eps=0", "eps must be positive"),
+            ("train", "--train.eps=-1", "eps must be positive"),
+            ("eval-loso", "--train.beta1=1", "beta1 must be in [0, 1)"),
+        ],
+    )
+    def test_adam_setting_outside_its_range(self, command, flag, message, corpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_corpus_features", _no_work)
+        monkeypatch.setattr(cli, "train", _no_work)
+        argv = [command, flag, f"--paths.corpus_dir={corpus}", f"--paths.output_dir={tmp_path}"]
+        assert entrypoint(argv) == 2
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

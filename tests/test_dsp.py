@@ -172,15 +172,15 @@ class TestFrameSignal:
 
     def test_two_frame_example(self):
         clip = AudioClip(np.arange(480, dtype=np.float64), 16000)
-        frames, times = frame_signal(clip, FrameConfig())
+        frames = frame_signal(clip, FrameConfig())
         assert frames.shape == (2, 320)
-        np.testing.assert_array_equal(times, [0, 160])
+        np.testing.assert_array_equal(frames[0], np.arange(0, 320))
         np.testing.assert_array_equal(frames[1], np.arange(160, 480))
 
     def test_single_exact_frame(self):
-        frames, times = frame_signal(AudioClip(np.zeros(320), 16000), FrameConfig())
+        frames = frame_signal(AudioClip(np.arange(320, dtype=np.float64), 16000), FrameConfig())
         assert frames.shape == (1, 320)
-        np.testing.assert_array_equal(times, [0])
+        np.testing.assert_array_equal(frames[0], np.arange(320))
 
     def test_too_short_rejected(self):
         with pytest.raises(TooShortError):
@@ -196,16 +196,16 @@ class TestFrameSignal:
             cfg = FrameConfig(
                 frame_len_ms=L, step_ms=S, expected_sample_rate=1000, fft_size=64
             )
-            frames, times = frame_signal(AudioClip(np.zeros(N), 1000), cfg)
+            samples = np.arange(N, dtype=np.float64)
+            frames = frame_signal(AudioClip(samples, 1000), cfg)
             assert frames.shape == (1 + (N - L) // S, L)
-            np.testing.assert_array_equal(times, np.arange(frames.shape[0]) * S)
+            for i, row in enumerate(frames):
+                np.testing.assert_array_equal(row, samples[i * S : i * S + L])
 
     def test_wrong_rate_rejected_in_strict_mode(self):
         with pytest.raises(ValueError):
             frame_signal(AudioClip(np.zeros(8000), 8000), FrameConfig())
-        frames, _ = frame_signal(
-            AudioClip(np.zeros(8000), 8000), FrameConfig(allow_any_rate=True)
-        )
+        frames = frame_signal(AudioClip(np.zeros(8000), 8000), FrameConfig(allow_any_rate=True))
         assert frames.shape[1] == 160  # 20 ms at 8 kHz
 
 
@@ -281,9 +281,10 @@ class TestMfcc:
 
     def test_pad_mask_marks_frames_at_or_past_original_length(self):
         clip = pad_to_length([AudioClip(np.ones(400), 16000)], target=800)[0]
-        seq = extract_features(clip, FrameConfig())
-        np.testing.assert_array_equal(seq.frame_times, [0, 160, 320, 480])
+        seq = extract_features(clip, FrameConfig())  # frames start at 0, 160, 320 and 480
         np.testing.assert_array_equal(seq.pad_mask, [False, False, False, True])
+        cut = mfcc(frame_signal(clip, FrameConfig()), 16000, FrameConfig(), original_len=400)
+        np.testing.assert_array_equal(cut.pad_mask, seq.pad_mask)
 
     def test_padding_leaves_interior_frames_unchanged(self):
         rng = np.random.default_rng(8)
@@ -319,41 +320,44 @@ class TestCachedFrontEnd:
             clip = pad_to_length([clip], target=target)[0]
         power, times, coeffs, mask = _oracles.frontend_reference(clip.samples, 16000, cfg, clip.original_len)
 
-        spec, spec_times = power_spectrogram(clip, cfg)
+        length = cfg.frame_len(16000)
+        frames = frame_signal(clip, cfg)
+        np.testing.assert_array_equal(frames, clip.samples[times[:, None] + np.arange(length)])
+        spec = power_spectrogram(clip, cfg)
         np.testing.assert_array_equal(spec, power)
-        np.testing.assert_array_equal(spec_times, times)
         for seq in (extract_features(clip, cfg), extract_features(clip, cfg, power=spec)):
             np.testing.assert_array_equal(seq.frames, coeffs)
-            np.testing.assert_array_equal(seq.frame_times, times)
             np.testing.assert_array_equal(seq.pad_mask, mask)
 
     def test_filterbank_built_once_per_config(self):
-        dsp._mel_filterbank.cache_clear()
+        dsp.mel_filterbank.cache_clear()
         clips = [AudioClip(np.random.default_rng(i).normal(size=4000 + 160 * i), 16000) for i in range(3)]
         for clip in clips:
             extract_features(clip, FrameConfig())
-        info = dsp._mel_filterbank.cache_info()
+        info = dsp.mel_filterbank.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         for clip in clips:
             extract_features(clip, FrameConfig(n_mels=40))
-        info = dsp._mel_filterbank.cache_info()
+        info = dsp.mel_filterbank.cache_info()
         assert (info.misses, info.hits) == (2, 4)
 
     def test_cached_tables_are_read_only(self):
         clip = AudioClip(np.zeros(800), 16000)
         extract_features(clip, FrameConfig())
-        frames, _ = frame_signal(clip, FrameConfig())
-        for table in (dsp._mel_filterbank(26, 512, 16000), dsp._hamming(320), frames):
+        frames = frame_signal(clip, FrameConfig())
+        for table in (mel_filterbank(26, 512, 16000), dsp._hamming(320), frames):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1
 
-    def test_public_filterbank_is_a_writable_copy(self):
+    def test_public_filterbank_is_the_read_only_cached_table(self):
         clip = AudioClip(np.random.default_rng(4).normal(size=1600), 16000)
         before = extract_features(clip, FrameConfig()).frames
         fb = mel_filterbank(26, 512, 16000)
-        assert fb.flags.writeable
-        fb[:] = 0.0
+        assert fb is mel_filterbank(26, 512, 16000)
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[:] = 0.0
         assert mel_filterbank(26, 512, 16000).max() > 0.0
         np.testing.assert_array_equal(extract_features(clip, FrameConfig()).frames, before)
 
@@ -365,7 +369,7 @@ class TestCachedFrontEnd:
 
     def test_power_of_another_shape_rejected(self):
         clip = AudioClip(np.zeros(1600), 16000)
-        spec, _ = power_spectrogram(clip, FrameConfig())
+        spec = power_spectrogram(clip, FrameConfig())
         with pytest.raises(ValueError, match="does not fit"):
             extract_features(clip, FrameConfig(), power=spec[:-1])
         with pytest.raises(ValueError, match="does not fit"):
@@ -429,13 +433,10 @@ class TestMelScale:
 
 
 class TestFeatureSequence:
-    def test_stride_validation(self):
-        with pytest.raises(ValueError):
-            FeatureSequence(np.zeros((3, 13)), np.array([0, 160, 400]), np.zeros(3, dtype=bool))
-
     def test_length_validation(self):
-        with pytest.raises(ValueError):
-            FeatureSequence(np.zeros((3, 13)), np.array([0, 160]), np.zeros(3, dtype=bool))
+        for length in (2, 4):
+            with pytest.raises(ValueError, match="pad_mask length"):
+                FeatureSequence(np.zeros((3, 13)), np.zeros(length, dtype=bool))
 
 
 class TestFeatureCache:
@@ -443,36 +444,34 @@ class TestFeatureCache:
         rng = np.random.default_rng(3)
         return FeatureSequence(
             rng.normal(size=(5, 13)),
-            np.arange(5) * 160,
             np.array([False, False, False, True, True]),
         )
 
     def test_roundtrip_bitwise(self):
         seq = self._seq()
-        out = load_feature_cache(save_feature_cache(seq), step=160)
+        out = load_feature_cache(save_feature_cache(seq))
         np.testing.assert_array_equal(out.frames, seq.frames)
-        np.testing.assert_array_equal(out.frame_times, seq.frame_times)
         np.testing.assert_array_equal(out.pad_mask, seq.pad_mask)
 
     def test_magic_checked(self):
         data = bytearray(save_feature_cache(self._seq()))
         data[:4] = b"JUNK"
         with pytest.raises(FeatureCacheError):
-            load_feature_cache(bytes(data), step=160)
+            load_feature_cache(bytes(data))
 
     def test_version_checked(self):
         data = bytearray(save_feature_cache(self._seq()))
         data[4:8] = struct.pack("<I", 99)
         with pytest.raises(FeatureCacheError):
-            load_feature_cache(bytes(data), step=160)
+            load_feature_cache(bytes(data))
 
     def test_truncation_detected(self):
         data = save_feature_cache(self._seq())
         with pytest.raises(FeatureCacheError):
-            load_feature_cache(data[:-3], step=160)
+            load_feature_cache(data[:-3])
 
     def test_trailing_bytes_rejected(self):
         data = save_feature_cache(self._seq())
         for extra in (b"\x00", b"junk" * 10):
             with pytest.raises(FeatureCacheError, match="trailing"):
-                load_feature_cache(data + extra, step=160)
+                load_feature_cache(data + extra)

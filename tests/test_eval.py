@@ -4,7 +4,6 @@ import pytest
 from roi_attend.dsp import FeatureSequence
 from roi_attend.evaluation import (
     AGGREGATION_MODES,
-    AggregateReport,
     ConfigMismatchError,
     ConfusionMatrix,
     EmptyReportError,
@@ -31,7 +30,7 @@ ANG, DIS, FEA, HAP, NEU, SAD = range(6)
 def seq(frames):
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     T = frames.shape[0]
-    return FeatureSequence(frames, np.arange(T) * 160, np.zeros(T, dtype=bool))
+    return FeatureSequence(frames, np.zeros(T, dtype=bool))
 
 
 def zero_checkpoint(variant=Variant.UNI_PLAIN, input_dim=1, **kw):

@@ -42,8 +42,6 @@ from roi_attend.model import ModelConfig, Variant, init_params
 from roi_attend.numerics import SeededRng
 from roi_attend.training import Checkpoint, CheckpointFormatError, TrainConfig, load_checkpoint, save_checkpoint
 
-STEP = 160
-
 
 def _checkpoint_blob() -> bytes:
     cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=2, enc_hidden=2, dec_hidden=2, dropout_rate=0.0)
@@ -67,13 +65,13 @@ def _checkpoint_blob() -> bytes:
 
 WAV = write_wav(0.5 * np.sin(np.arange(24) / 3.0), 16000)
 ROIF = save_feature_cache(
-    FeatureSequence(np.arange(12.0).reshape(4, 3) / 7.0, np.arange(4) * STEP, [False, False, True, True])
+    FeatureSequence(np.arange(12.0).reshape(4, 3) / 7.0, [False, False, True, True])
 )
 ROIC = _checkpoint_blob()
 
 FORMATS = {
     "wav": (WAV, read_wav, (WavFormatError, UnsupportedWavError)),
-    "roif": (ROIF, lambda b: load_feature_cache(b, STEP), FeatureCacheError),
+    "roif": (ROIF, load_feature_cache, FeatureCacheError),
     "roic": (ROIC, load_checkpoint, CheckpointFormatError),
 }
 

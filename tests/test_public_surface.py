@@ -14,7 +14,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "roi_attend"
 # exported, loaded by no module of the package, and kept for what names them
 KEPT = {
     "mfcc": "bench/tracing.py patches it by name; acceptance criterion 2 calls it",
-    "mel_filterbank": "bench/tracing.py patches it by name",
 }
 
 

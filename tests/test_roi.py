@@ -11,7 +11,6 @@ from roi_attend.model import ModelConfig, ModelParams, NoAttentionError, Variant
 from roi_attend.numerics import SeededRng
 from roi_attend.roi import (
     AttentionMap,
-    RoiRegion,
     attention_json,
     detect_roi,
     dump_attention_json,
@@ -30,7 +29,7 @@ def amap(weights, frame_len=FRAME, step=STEP, pad=None):
     x = weights.shape[0]
     if pad is None:
         pad = np.zeros(x, dtype=bool)
-    return AttentionMap(weights, np.arange(x) * step, frame_len, np.asarray(pad, dtype=bool))
+    return AttentionMap(weights, step, frame_len, np.asarray(pad, dtype=bool))
 
 
 def zero_checkpoint(variant=Variant.BI_ATTENTION, input_dim=4, frame_cfg=FrameConfig(), **kw):
@@ -44,7 +43,7 @@ def feats(T, d=4, n_pad=0, seed=0):
     pad = np.zeros(T, dtype=bool)
     if n_pad:
         pad[-n_pad:] = True
-    return FeatureSequence(SeededRng(seed).normal(size=(T, d)), np.arange(T) * STEP, pad)
+    return FeatureSequence(SeededRng(seed).normal(size=(T, d)), pad)
 
 
 class TestAttentionMap:
@@ -54,8 +53,18 @@ class TestAttentionMap:
         assert m.step == STEP
         assert m.frame_len == FRAME
 
-    def test_single_frame_step_falls_back_to_frame_len(self):
-        assert amap([1.0]).step == FRAME
+    def test_one_frame_json_writes_frame_len_as_step(self):
+        # a one-frame clip has no second frame start, so its JSON gives
+        # frame_len as "step"; the bytes are pinned
+        clip = AudioClip(SeededRng(3).uniform(-0.5, 0.5, size=FRAME), 16000)
+        cfg = FrameConfig()
+        (m,) = extract_attention(zero_checkpoint(input_dim=cfg.n_mfcc), extract_features(clip, cfg), STEP, FRAME)
+        assert m.x == 1 and m.step == STEP
+        text = dump_attention_json(attention_json("one.wav", m, detect_roi(m, ratio=0.5)))
+        assert text == (
+            '{"frame_len":320,"path":"one.wav","regions":[{"end":320,"mass":1.0,"start":0}],'
+            '"silence_mass":0.0,"step":320,"weights":[1.0],"x":1}\n'
+        )
 
     def test_silence_mass_sums_pad_frames(self):
         m = amap([0.4, 0.3, 0.2, 0.1], pad=[False, False, True, True])
@@ -68,17 +77,19 @@ class TestAttentionMap:
         with pytest.raises(ValueError):
             amap([1.5, -0.5])
         with pytest.raises(ValueError):
-            AttentionMap(np.full((2, 2), 0.25), np.arange(2), FRAME, np.zeros(2, dtype=bool))
+            AttentionMap(np.full((2, 2), 0.25), STEP, FRAME, np.zeros(2, dtype=bool))
         with pytest.raises(ValueError):
-            AttentionMap(np.array([1.0]), np.arange(2), FRAME, np.zeros(1, dtype=bool))
+            AttentionMap(np.array([1.0]), STEP, FRAME, np.zeros(2, dtype=bool))
         with pytest.raises(ValueError):
             amap([1.0], frame_len=0)
+        with pytest.raises(ValueError):
+            amap([1.0], step=0)
 
 
 class TestExtractAttention:
     def test_zero_params_give_uniform_weights(self):
         ckpt = zero_checkpoint()
-        maps = extract_attention(ckpt, feats(5))
+        maps = extract_attention(ckpt, feats(5), STEP, FRAME)
         assert len(maps) == 1
         np.testing.assert_allclose(maps[0].weights, np.full(5, 0.2), atol=1e-12)
 
@@ -86,58 +97,50 @@ class TestExtractAttention:
         # padded frames stay in the softmax unless masking is turned on,
         # which is what makes the silence-mass diagnostic meaningful
         ckpt = zero_checkpoint()
-        maps = extract_attention(ckpt, feats(5, n_pad=2))
+        maps = extract_attention(ckpt, feats(5, n_pad=2), STEP, FRAME)
         np.testing.assert_allclose(maps[0].weights, np.full(5, 0.2), atol=1e-12)
         assert maps[0].silence_mass() == pytest.approx(0.4)
 
     def test_padding_excluded_when_masking_enabled(self):
         ckpt = zero_checkpoint(mask_padding=True)
-        maps = extract_attention(ckpt, feats(5, n_pad=2))
+        maps = extract_attention(ckpt, feats(5, n_pad=2), STEP, FRAME)
         np.testing.assert_allclose(maps[0].weights, [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
         assert maps[0].silence_mass() == 0.0
 
     def test_one_map_per_decoder_step(self):
         ckpt = zero_checkpoint(dec_steps=2)
-        maps = extract_attention(ckpt, feats(4))
+        maps = extract_attention(ckpt, feats(4), STEP, FRAME)
         assert len(maps) == 2
 
-    def test_frame_len_defaults_to_checkpoint_settings(self):
-        maps = extract_attention(zero_checkpoint(), feats(4))
-        assert maps[0].frame_len == 320
+    def test_maps_carry_the_callers_geometry(self):
+        # the checkpoint's frame settings (here none) play no part
+        (m,) = extract_attention(zero_checkpoint(frame_cfg=None), feats(4), 100, 400)
+        assert (m.step, m.frame_len) == (100, 400)
+        assert detect_roi(m, ratio=0.5).regions[0].end_sample == 3 * 100 + 400
 
-    def test_explicit_frame_len_wins(self):
-        maps = extract_attention(zero_checkpoint(), feats(4), frame_len=400)
-        assert maps[0].frame_len == 400
-
-    def test_missing_frame_settings_require_frame_len(self):
-        ckpt = zero_checkpoint(frame_cfg=None)
-        with pytest.raises(ValueError, match="frame_len"):
-            extract_attention(ckpt, feats(4))
-        assert extract_attention(ckpt, feats(4), frame_len=320)[0].frame_len == 320
-
-    def test_any_rate_checkpoint_requires_frame_len(self):
-        # an 8 kHz clip has 160-sample frames; the checkpoint's expected rate
-        # (16 kHz) would give 320, and the features do not record the rate
+    def test_any_rate_geometry_follows_the_clip_rate(self):
+        # an 8 kHz clip has 160-sample frames every 80 samples; the
+        # checkpoint's expected rate (16 kHz) would give 320 and 160
         cfg = FrameConfig(allow_any_rate=True)
         ckpt = zero_checkpoint(input_dim=cfg.n_mfcc, frame_cfg=cfg)
         clip = AudioClip(SeededRng(8).uniform(-0.5, 0.5, size=4000), 8000)
         features = extract_features(clip, cfg)
-        with pytest.raises(ValueError, match="frame_len is required"):
-            extract_attention(ckpt, features)
-        (m,) = extract_attention(ckpt, features, frame_len=cfg.frame_len(clip.sample_rate))
+        (m,) = extract_attention(ckpt, features, cfg.frame_step(clip.sample_rate), cfg.frame_len(clip.sample_rate))
         assert m.frame_len == 160 and m.step == 80
-        assert m.frame_times[-1] + m.frame_len == len(clip)  # the last frame ends at the last sample
+        assert (m.x - 1) * m.step + m.frame_len == len(clip)  # the last frame ends at the last sample
+        (region,) = detect_roi(m, ratio=0.5).regions
+        assert (region.start_sample, region.end_sample) == (0, len(clip))
 
     def test_plain_variants_refused_by_model_number(self):
         ckpt = zero_checkpoint(Variant.UNI_PLAIN)
         with pytest.raises(NoAttentionError, match="model 3"):
-            extract_attention(ckpt, feats(4))
+            extract_attention(ckpt, feats(4), STEP, FRAME)
         with pytest.raises(NoAttentionError, match="model 4"):
-            extract_attention(zero_checkpoint(Variant.BI_PLAIN), feats(4))
+            extract_attention(zero_checkpoint(Variant.BI_PLAIN), feats(4), STEP, FRAME)
 
     def test_coefficient_mismatch_rejected(self):
         with pytest.raises(ValueError, match="coefficients"):
-            extract_attention(zero_checkpoint(input_dim=13), feats(4, d=4))
+            extract_attention(zero_checkpoint(input_dim=13), feats(4, d=4), STEP, FRAME)
 
 
 class TestExpandToSamples:
@@ -159,7 +162,7 @@ class TestExpandToSamples:
         assert out.sum() / 5 == pytest.approx(1.0)
 
     def test_uncovered_samples_are_zero(self):
-        m = AttentionMap(np.array([0.5, 0.5]), np.array([0, 8]), 4, np.zeros(2, dtype=bool))
+        m = AttentionMap(np.array([0.5, 0.5]), 8, 4, np.zeros(2, dtype=bool))
         out = expand_to_samples(m, 12)
         np.testing.assert_array_equal(out[4:8], np.zeros(4))
         np.testing.assert_allclose(out[:4], 0.5)
@@ -283,7 +286,7 @@ class TestRenderSvg:
         w = np.full(x, 0.5 / max(x - 1, 1))
         w[x // 2] = 0.5 + w[0]
         w = w / w.sum()
-        m = AttentionMap(w, np.arange(x) * STEP, FRAME, np.zeros(x, dtype=bool))
+        m = AttentionMap(w, STEP, FRAME, np.zeros(x, dtype=bool))
         return samples, m, detect_roi(m, ratio=2.0)
 
     def test_two_panels_without_spectrogram(self):
@@ -354,7 +357,7 @@ class TestRenderSvgMatchesScalarOracle:
         w = np.ones(x)
         for p in peaks:
             w[int(p * (x - 1))] = 4.0 * x
-        m = AttentionMap(w / w.sum(), np.arange(x) * STEP, FRAME, np.zeros(x, dtype=bool))
+        m = AttentionMap(w / w.sum(), STEP, FRAME, np.zeros(x, dtype=bool))
         return samples, m, detect_roi(m, ratio=2.0)
 
     def _assert_same(self, monkeypatch, samples, m, roi, spec=None):
@@ -379,7 +382,7 @@ class TestRenderSvgMatchesScalarOracle:
         cfg = FrameConfig(fft_size=1024)
         for n in (8000, 32000):
             samples, m, roi = self._scene(n, peaks=(0.4,), seed=n)
-            spec, _ = power_spectrogram(AudioClip(samples, 16000), cfg)
+            spec = power_spectrogram(AudioClip(samples, 16000), cfg)
             assert spec.shape[1] == 513
             self._assert_same(monkeypatch, samples, m, roi, spec)
         assert spec.shape[0] > 180
@@ -467,7 +470,7 @@ class TestCurveKeepsRunEnds:
         assert len(kept) == 2
 
     def test_samples_under_no_frame(self, monkeypatch):
-        m = AttentionMap(np.array([0.5, 0.5]), np.array([0, 8]), 4, np.zeros(2, dtype=bool))
+        m = AttentionMap(np.array([0.5, 0.5]), 8, 4, np.zeros(2, dtype=bool))
         kept, _ = self._check(monkeypatch, np.ones(12), m)
         assert len(kept) == 6  # 0.5 run, zero run, 0.5 run
         # a tail past the last frame's end stays at zero

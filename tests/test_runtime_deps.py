@@ -28,7 +28,7 @@ clip = AudioClip(SeededRng(1).uniform(-0.5, 0.5, size=1600), 16000)
 features = extract_features(clip, cfg)
 model_cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=cfg.n_mfcc, enc_hidden=3, dec_hidden=3)
 ckpt = Checkpoint(model_cfg, init_params(model_cfg, SeededRng(2)), TrainConfig(), frame_cfg=cfg)
-(amap,) = extract_attention(ckpt, features)
+(amap,) = extract_attention(ckpt, features, cfg.frame_step(16000), cfg.frame_len(16000))
 print(json.dumps({
     "frames": features.T,
     "weight_sum": float(amap.weights.sum()),

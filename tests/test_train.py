@@ -48,7 +48,7 @@ def feats(T, d, seed=0, n_pad=0):
     pad = np.zeros(T, dtype=bool)
     if n_pad:
         pad[-n_pad:] = True
-    return FeatureSequence(rng.normal(size=(T, d)), np.arange(T) * 160, pad)
+    return FeatureSequence(rng.normal(size=(T, d)), pad)
 
 
 def tiny_cfg(variant=Variant.UNI_ATTENTION, **kw):
@@ -443,6 +443,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("beta1", 1.0, r"beta1 must be in \[0, 1\)"),
+            ("beta1", -0.5, r"beta1 must be in \[0, 1\)"),
+            ("beta1", 2.0, r"beta1 must be in \[0, 1\)"),
+            ("beta2", 1.0, r"beta2 must be in \[0, 1\)"),
+            ("beta2", -1e-3, r"beta2 must be in \[0, 1\)"),
+            ("eps", 0.0, "eps must be positive"),
+            ("eps", -1.0, "eps must be positive"),
+        ],
+    )
+    def test_adam_settings_outside_their_range_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{name: value})
+        assert TrainConfig(beta1=0.0, beta2=0.0, eps=5e-324).beta1 == 0.0
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_the_rng_range_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
@@ -691,6 +708,15 @@ class TestCheckpointIO:
         data = save_checkpoint(ckpt)
         assert f"{name}={value!r}\n".encode() in data
         with pytest.raises(CheckpointFormatError, match=f"{name} must be finite"):
+            load_checkpoint(data)
+
+    @pytest.mark.parametrize("name,value", [("beta1", 1.0), ("beta2", 1.5), ("eps", 0.0)])
+    def test_adam_setting_outside_its_range_raises_format_error(self, name, value):
+        ckpt = self._checkpoint(Variant.UNI_PLAIN)
+        setattr(ckpt.train_cfg, name, value)  # what a writer that skips TrainConfig's check would save
+        data = save_checkpoint(ckpt)
+        assert f"{name}={value!r}\n".encode() in data
+        with pytest.raises(CheckpointFormatError, match=f"{name} must be"):
             load_checkpoint(data)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
