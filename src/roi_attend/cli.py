@@ -277,8 +277,9 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
     reads a stale file.
 
     The first pass parses every WAV and checks its rate against the frame
-    settings, so a bad file or setting fails before the cache directory is
-    made, and keeps only its length, rate and digest. A clip whose
+    settings, and the pad target against one frame at each rate, so a bad
+    file or setting fails before the cache directory is made, and keeps only
+    its length, rate and digest. A clip whose
     features are not cached is read again and must hash to the same digest.
     So the pass holds one decoded clip, not the corpus.
 
@@ -298,6 +299,8 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
         rates.append(clip.sample_rate)
         digests.append(hasher.digest())
     target = max(lengths)
+    for rate in dict.fromkeys(rates):  # every clip is cut from the pad target
+        frame_cfg.frame_count(target, rate)
     key_prefix = (
         f"front_end={FRONT_END_REVISION}\n".encode("ascii")
         + _config_text(_config_pairs(frame_cfg))

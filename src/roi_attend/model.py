@@ -23,10 +23,18 @@ contiguous [i, f, o] blocks, its tanh gate and its cells. The tape keeps no
 hidden state or tanh(c): backprop rebuilds those from the same operands, so
 the gradients are bit-identical to caching them. A forward-only pass reuses
 one row of gates and two of cells.
+
+The tapes, the encoder outputs (each direction writes its hidden states
+straight into its half), the dropout mask, the gradients and every step's
+scratch are taken by name from a Workspace. One train call keeps one for all
+its batches, and each step writes into it in place, so after the first batch
+a training step allocates no (B, T, .) array. A pass given no workspace runs
+the same code on FRESH, which hands out a new array for every name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -208,142 +216,247 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
 # -- LSTM primitives (batched) ---------------------------------------------
 
 
-def _tape(rows, B, hid, c0=None):
-    """The arrays an LSTM's steps write into: sigmoid gates (rows, 3, B, H) in
-    [i, f, o] order, the tanh gate g (rows, B, H), and cells (rows + 1, B, H)
-    whose row 0 holds c0 (zeros when None). Every gate row is a contiguous
-    (B, H) block."""
-    cell = np.empty((rows + 1, B, hid))
+class Workspace:
+    """Named arrays that passes reuse instead of allocating. `train` keeps one
+    for the whole call, so after its first batch a training step allocates no
+    (B, T, .) array.
+
+    take(name, shape) is a C-contiguous view of the name's flat buffer, which
+    grows to the largest shape asked for, so the last, shorter batch reuses
+    the full batches' memory. Each take of a name hands out the same memory,
+    so a name is taken again only once what it held is spent."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        out = self.take(name, shape)
+        out.fill(0.0)
+        return out
+
+
+class _Fresh:
+    """The workspace of a pass given none (evaluation, explain, gradcheck):
+    it keeps nothing, so each take is a new array, freed with its last
+    reference, and the pass runs the same code as one that reuses."""
+
+    @staticmethod
+    def take(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    @staticmethod
+    def zeros(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        return np.zeros(shape)
+
+
+FRESH = _Fresh()
+
+
+def _tape(rows, B, hid, c0, ws, key):
+    """The arrays an LSTM's steps write into, taken from ws under key:
+    sigmoid gates (rows, 3, B, H) in [i, f, o] order, the tanh gate g
+    (rows, B, H), and cells (rows + 1, B, H) whose row 0 holds c0 (zeros when
+    None). Every gate row is a contiguous (B, H) block."""
+    cell = ws.take(f"{key}.cell", (rows + 1, B, hid))
     cell[0] = 0.0 if c0 is None else c0
-    return np.empty((rows, 3, B, hid)), np.empty((rows, B, hid)), cell
+    return ws.take(f"{key}.sig", (rows, 3, B, hid)), ws.take(f"{key}.tg", (rows, B, hid)), cell
 
 
-def _lstm_step(x, h_prev, W, U, b, sig, tg, cell, t):
-    """Step t of a sequence on _tape's arrays. x: (B, d), h_prev: (B, H).
+def _step_scratch(ws, B, hid):
+    """A forward step's scratch: x @ W (B, 4H) with its view as the four
+    (B, H) gate blocks [i, f, g, o], h @ U (B, 4H) and one (B, H) row. Every
+    LSTM shares it, since no two run their steps interleaved."""
+    xw = ws.take("step.xw", (B, 4 * hid))
+    blocks = xw.reshape(B, 4, hid).transpose(1, 0, 2)
+    return xw, blocks, ws.take("step.hu", (B, 4 * hid)), ws.take("step.row", (B, hid))
+
+
+def _bias_rows(ws, b, B):
+    """The bias b (4H,) repeated on B rows: adding it is one contiguous pass,
+    about half the time of a broadcast add at B=16."""
+    rows = ws.take("step.bias", (B, b.shape[0]))
+    rows[:] = b
+    return rows
+
+
+def _lstm_step(x, h_prev, W, U, b, sig, tg, cell, t, out, scratch):
+    """Step t of a sequence on _tape's arrays. x: (B, d), h_prev: (B, H),
+    b: _bias_rows's (B, 4H).
     Reads cell row t % len(cell), writes gate row t % len(sig) and cell row
-    (t + 1) % len(cell), and returns h; so one gate row and two cell rows
-    serve a whole forward-only pass.
+    (t + 1) % len(cell), writes h into out (any (B, H) view) and returns it;
+    so one gate row and two cell rows serve a whole forward-only pass. Every
+    other intermediate goes into _step_scratch's arrays.
     Its gates use numerics._sigmoid, which enters no np.errstate of its own:
     entering one per step costs more than the sigmoid itself at batch size 1.
     So callers wrap their loop of steps in np.errstate(over="ignore") once,
     and a saturated gate gives exactly 0.0 without an overflow warning."""
-    hid = h_prev.shape[1]
+    xw, v, hu, row = scratch
     k, n = t % len(sig), len(cell)
-    v = x @ W
-    v += h_prev @ U
-    v += b
-    v = v.reshape(-1, 4, hid).transpose(1, 0, 2)  # the [i, f, g, o] blocks
+    np.matmul(x, W, out=xw)
+    xw += np.matmul(h_prev, U, out=hu)
+    xw += b
     gates = sig[k]
     gates[:2] = v[:2]
     gates[2] = v[3]
-    i, f, o = _sigmoid(gates, out=gates)
+    _sigmoid(gates, out=gates)
+    i, f, o = gates[0], gates[1], gates[2]  # indexing: unpacking an array iterates it
     g = np.tanh(v[2], out=tg[k])
     c = np.multiply(f, cell[t % n], out=cell[(t + 1) % n])
-    c += i * g
-    return o * np.tanh(c)
+    c += np.multiply(i, g, out=row)
+    return np.multiply(o, np.tanh(c, out=row), out=out)
 
 
-def _steps_back(X, h0, sig, tg, cell):
+def _steps_back(X, h0, sig, tg, cell, ws):
     """Each step's operands (t, (x, h_prev, c_prev, [i, f, o], g, tanh(c))),
     last step first, from a tape [X, h0, sig, tg, cell]. h_prev and tanh(c)
-    are not on the tape: they are rebuilt with the forward pass's own
-    operations on the same arrays, so they are bit-identical: tanh(c) from
-    the cell row, and h_prev as o<t-1> * tanh(c_prev), whose tanh is also
-    step t-1's tanh(c)."""
-    tc = np.tanh(cell[len(sig)])
+    are not on the tape: they are rebuilt into three (B, H) rows of ws with
+    the forward pass's own operations on the same arrays, so they are
+    bit-identical: tanh(c) from the cell row, and h_prev as
+    o<t-1> * tanh(c_prev), whose tanh is also step t-1's tanh(c). A step's
+    operands hold until the next is drawn."""
+    tc, tc_prev, h_prev = (ws.take(f"back.{name}", h0.shape) for name in ("tc", "tc_prev", "h_prev"))
+    np.tanh(cell[len(sig)], out=tc)
     for t in reversed(range(len(sig))):
-        tc_prev = np.tanh(cell[t]) if t else None
-        h_prev = sig[t - 1, 2] * tc_prev if t else h0
-        yield t, (X[:, t, :], h_prev, cell[t], sig[t], tg[t], tc)
-        tc = tc_prev
+        if t:
+            np.tanh(cell[t], out=tc_prev)
+            np.multiply(sig[t - 1, 2], tc_prev, out=h_prev)
+        yield t, (X[:, t, :], h_prev if t else h0, cell[t], sig[t], tg[t], tc)
+        tc, tc_prev = tc_prev, tc
 
 
-def _lstm_step_backward(step, dh, dc, W, U, dW, dU, db, want_dx=True):
-    """Reverse one step, given its operands from _steps_back; accumulates
-    weight grads in place, returns (dx, dh_prev, dc_prev).
-
-    dx is None when want_dx is False (the input's gradient is not needed)."""
-    x, h_prev, c_prev, (i, f, o), g, tc = step
-    do = dh * tc
-    dc = dc + dh * o * (1.0 - tc * tc)
-    di = dc * g
-    df = dc * c_prev
-    dg = dc * i
-    dc_prev = dc * f
-    dv = np.concatenate(
-        [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
-        axis=1,
+def _bptt_scratch(ws, B, d, hid):
+    """A backward step's scratch: dv (B, 4H) with its (B, 4, H) view of the
+    [i, f, g, o] column blocks, two (3, B, H) gate blocks, one (B, H) row,
+    and the dW, dU and db products. Every LSTM shares it, since no two run
+    their BPTT interleaved."""
+    take = ws.take
+    dv = take("back.dv", (B, 4 * hid))
+    return (
+        dv, dv.reshape(B, 4, hid), take("back.gates", (3, B, hid)), take("back.gates_1m", (3, B, hid)),
+        take("back.row", (B, hid)), take("back.dW", (d, 4 * hid)), take("back.dU", (hid, 4 * hid)),
+        take("back.db", (4 * hid,)),
     )
-    dW += x.T @ dv
-    dU += h_prev.T @ dv
-    db += dv.sum(axis=0)
-    return (dv @ W.T if want_dx else None), dv @ U.T, dc_prev
 
 
-def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True):
+def _lstm_step_backward(step, dh, dc, W, U, dW, dU, db, scratch, dx=None, first=False):
+    """Reverse one step, given its operands from _steps_back and
+    _bptt_scratch's arrays. Accumulates the weight grads in place, writes the
+    input's gradient into dx when one is given, and overwrites dh and dc with
+    the previous step's; at the first step (first=True) nothing reads those,
+    so they are not computed. Returns dx.
+
+    The sigmoid gates' derivatives are taken on their contiguous (3, B, H)
+    block, in the order of the per-gate expression they replace."""
+    x, h_prev, c_prev, gates, g, tc = step
+    i, f, o = gates[0], gates[1], gates[2]
+    dv, blocks, d3, gates_1m, row, pW, pU, pb = scratch
+    np.multiply(dh, tc, out=d3[2])  # do
+    np.multiply(tc, tc, out=row)
+    np.subtract(1.0, row, out=row)
+    np.multiply(dh, o, out=d3[0])
+    d3[0] *= row
+    dc += d3[0]  # dc + dh * o * (1 - tc * tc)
+    np.multiply(dc, g, out=d3[0])  # di
+    np.multiply(dc, c_prev, out=d3[1])  # df
+    np.multiply(dc, i, out=row)  # dg
+    if not first:
+        dc *= f
+    d3 *= gates
+    d3 *= np.subtract(1.0, gates, out=gates_1m)  # [di, df, do] * s * (1 - s), s = [i, f, o]
+    blocks[:, :2] = d3[:2].transpose(1, 0, 2)
+    blocks[:, 3] = d3[2]
+    np.multiply(g, g, out=gates_1m[0])
+    np.subtract(1.0, gates_1m[0], out=gates_1m[0])
+    np.multiply(row, gates_1m[0], out=blocks[:, 2])  # dg * (1 - g * g)
+    dW += np.matmul(x.T, dv, out=pW)
+    dU += np.matmul(h_prev.T, dv, out=pU)
+    db += np.add.reduce(dv, axis=0, out=pb)
+    if dx is not None:
+        np.matmul(dv, W.T, out=dx)
+    if not first:
+        np.matmul(dv, U.T, out=dh)
+    return dx
+
+
+def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True, out=None, ws=FRESH, key="lstm"):
     """Run a whole sequence. X: (B, T, d). Returns (outputs (B,T,H), (h,c), tape).
 
-    The tape is [X, h0, sig, tg, cell] with _tape's arrays sized to the
-    sequence; without want_cache it is None, and the steps share one gate
-    row and two cell rows."""
+    The outputs are written into out, any (B, T, H) view, or else into ws
+    under key. The tape is [X, h0, sig, tg, cell] with _tape's arrays sized
+    to the sequence; without want_cache it is None, and the steps share one
+    gate row and two cell rows."""
     B, T, _ = X.shape
     hid = U.shape[0]
     h = h_first = np.zeros((B, hid)) if h0 is None else h0
-    sig, tg, cell = _tape(T if want_cache else 1, B, hid, c0)
-    outs = np.empty((B, T, hid))
+    sig, tg, cell = _tape(T if want_cache else 1, B, hid, c0, ws, key)
+    outs = ws.take(f"{key}.out", (B, T, hid)) if out is None else out
+    bias, scratch = _bias_rows(ws, b, B), _step_scratch(ws, B, hid)
     with np.errstate(over="ignore"):
         for t in range(T):
-            h = _lstm_step(X[:, t, :], h, W, U, b, sig, tg, cell, t)
-            outs[:, t, :] = h
+            h = _lstm_step(X[:, t, :], h, W, U, bias, sig, tg, cell, t, outs[:, t, :], scratch)
     tape = [X, h_first, sig, tg, cell] if want_cache else None
     return outs, (h, cell[T % len(cell)]), tape
 
 
-def _lstm_seq_backward(tape, dH_out, W, U, dW, dU, db, want_dx=True):
-    """BPTT over _lstm_seq's tape, which it empties, so the tape is freed once
-    this returns. dH_out: (B, T, H) upstream gradient per step, any strides.
+def _lstm_seq_backward(tape, dH_out, W, U, dW, dU, db, want_dx=True, ws=FRESH, key="lstm"):
+    """BPTT over _lstm_seq's tape, which it empties: without a workspace of
+    the caller's, the tape is freed once this returns. dH_out: (B, T, H)
+    upstream gradient per step, any strides.
 
-    Returns dX, or None when want_dx is False."""
+    Returns dX, taken from ws under key, or None when want_dx is False."""
     B, T, _ = dH_out.shape
-    dX = np.empty((B, T, W.shape[0])) if want_dx else None
-    dh = np.zeros((B, U.shape[0]))
-    dc = np.zeros((B, U.shape[0]))
-    steps = _steps_back(*tape)
+    d, hid = W.shape[0], U.shape[0]
+    dX = ws.take(f"{key}.dx", (B, T, d)) if want_dx else None
+    dh = ws.zeros("back.dh", (B, hid))
+    dc = ws.zeros("back.dc", (B, hid))
+    scratch = _bptt_scratch(ws, B, d, hid)
+    steps = _steps_back(*tape, ws)
     tape.clear()
     for t, step in steps:
-        dx, dh, dc = _lstm_step_backward(step, dH_out[:, t, :] + dh, dc, W, U, dW, dU, db, want_dx)
-        if want_dx:
-            dX[:, t, :] = dx
+        np.add(dH_out[:, t, :], dh, out=dh)
+        _lstm_step_backward(step, dh, dc, W, U, dW, dU, db, scratch, dX[:, t, :] if want_dx else None, t == 0)
     return dX
 
 
 # -- encoder -----------------------------------------------------------------
 
 
-def _encode_batch(X, params, cfg, want_cache=True):
-    """Encoder outputs p and one tape per direction. The second direction
-    reads the sequence reversed and its outputs are re-reversed; the
-    directions' outputs are concatenated in order along the feature axis."""
-    outs, tapes = [], []
+def _encode_batch(X, params, cfg, want_cache=True, ws=FRESH):
+    """Encoder outputs p (B, T, enc_width), taken from ws, and one tape per
+    direction. Each direction writes its hidden states straight into its
+    half of p, in direction order along the feature axis; the second reads
+    the sequence reversed and writes through p's reversed view, so its
+    outputs land in time order."""
+    B, T, _ = X.shape
+    he = cfg.enc_hidden
+    p = ws.take("p", (B, T, cfg.enc_width))
+    tapes = []
     for k, name in enumerate(_directions(cfg)):
         step = -1 if k else 1
-        H, _, tape = _lstm_seq(X[:, ::step], *_lstm_arrays(params, name), want_cache=want_cache)
-        outs.append(H[:, ::step])
+        out = p[:, ::step, k * he : (k + 1) * he]
+        lstm = _lstm_arrays(params, name)
+        _, _, tape = _lstm_seq(X[:, ::step], *lstm, want_cache=want_cache, out=out, ws=ws, key=name)
         tapes.append(tape)
-    return np.concatenate(outs, axis=2), tapes
+    return p, tapes
 
 
-def _encode_backward(dp, enc_tapes, params, cfg, grads):
+def _encode_backward(dp, enc_tapes, params, cfg, grads, ws=FRESH):
     """Accumulate the encoder's weight gradients; the gradient with respect to
-    the input features is never needed, so it is not computed. Each
-    direction's tape is freed once its BPTT is done."""
+    the input features is never needed, so it is not computed. Without a
+    workspace, each direction's tape is freed once its BPTT is done."""
     he = cfg.enc_hidden
     for k, (name, tape) in enumerate(zip(_directions(cfg), enc_tapes)):
         step = -1 if k else 1
         W, U, _ = _lstm_arrays(params, name)
-        _lstm_seq_backward(
-            tape, dp[:, ::step, k * he : (k + 1) * he], W, U, *_lstm_arrays(grads, name), want_dx=False
-        )
+        dH_out = dp[:, ::step, k * he : (k + 1) * he]
+        _lstm_seq_backward(tape, dH_out, W, U, *_lstm_arrays(grads, name), want_dx=False, ws=ws, key=name)
 
 
 # -- attention ----------------------------------------------------------------
@@ -380,8 +493,9 @@ def _attention_forward(o_prev, p, pad, params, cfg):
     return a, context, scored, (o_prev, u, a, p)
 
 
-def _attention_backward(dcontext, att_cache, params, cfg, grads):
-    """Returns (do_prev (B,H_d), dp (B,x,width)) and accumulates scorer grads.
+def _attention_backward(dcontext, att_cache, params, cfg, grads, out=None):
+    """Returns (do_prev (B,H_d), dp (B,x,width)) and accumulates scorer grads;
+    dp is written into out when one is given.
 
     Both scorers begin with an affine map of [o_prev, p<t'>] through a weight
     V (attn.w as one column, or attn.W1); its rows V[:H_d] act on o_prev and
@@ -410,25 +524,27 @@ def _attention_backward(dcontext, att_cache, params, cfg, grads):
     # second (B, x, width) array is made
     B, _, width = p.shape
     rows = np.broadcast_to(V[hd:].T, (B, V.shape[1], width))
-    dp = np.concatenate([a[:, :, None], ds], axis=2) @ np.concatenate([dcontext[:, None, :], rows], axis=1)
+    weights = np.concatenate([a[:, :, None], ds], axis=2)
+    dp = np.matmul(weights, np.concatenate([dcontext[:, None, :], rows], axis=1), out=out)
     return do_prev, dp
 
 
 # -- full forward ---------------------------------------------------------------
 
 
-def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
+def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=FRESH):
     """Posterior for a batch. X: (B, T, input_dim), pad: (B, T) bool or None.
 
     dropout_mask, when given, is a (B, T, enc_width) array already scaled by
     1/(1-rate) (inverted dropout); None means evaluation (identity).
     Returns (probs (B, n_classes), trace, cache) where trace is
-    (e, a, context) stacked over decoder steps for attention variants.
+    (e, a, context) stacked over decoder steps for attention variants. The
+    encoder outputs, the tapes and the decoder's states are ws's arrays.
     """
     B, _, d = X.shape
     if d != cfg.input_dim:
         raise ShapeError(f"input feature dim {d} != configured input_dim {cfg.input_dim}")
-    p, enc_tapes = _encode_batch(X, params, cfg, want_cache=want_cache)
+    p, enc_tapes = _encode_batch(X, params, cfg, want_cache=want_cache, ws=ws)
     if dropout_mask is not None:
         p *= dropout_mask
 
@@ -437,21 +553,26 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
     dec = _lstm_arrays(params, "dec")
     if cfg.variant.has_attention:
         # the decoder's tape has one row per decoder step; its inputs are the
-        # context vectors, which the trace stacks as (B, dec_steps, width)
+        # context vectors, which the trace stacks as (B, dec_steps, width).
+        # Each step's output has a row of its own: it is the next step's
+        # attention query, which the attention cache keeps.
         h = h0 = np.zeros((B, cfg.dec_hidden))
-        sig, tg, cell = _tape(cfg.dec_steps if want_cache else 1, B, cfg.dec_hidden)
+        sig, tg, cell = _tape(cfg.dec_steps if want_cache else 1, B, cfg.dec_hidden, None, ws, "dec")
+        hs = ws.take("dec.out", (cfg.dec_steps, B, cfg.dec_hidden))
+        W, U, b = dec
+        bias, scratch = _bias_rows(ws, b, B), _step_scratch(ws, B, cfg.dec_hidden)
         steps = []
         with np.errstate(over="ignore"):
             for t in range(cfg.dec_steps):
                 a, context, e, att_cache = _attention_forward(h, p, pad, params, cfg)
-                h = _lstm_step(context, h, *dec, sig, tg, cell, t)
+                h = _lstm_step(context, h, W, U, bias, sig, tg, cell, t, hs[t], scratch)
                 steps.append((e, a, context))
                 if want_cache:
                     att_caches.append(att_cache)
         trace = tuple(np.stack(parts, axis=1) for parts in zip(*steps))
         dec_tape = [trace[2], h0, sig, tg, cell]
     else:
-        _, (h, _), dec_tape = _lstm_seq(p, *dec, want_cache=want_cache)
+        _, (h, _), dec_tape = _lstm_seq(p, *dec, want_cache=want_cache, ws=ws, key="dec")
 
     logits = h @ params["out.W"] + params["out.b"]
     probs = softmax(logits, axis=1)
@@ -469,10 +590,14 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False):
     return probs, trace, cache
 
 
-def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng) -> np.ndarray | None:
-    """Inverted-dropout mask over encoder outputs, or None when rate is 0."""
+def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng, ws=FRESH) -> np.ndarray | None:
+    """Inverted-dropout mask over encoder outputs, or None when rate is 0.
+    The uniform draws go into the mask array itself, taken from ws, and are
+    compared into a bool array of ws; the keep flags are divided back into
+    the mask."""
     if cfg.dropout_rate == 0.0:
         return None
-    b, t = shape
-    keep = rng.uniform(size=(b, t, cfg.enc_width)) >= cfg.dropout_rate
-    return keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
+    full = (*shape, cfg.enc_width)
+    mask = rng.random(out=ws.take("mask", full))
+    keep = np.greater_equal(mask, cfg.dropout_rate, out=ws.take("keep", full, bool))
+    return np.divide(keep, 1.0 - cfg.dropout_rate, out=mask)

@@ -135,6 +135,11 @@ class SeededRng:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=size)
 
+    def random(self, out: np.ndarray) -> np.ndarray:
+        """Fill out, a C-contiguous float64 array, with the doubles that
+        uniform(0, 1) would draw for its shape, and return it."""
+        return self._gen.random(out=out)
+
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray:
         return self._gen.normal(loc, scale, size=size)
 

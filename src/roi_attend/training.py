@@ -22,10 +22,13 @@ import numpy as np
 
 from .dsp import FeatureSequence, FrameConfig, _Cursor
 from .model import (
+    FRESH,
     ModelConfig,
     ModelParams,
     Variant,
+    Workspace,
     _attention_backward,
+    _bptt_scratch,
     _encode_backward,
     _forward_batch,
     _lstm_arrays,
@@ -128,13 +131,16 @@ def cross_entropy(probs, labels):
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
-def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mask=None):
-    """Forward + full backward on one batch. Returns (loss, grads dict)."""
+def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mask=None, ws=FRESH):
+    """Forward + full backward on one batch. Returns (loss, grads dict).
+
+    Every large array, the gradients included, is one of ws's, so the next
+    call on the same workspace overwrites them."""
     B = X.shape[0]
-    probs, _, cache = _forward_batch(X, pad, params, cfg, dropout_mask=dropout_mask, want_cache=True)
+    probs, _, cache = _forward_batch(X, pad, params, cfg, dropout_mask=dropout_mask, want_cache=True, ws=ws)
     loss = cross_entropy(probs, y)
 
-    grads = params.zeros_like()
+    grads = {name: ws.zeros(f"grad.{name}", a.shape) for name, a in params.arrays.items()}
     dlogits = probs.copy()
     dlogits[np.arange(B), y] -= 1.0
     dlogits /= B
@@ -148,34 +154,34 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
 
     W, U, _ = _lstm_arrays(params, "dec")
     dec_grads = _lstm_arrays(grads, "dec")
-    # one dp buffer: the first step's gradient, later steps added in place
     if cfg.variant.has_attention:
-        dp = None
+        # one dp array: the last decoder step's gradient written into it,
+        # each earlier step's added in place
+        dp = ws.take("dp", cache["p"].shape)
         dh = dh_final
         dc = np.zeros_like(dh)
-        for step, operands in _steps_back(*cache["dec_tape"]):
-            dcontext, dh_prev, dc_prev = _lstm_step_backward(operands, dh, dc, W, U, *dec_grads)
-            do_prev, dp_step = _attention_backward(dcontext, cache["att_caches"][step], params, cfg, grads)
-            if dp is None:
-                dp = dp_step
-            else:
-                dp += dp_step
-            del dp_step
+        scratch = _bptt_scratch(ws, B, cfg.enc_width, cfg.dec_hidden)
+        dcontext = ws.take("dcontext", (B, cfg.enc_width))
+        for step, operands in _steps_back(*cache["dec_tape"], ws):
+            _lstm_step_backward(operands, dh, dc, W, U, *dec_grads, scratch, dcontext, step == 0)
+            last = step == cfg.dec_steps - 1
+            out = dp if last else ws.take("dp_step", dp.shape)
+            do_prev, _ = _attention_backward(dcontext, cache["att_caches"][step], params, cfg, grads, out=out)
+            if not last:
+                dp += out
             if step > 0:
                 # h<step-1> feeds both the next cell update and the attention query
-                dh = dh_prev + do_prev
-                dc = dc_prev
+                dh += do_prev
     else:
-        dH_out = np.zeros((B, X.shape[1], cfg.dec_hidden))
+        dH_out = ws.zeros("dec.dh_out", (B, X.shape[1], cfg.dec_hidden))
         dH_out[:, -1, :] = dh_final
-        dp = _lstm_seq_backward(cache["dec_tape"], dH_out, W, U, *dec_grads)
-        del dH_out
+        dp = _lstm_seq_backward(cache["dec_tape"], dH_out, W, U, *dec_grads, ws=ws, key="dec")
 
     enc_tapes = cache["enc_tapes"]
-    del cache  # p, the attention caches and the decoder's tape go before the encoder's backward
+    del cache  # without a workspace, p, the attention caches and the decoder's tape go here
     if dropout_mask is not None:
         dp *= dropout_mask
-    _encode_backward(dp, enc_tapes, params, cfg, grads)
+    _encode_backward(dp, enc_tapes, params, cfg, grads, ws=ws)
     return loss, grads
 
 
@@ -216,8 +222,12 @@ class _Adam:
         self.t = 0
         self.m = params.zeros_like()
         self.v = params.zeros_like()
+        # one array as large as the largest parameter, for every parameter's step
+        self._row = np.empty(max(a.size for a in params.arrays.values()))
 
     def step(self, params: ModelParams, grads):
+        """One update, in place: arr -= lr * (m / c1) / (sqrt(v / c2) + eps),
+        each term in that order. Each gradient is spent as scratch."""
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
@@ -225,11 +235,20 @@ class _Adam:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            row = self._row[: g.size].reshape(g.shape)
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += np.multiply(1.0 - self.b1, g, out=row)
             v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(1.0 - self.b2, g, out=row)
+            row *= g
+            v += row
+            np.divide(m, c1, out=g)
+            g *= self.lr
+            np.divide(v, c2, out=row)
+            np.sqrt(row, out=row)
+            row += self.eps
+            g /= row
+            arr -= g
 
 
 def _make_optimizer(cfg: TrainConfig, params: ModelParams):
@@ -598,6 +617,7 @@ def train(train_set, model_cfg: ModelConfig, train_cfg: TrainConfig, frame_cfg=N
     stats = fit_standardizer(X) if train_cfg.standardize else None
     X = apply_standardizer(X, stats)
     opt = _make_optimizer(train_cfg, params)
+    ws = Workspace()  # every batch's large arrays, reused for the whole call
 
     n = X.shape[0]
     loss_history: list[float] = []
@@ -607,8 +627,10 @@ def train(train_set, model_cfg: ModelConfig, train_cfg: TrainConfig, frame_cfg=N
         total = 0.0
         for batch_no, start in enumerate(range(0, n, train_cfg.batch_size)):
             idx = order[start : start + train_cfg.batch_size]
-            mask = make_dropout_mask(model_cfg, (idx.size, X.shape[1]), rng)
-            loss, grads = loss_and_grads(X[idx], pad[idx], y[idx], params, model_cfg, dropout_mask=mask)
+            mask = make_dropout_mask(model_cfg, (idx.size, X.shape[1]), rng, ws)
+            # mode="clip" lets take write into out unbuffered; every index is in range
+            xb = np.take(X, idx, axis=0, out=ws.take("X", (idx.size, *X.shape[1:])), mode="clip")
+            loss, grads = loss_and_grads(xb, pad[idx], y[idx], params, model_cfg, dropout_mask=mask, ws=ws)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss}", epoch=epoch, batch=batch_no)
             norm = _clip_grads(grads, train_cfg.grad_clip)

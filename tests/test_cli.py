@@ -392,6 +392,20 @@ class TestFeaturesCommand:
         assert "clip rate 8000 Hz != expected 16000 Hz" in capsys.readouterr().err
         assert not cache.exists() and not out.exists()
 
+    def test_corpus_shorter_than_one_frame_leaves_no_directory(self, tmp_path, capsys):
+        # the longest clip sets the pad target, and every clip is cut from it
+        short = tmp_path / "short"
+        short.mkdir()
+        for name in ("9001_S000_ANG_XX.wav", "9001_S001_HAP_XX.wav"):
+            write_wav_file(short / name, np.zeros(200), 16000)
+        cache, out = tmp_path / "cache", tmp_path / "runs"
+        rc = entrypoint([
+            "features", f"--paths.corpus_dir={short}", f"--paths.cache_dir={cache}", f"--paths.output_dir={out}",
+        ])
+        assert rc == 1
+        assert "clip has 200 samples, shorter than one 320-sample frame" in capsys.readouterr().err
+        assert not cache.exists() and not out.exists()
+
     @pytest.mark.parametrize("cut", [(slice(-1), slice(None)), (slice(None), slice(-1))], ids=["frame", "coefficient"])
     def test_cached_file_that_does_not_fit_its_clip_recomputed(self, cut, corpus, tmp_path, capsys):
         # a well-formed file one frame (or one coefficient) short is not served

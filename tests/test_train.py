@@ -552,6 +552,53 @@ class TestTrainLoop:
         assert ckpt.epoch == 2
         assert len(ckpt.loss_history) == 2
 
+    # SHA-256 of save_checkpoint(train(...)) over ten clips in batches of 4, so
+    # the last batch holds 2, with dropout and Adam for 3 epochs: it covers the
+    # params, the Adam moments, the loss history and the rng state.
+    PINNED_TRAIN = {
+        ("bi_attention", 2): "6828568225ca0eef7774e6549dd5b5bc41dcf2a22e7bb9da5c4cb095daf4afc6",
+        ("uni_attention", 1): "87ba81e4ea27d6e2f7b6293745cc4aa9c7f5f704ea0b8da36886e161c7e49965",
+        ("uni_plain", 1): "1bfec725296209391b628c700059179fdf7c86b321d5a3e5e3dc6270d4d09e77",
+    }
+
+    @pytest.mark.parametrize("variant, dec_steps", PINNED_TRAIN)
+    def test_trained_checkpoint_bytes_are_pinned(self, variant, dec_steps):
+        rng = SeededRng(51)
+        train_set = []
+        for k in range(10):
+            pad = np.zeros(12, dtype=bool)
+            pad[12 - k % 4 :] = True
+            train_set.append((FeatureSequence(rng.normal(size=(12, 5)), pad), k % 6))
+        cfg = ModelConfig(
+            variant=Variant(variant), input_dim=5, enc_hidden=3, dec_hidden=3, dropout_rate=0.3, dec_steps=dec_steps
+        )
+        ckpt = train(train_set, cfg, TrainConfig(epochs=3, batch_size=4, seed=52), frame_cfg=FrameConfig())
+        assert hashlib.sha256(save_checkpoint(ckpt)).hexdigest() == self.PINNED_TRAIN[variant, dec_steps]
+
+    def test_warm_epoch_allocates_no_batch_sized_array(self):
+        """Each train call reuses one workspace across its batches, so once
+        the first epoch has sized it, a whole epoch's traced peak stays below
+        one (B, T, enc_width) float64 array. Traced bytes only."""
+        B, T, H = 16, 49, 64
+        cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=13, enc_hidden=H, dec_hidden=H, dropout_rate=0.1)
+        rng = SeededRng(34)
+        train_set = [(FeatureSequence(rng.normal(size=(T, 13)), np.zeros(T, dtype=bool)), k % 6) for k in range(3 * B)]
+        seen = {}
+
+        def hook(epoch, mean_loss, params, stats):
+            if epoch == 0:
+                tracemalloc.reset_peak()
+                seen["base"] = tracemalloc.get_traced_memory()[0]
+            else:
+                seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+
+        tracemalloc.start()
+        try:
+            train(train_set, cfg, TrainConfig(epochs=2, batch_size=B, seed=35), on_epoch=hook)
+        finally:
+            tracemalloc.stop()
+        assert seen["peak"] < B * T * cfg.enc_width * 8
+
     def test_training_error_carries_coordinates(self):
         err = TrainingError("non-finite loss", epoch=3, batch=7)
         assert err.epoch == 3 and err.batch == 7
