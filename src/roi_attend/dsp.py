@@ -186,9 +186,10 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
     """Parse a RIFF/WAVE byte stream. Only PCM 16-bit mono is accepted.
 
     Samples are converted to float64 by dividing the int16 value by 32768.
-    A chunk shorter than its declared size (a cut-off file), a data chunk
-    with an odd byte count (a partial sample) and a second fmt or data chunk
-    raise WavFormatError; bytes are never dropped silently.
+    A chunk shorter than its declared size (a cut-off file), 1-7 bytes after
+    the last chunk (too few for a chunk header), a data chunk with an odd
+    byte count (a partial sample) and a second fmt or data chunk raise
+    WavFormatError; bytes are never dropped silently.
     """
     if len(data) < 12 or data[0:4] != b"RIFF":
         head = data[0:4].decode("ascii", errors="replace") if len(data) >= 4 else repr(data)
@@ -218,6 +219,8 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
                 raise WavFormatError("second data chunk")
             payload = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+    if pos < len(data):
+        raise WavFormatError(f"{len(data) - pos} trailing bytes after the last chunk")
 
     if fmt is None:
         raise WavFormatError("missing fmt chunk")

@@ -28,8 +28,7 @@ The tapes, the encoder outputs (each direction writes its hidden states
 straight into its half), the dropout mask, the gradients and every step's
 scratch are taken by name from a Workspace. One train call keeps one for all
 its batches, and each step writes into it in place, so after the first batch
-a training step allocates no (B, T, .) array. A pass given no workspace runs
-the same code on FRESH, which hands out a new array for every name.
+a training step allocates no (B, T, .) array. A pass given none makes its own.
 """
 
 from __future__ import annotations
@@ -242,23 +241,6 @@ class Workspace:
         return out
 
 
-class _Fresh:
-    """The workspace of a pass given none (evaluation, explain, gradcheck):
-    it keeps nothing, so each take is a new array, freed with its last
-    reference, and the pass runs the same code as one that reuses."""
-
-    @staticmethod
-    def take(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        return np.empty(shape, dtype)
-
-    @staticmethod
-    def zeros(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        return np.zeros(shape)
-
-
-FRESH = _Fresh()
-
-
 def _tape(rows, B, hid, c0, ws, key):
     """The arrays an LSTM's steps write into, taken from ws under key:
     sigmoid gates (rows, 3, B, H) in [i, f, o] order, the tanh gate g
@@ -385,7 +367,7 @@ def _lstm_step_backward(step, dh, dc, W, U, dW, dU, db, scratch, dx=None, first=
     return dx
 
 
-def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True, out=None, ws=FRESH, key="lstm"):
+def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True, out=None, *, ws, key="lstm"):
     """Run a whole sequence. X: (B, T, d). Returns (outputs (B,T,H), (h,c), tape).
 
     The outputs are written into out, any (B, T, H) view, or else into ws
@@ -405,10 +387,9 @@ def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True, out=None, ws=FRESH,
     return outs, (h, cell[T % len(cell)]), tape
 
 
-def _lstm_seq_backward(tape, dH_out, W, U, dW, dU, db, want_dx=True, ws=FRESH, key="lstm"):
-    """BPTT over _lstm_seq's tape, which it empties: without a workspace of
-    the caller's, the tape is freed once this returns. dH_out: (B, T, H)
-    upstream gradient per step, any strides.
+def _lstm_seq_backward(tape, dH_out, W, U, dW, dU, db, want_dx=True, *, ws, key="lstm"):
+    """BPTT over _lstm_seq's tape. dH_out: (B, T, H) upstream gradient per
+    step, any strides.
 
     Returns dX, taken from ws under key, or None when want_dx is False."""
     B, T, _ = dH_out.shape
@@ -417,9 +398,7 @@ def _lstm_seq_backward(tape, dH_out, W, U, dW, dU, db, want_dx=True, ws=FRESH, k
     dh = ws.zeros("back.dh", (B, hid))
     dc = ws.zeros("back.dc", (B, hid))
     scratch = _bptt_scratch(ws, B, d, hid)
-    steps = _steps_back(*tape, ws)
-    tape.clear()
-    for t, step in steps:
+    for t, step in _steps_back(*tape, ws):
         np.add(dH_out[:, t, :], dh, out=dh)
         _lstm_step_backward(step, dh, dc, W, U, dW, dU, db, scratch, dX[:, t, :] if want_dx else None, t == 0)
     return dX
@@ -428,7 +407,7 @@ def _lstm_seq_backward(tape, dH_out, W, U, dW, dU, db, want_dx=True, ws=FRESH, k
 # -- encoder -----------------------------------------------------------------
 
 
-def _encode_batch(X, params, cfg, want_cache=True, ws=FRESH):
+def _encode_batch(X, params, cfg, want_cache=True, *, ws):
     """Encoder outputs p (B, T, enc_width), taken from ws, and one tape per
     direction. Each direction writes its hidden states straight into its
     half of p, in direction order along the feature axis; the second reads
@@ -447,10 +426,9 @@ def _encode_batch(X, params, cfg, want_cache=True, ws=FRESH):
     return p, tapes
 
 
-def _encode_backward(dp, enc_tapes, params, cfg, grads, ws=FRESH):
+def _encode_backward(dp, enc_tapes, params, cfg, grads, *, ws):
     """Accumulate the encoder's weight gradients; the gradient with respect to
-    the input features is never needed, so it is not computed. Without a
-    workspace, each direction's tape is freed once its BPTT is done."""
+    the input features is never needed, so it is not computed."""
     he = cfg.enc_hidden
     for k, (name, tape) in enumerate(zip(_directions(cfg), enc_tapes)):
         step = -1 if k else 1
@@ -532,7 +510,7 @@ def _attention_backward(dcontext, att_cache, params, cfg, grads, out=None):
 # -- full forward ---------------------------------------------------------------
 
 
-def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=FRESH):
+def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=None):
     """Posterior for a batch. X: (B, T, input_dim), pad: (B, T) bool or None.
 
     dropout_mask, when given, is a (B, T, enc_width) array already scaled by
@@ -544,6 +522,7 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=
     B, _, d = X.shape
     if d != cfg.input_dim:
         raise ShapeError(f"input feature dim {d} != configured input_dim {cfg.input_dim}")
+    ws = Workspace() if ws is None else ws
     p, enc_tapes = _encode_batch(X, params, cfg, want_cache=want_cache, ws=ws)
     if dropout_mask is not None:
         p *= dropout_mask
@@ -590,7 +569,7 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=
     return probs, trace, cache
 
 
-def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng, ws=FRESH) -> np.ndarray | None:
+def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng, ws=None) -> np.ndarray | None:
     """Inverted-dropout mask over encoder outputs, or None when rate is 0.
     The uniform draws go into the mask array itself, taken from ws, and are
     compared into a bool array of ws; the keep flags are divided back into
@@ -598,6 +577,7 @@ def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng, 
     if cfg.dropout_rate == 0.0:
         return None
     full = (*shape, cfg.enc_width)
+    ws = Workspace() if ws is None else ws
     mask = rng.random(out=ws.take("mask", full))
     keep = np.greater_equal(mask, cfg.dropout_rate, out=ws.take("keep", full, bool))
     return np.divide(keep, 1.0 - cfg.dropout_rate, out=mask)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .dsp import FeatureSequence, FrameConfig, _Cursor
 from .model import (
-    FRESH,
     ModelConfig,
     ModelParams,
     Variant,
@@ -131,12 +130,13 @@ def cross_entropy(probs, labels):
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
-def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mask=None, ws=FRESH):
+def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mask=None, ws=None):
     """Forward + full backward on one batch. Returns (loss, grads dict).
 
     Every large array, the gradients included, is one of ws's, so the next
     call on the same workspace overwrites them."""
     B = X.shape[0]
+    ws = Workspace() if ws is None else ws
     probs, _, cache = _forward_batch(X, pad, params, cfg, dropout_mask=dropout_mask, want_cache=True, ws=ws)
     loss = cross_entropy(probs, y)
 
@@ -177,20 +177,21 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
         dH_out[:, -1, :] = dh_final
         dp = _lstm_seq_backward(cache["dec_tape"], dH_out, W, U, *dec_grads, ws=ws, key="dec")
 
-    enc_tapes = cache["enc_tapes"]
-    del cache  # without a workspace, p, the attention caches and the decoder's tape go here
     if dropout_mask is not None:
         dp *= dropout_mask
-    _encode_backward(dp, enc_tapes, params, cfg, grads, ws=ws)
+    _encode_backward(dp, cache["enc_tapes"], params, cfg, grads, ws=ws)
     return loss, grads
 
 
-def _global_norm(grads) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+def _global_norm(grads, ws=None) -> float:
+    """Each gradient is squared into one array of ws, which np.sum adds up."""
+    ws = Workspace() if ws is None else ws
+    squares = (np.multiply(g, g, out=ws.take("square", g.shape)) for g in grads.values())
+    return float(np.sqrt(sum(float(np.sum(sq)) for sq in squares)))
 
 
-def _clip_grads(grads, clip) -> float:
-    norm = _global_norm(grads)
+def _clip_grads(grads, clip, ws=None) -> float:
+    norm = _global_norm(grads, ws)
     if clip is not None and norm > clip:
         scale = clip / norm
         for g in grads.values():
@@ -633,7 +634,7 @@ def train(train_set, model_cfg: ModelConfig, train_cfg: TrainConfig, frame_cfg=N
             loss, grads = loss_and_grads(xb, pad[idx], y[idx], params, model_cfg, dropout_mask=mask, ws=ws)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss}", epoch=epoch, batch=batch_no)
-            norm = _clip_grads(grads, train_cfg.grad_clip)
+            norm = _clip_grads(grads, train_cfg.grad_clip, ws)
             if not np.isfinite(norm):
                 raise TrainingError(f"non-finite gradient norm {norm}", epoch=epoch, batch=batch_no)
             opt.step(params, grads)

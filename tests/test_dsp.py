@@ -102,8 +102,18 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match="truncated b'LIST' chunk"):
             read_wav(data)
 
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_trailing_bytes_after_last_chunk_rejected(self, n):
+        # too few for a chunk header, so the chunk loop never reads them
+        with pytest.raises(WavFormatError, match=f"{n} trailing bytes after the last chunk"):
+            read_wav(wav_bytes([0, 1, 2, 3]) + b"xyzabcd"[:n])
+
     def test_complete_trailing_chunk_ignored(self):
         data = wav_bytes([0, 16384]) + b"LIST" + struct.pack("<I", 3) + b"abc\x00"
+        np.testing.assert_array_equal(read_wav(data).samples, [0.0, 0.5])
+
+    def test_odd_last_chunk_without_pad_byte_accepted(self):
+        data = wav_bytes([0, 16384]) + b"LIST" + struct.pack("<I", 3) + b"abc"
         np.testing.assert_array_equal(read_wav(data).samples, [0.0, 0.5])
 
     @pytest.mark.parametrize("second", [

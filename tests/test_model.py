@@ -11,6 +11,7 @@ from roi_attend.model import (
     ModelParams,
     NumericError,
     Variant,
+    Workspace,
     init_params,
     make_dropout_mask,
     param_shapes,
@@ -155,7 +156,7 @@ class TestLstmSeq:
         rng = SeededRng(2)
         seq = rng.normal(size=(3, 5))
         W, U, b = np.zeros((5, 16)), np.zeros((4, 16)), np.zeros(16)
-        outs, (h, c), _ = _lstm_seq(seq[None], W, U, b, want_cache=False)
+        outs, (h, c), _ = _lstm_seq(seq[None], W, U, b, want_cache=False, ws=Workspace())
         assert not outs.any() and not h.any() and not c.any()
 
     def test_scalar_hand_oracle(self):
@@ -163,7 +164,7 @@ class TestLstmSeq:
         W = np.array([[0.0, 0.0, 1.0, 0.0]])
         U = np.zeros((1, 4))
         b = np.zeros(4)
-        outs, (h, c), _ = _lstm_seq(np.array([[[0.5]]]), W, U, b, want_cache=False)
+        outs, (h, c), _ = _lstm_seq(np.array([[[0.5]]]), W, U, b, want_cache=False, ws=Workspace())
         c_want = 0.5 * math.tanh(0.5)  # 0.231059...
         h_want = 0.5 * math.tanh(c_want)  # 0.113516...
         assert c[0, 0] == pytest.approx(c_want, abs=1e-12)
@@ -180,7 +181,7 @@ class TestLstmSeq:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             outs, (h, c), _ = _lstm_seq(
-                np.zeros((1, 3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), b, want_cache=False
+                np.zeros((1, 3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), b, want_cache=False, ws=Workspace()
             )
             cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=2, enc_hidden=2, dec_hidden=2)
             params = zero_params(cfg)
@@ -193,11 +194,11 @@ class TestLstmSeq:
         rng = SeededRng(4)
         W, U, b = rng.normal(size=(3, 8)), rng.normal(size=(2, 8)), rng.normal(size=8)
         seq = rng.normal(size=(4, 3))
-        full, (h, c), _ = _lstm_seq(seq[None], W, U, b, want_cache=False)
+        full, (h, c), _ = _lstm_seq(seq[None], W, U, b, want_cache=False, ws=Workspace())
         h_step = c_step = np.zeros((1, 2))
         for t in range(4):
             out_t, (h_step, c_step), _ = _lstm_seq(
-                seq[None, t : t + 1], W, U, b, h0=h_step, c0=c_step, want_cache=False
+                seq[None, t : t + 1], W, U, b, h0=h_step, c0=c_step, want_cache=False, ws=Workspace()
             )
             np.testing.assert_allclose(out_t[0, 0], full[0, t], atol=1e-12)
         np.testing.assert_allclose(h_step, h, atol=1e-12)
@@ -225,13 +226,13 @@ class TestLstmTapeMatchesStepCaches:
     def _check(self, X, W, U, b, h0, c0, dH, want_dx):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outs, (h, c), tape = _lstm_seq(X, W, U, b, h0=h0, c0=c0)
+            outs, (h, c), tape = _lstm_seq(X, W, U, b, h0=h0, c0=c0, ws=Workspace())
             ref_outs, (ref_h, ref_c), caches = _oracles.lstm_seq(X, W, U, b, h0=h0, c0=c0)
             grads = [np.zeros_like(a) for a in (W, U, b)]
             ref_grads = [np.zeros_like(a) for a in (W, U, b)]
-            dX = _lstm_seq_backward(tape, dH, W, U, *grads, want_dx=want_dx)
+            dX = _lstm_seq_backward(tape, dH, W, U, *grads, want_dx=want_dx, ws=Workspace())
             ref_dX = _oracles.lstm_seq_backward(caches, dH, W, U, *ref_grads, want_dx=want_dx)
-            free_outs, (free_h, free_c), no_tape = _lstm_seq(X, W, U, b, h0=h0, c0=c0, want_cache=False)
+            free_outs, (free_h, free_c), no_tape = _lstm_seq(X, W, U, b, h0=h0, c0=c0, want_cache=False, ws=Workspace())
         for got, want in [(outs, ref_outs), (h, ref_h), (c, ref_c), *zip(grads, ref_grads),
                           (free_outs, ref_outs), (free_h, ref_h), (free_c, ref_c)]:
             np.testing.assert_array_equal(got, want)
@@ -239,7 +240,7 @@ class TestLstmTapeMatchesStepCaches:
             np.testing.assert_array_equal(dX, ref_dX)
         else:
             assert dX is None and ref_dX is None
-        assert tape == [] and no_tape is None
+        assert no_tape is None
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
     @pytest.mark.parametrize("want_dx", [True, False], ids=["dx", "no-dx"])
@@ -264,7 +265,7 @@ class TestEncodeBatch:
 
     @staticmethod
     def _encode(features, params, cfg):
-        p, _ = _encode_batch(features.frames[None], params, cfg, want_cache=False)
+        p, _ = _encode_batch(features.frames[None], params, cfg, want_cache=False, ws=Workspace())
         return p[0]
 
     def test_bi_width_doubles(self):

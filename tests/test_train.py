@@ -15,6 +15,7 @@ from roi_attend.model import (
     ModelConfig,
     ModelParams,
     Variant,
+    Workspace,
     init_params,
     param_shapes,
 )
@@ -272,6 +273,25 @@ class TestGradients:
         for part in trace:
             digest.update(part.tobytes())
         assert digest.hexdigest() == self.PINNED_ATTENTION[variant, case]
+
+    def test_pass_without_workspace_shares_no_memory_with_the_next(self):
+        """A call given no workspace makes its own: no module-level default
+        that the next call would overwrite."""
+        cfg = tiny_cfg(Variant.BI_ATTENTION, dec_steps=2, dropout_rate=0.3)
+        rng = SeededRng(36)
+        X = rng.normal(size=(3, 8, 5))
+        pad = np.zeros((3, 8), dtype=bool)
+        y = np.array([1, 2, 4])
+        params = init_params(cfg, rng)
+        mask = model.make_dropout_mask(cfg, (3, 8), SeededRng(37))
+        loss, grads = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
+        _, grads_next = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
+        for g in grads.values():
+            assert not any(np.shares_memory(g, other) for other in grads_next.values())
+        loss_ws, grads_ws = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask, ws=Workspace())
+        assert loss == loss_ws
+        for name in params.names():
+            np.testing.assert_array_equal(grads[name], grads_ws[name])
 
     def test_bi_attention_batch_peak_memory_is_bounded(self):
         """One training batch holds the encoder's LSTM tapes (per step and
@@ -575,10 +595,10 @@ class TestTrainLoop:
         ckpt = train(train_set, cfg, TrainConfig(epochs=3, batch_size=4, seed=52), frame_cfg=FrameConfig())
         assert hashlib.sha256(save_checkpoint(ckpt)).hexdigest() == self.PINNED_TRAIN[variant, dec_steps]
 
-    def test_warm_epoch_allocates_no_batch_sized_array(self):
-        """Each train call reuses one workspace across its batches, so once
-        the first epoch has sized it, a whole epoch's traced peak stays below
-        one (B, T, enc_width) float64 array. Traced bytes only."""
+    @pytest.fixture(scope="class")
+    def warm_epoch(self):
+        """The traced peak of a train call's second epoch, beside the bytes
+        of one (B, T, enc_width) array and of the largest parameter."""
         B, T, H = 16, 49, 64
         cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=13, enc_hidden=H, dec_hidden=H, dropout_rate=0.1)
         rng = SeededRng(34)
@@ -597,7 +617,20 @@ class TestTrainLoop:
             train(train_set, cfg, TrainConfig(epochs=2, batch_size=B, seed=35), on_epoch=hook)
         finally:
             tracemalloc.stop()
-        assert seen["peak"] < B * T * cfg.enc_width * 8
+        largest = max(math.prod(shape) for shape in param_shapes(cfg).values())
+        return types.SimpleNamespace(peak=seen["peak"], batch_bytes=B * T * cfg.enc_width * 8, param_bytes=largest * 8)
+
+    def test_warm_epoch_allocates_no_batch_sized_array(self, warm_epoch):
+        """Each train call reuses one workspace across its batches, so once
+        the first epoch has sized it, a whole epoch's traced peak stays below
+        one (B, T, enc_width) float64 array. Traced bytes only."""
+        assert warm_epoch.peak < warm_epoch.batch_bytes
+
+    def test_warm_epoch_squares_no_gradient_into_a_new_array(self, warm_epoch):
+        """Gradient clipping squares each gradient into the workspace too, so
+        a warm epoch's traced peak stays below the largest parameter's bytes
+        (dec.W's 262,144)."""
+        assert warm_epoch.peak < warm_epoch.param_bytes
 
     def test_training_error_carries_coordinates(self):
         err = TrainingError("non-finite loss", epoch=3, batch=7)
