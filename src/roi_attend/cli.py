@@ -221,13 +221,20 @@ def _run_dir(command: str, cfg: dict) -> Path:
 
 
 def _write_atomic(path: Path, data) -> None:
+    """Publish data (bytes or text) at path by renaming a new file over it.
+    Each call writes a temp file of its own name beside path, so two runs
+    sharing a directory never write through one file; the temp is removed if
+    the write or the rename fails."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb" if isinstance(data, bytes) else "x")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # -- config -> dataclasses -----------------------------------------------------
@@ -331,7 +338,8 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
         clip = read_wav_file(entry.path, hasher=hasher)
         if hasher.digest() != digest:
             raise CorpusChangedError(f"{entry.path} changed while its features were being computed")
-        seq = extract_features(pad_to_length([clip], target=target)[0], frame_cfg)
+        padded = pad_to_length([clip], target=target)[0]
+        seq = extract_features(padded, frame_cfg, power=power_spectrogram(padded, frame_cfg))
         if cpath is not None:
             _write_atomic(cpath, save_feature_cache(seq))
         if keep:

@@ -215,6 +215,12 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
 # -- LSTM primitives (batched) ---------------------------------------------
 
 
+# The workspace name of one parameter-sized scratch array, shared by three
+# uses whose lifetimes never overlap: a BPTT step's weight-gradient product,
+# gradient clipping's squares and Adam's row.
+PARAM_SCRATCH = "param_scratch"
+
+
 class Workspace:
     """Named arrays that passes reuse instead of allocating. `train` keeps one
     for the whole call, so after its first batch a training step allocates no
@@ -316,13 +322,13 @@ def _steps_back(X, h0, sig, tg, cell, ws):
 def _bptt_scratch(ws, B, d, hid):
     """A backward step's scratch: dv (B, 4H) with its (B, 4, H) view of the
     [i, f, g, o] column blocks, two (3, B, H) gate blocks, one (B, H) row,
-    and the dW, dU and db products. Every LSTM shares it, since no two run
-    their BPTT interleaved."""
+    and the dW, dU and db products, dW in PARAM_SCRATCH. Every LSTM shares
+    it, since no two run their BPTT interleaved."""
     take = ws.take
     dv = take("back.dv", (B, 4 * hid))
     return (
         dv, dv.reshape(B, 4, hid), take("back.gates", (3, B, hid)), take("back.gates_1m", (3, B, hid)),
-        take("back.row", (B, hid)), take("back.dW", (d, 4 * hid)), take("back.dU", (hid, 4 * hid)),
+        take("back.row", (B, hid)), take(PARAM_SCRATCH, (d, 4 * hid)), take("back.dU", (hid, 4 * hid)),
         take("back.db", (4 * hid,)),
     )
 
@@ -571,13 +577,14 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=
 
 def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng, ws=None) -> np.ndarray | None:
     """Inverted-dropout mask over encoder outputs, or None when rate is 0.
-    The uniform draws go into the mask array itself, taken from ws, and are
-    compared into a bool array of ws; the keep flags are divided back into
-    the mask."""
+    The uniform draws go into the mask array itself, taken from ws; each is
+    replaced in place by its keep flag (1.0 or 0.0), then divided by the
+    keep rate."""
     if cfg.dropout_rate == 0.0:
         return None
     full = (*shape, cfg.enc_width)
     ws = Workspace() if ws is None else ws
     mask = rng.random(out=ws.take("mask", full))
-    keep = np.greater_equal(mask, cfg.dropout_rate, out=ws.take("keep", full, bool))
-    return np.divide(keep, 1.0 - cfg.dropout_rate, out=mask)
+    np.greater_equal(mask, cfg.dropout_rate, out=mask)
+    mask /= 1.0 - cfg.dropout_rate
+    return mask

@@ -22,6 +22,7 @@ import numpy as np
 
 from .dsp import FeatureSequence, FrameConfig, _Cursor
 from .model import (
+    PARAM_SCRATCH,
     ModelConfig,
     ModelParams,
     Variant,
@@ -134,7 +135,8 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
     """Forward + full backward on one batch. Returns (loss, grads dict).
 
     Every large array, the gradients included, is one of ws's, so the next
-    call on the same workspace overwrites them."""
+    call on the same workspace overwrites them. An attention variant's
+    encoder outputs p are spent: their buffer ends up holding dp."""
     B = X.shape[0]
     ws = Workspace() if ws is None else ws
     probs, _, cache = _forward_batch(X, pad, params, cfg, dropout_mask=dropout_mask, want_cache=True, ws=ws)
@@ -155,20 +157,23 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
     W, U, _ = _lstm_arrays(params, "dec")
     dec_grads = _lstm_arrays(grads, "dec")
     if cfg.variant.has_attention:
-        # one dp array: the last decoder step's gradient written into it,
-        # each earlier step's added in place
-        dp = ws.take("dp", cache["p"].shape)
+        # The last decoder step's dp starts the sum and each earlier step's is
+        # added to it. Decoder step 0, reversed last, is the last to read p, so
+        # its sum goes into p's buffer: at one decoder step dp takes no array.
+        p = cache["p"]
         dh = dh_final
         dc = np.zeros_like(dh)
         scratch = _bptt_scratch(ws, B, cfg.enc_width, cfg.dec_hidden)
         dcontext = ws.take("dcontext", (B, cfg.enc_width))
         for step, operands in _steps_back(*cache["dec_tape"], ws):
             _lstm_step_backward(operands, dh, dc, W, U, *dec_grads, scratch, dcontext, step == 0)
-            last = step == cfg.dec_steps - 1
-            out = dp if last else ws.take("dp_step", dp.shape)
+            if step == cfg.dec_steps - 1:
+                out = dp = p if step == 0 else ws.take("dp", p.shape)
+            else:
+                out = ws.take("dp_step", p.shape)
             do_prev, _ = _attention_backward(dcontext, cache["att_caches"][step], params, cfg, grads, out=out)
-            if not last:
-                dp += out
+            if out is not dp:
+                dp = np.add(dp, out, out=p if step == 0 else dp)
             if step > 0:
                 # h<step-1> feeds both the next cell update and the attention query
                 dh += do_prev
@@ -184,9 +189,10 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
 
 
 def _global_norm(grads, ws=None) -> float:
-    """Each gradient is squared into one array of ws, which np.sum adds up."""
+    """Each gradient is squared into ws's parameter-sized scratch, which
+    np.sum adds up."""
     ws = Workspace() if ws is None else ws
-    squares = (np.multiply(g, g, out=ws.take("square", g.shape)) for g in grads.values())
+    squares = (np.multiply(g, g, out=ws.take(PARAM_SCRATCH, g.shape)) for g in grads.values())
     return float(np.sqrt(sum(float(np.sum(sq)) for sq in squares)))
 
 
@@ -215,7 +221,7 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, cfg: TrainConfig, params: ModelParams):
+    def __init__(self, cfg: TrainConfig, params: ModelParams, ws=None):
         self.lr = cfg.lr
         self.b1 = cfg.beta1
         self.b2 = cfg.beta2
@@ -223,8 +229,7 @@ class _Adam:
         self.t = 0
         self.m = params.zeros_like()
         self.v = params.zeros_like()
-        # one array as large as the largest parameter, for every parameter's step
-        self._row = np.empty(max(a.size for a in params.arrays.values()))
+        self._ws = Workspace() if ws is None else ws  # each step's row is its PARAM_SCRATCH
 
     def step(self, params: ModelParams, grads):
         """One update, in place: arr -= lr * (m / c1) / (sqrt(v / c2) + eps),
@@ -236,7 +241,7 @@ class _Adam:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            row = self._row[: g.size].reshape(g.shape)
+            row = self._ws.take(PARAM_SCRATCH, g.shape)
             m *= self.b1
             m += np.multiply(1.0 - self.b1, g, out=row)
             v *= self.b2
@@ -252,9 +257,9 @@ class _Adam:
             arr -= g
 
 
-def _make_optimizer(cfg: TrainConfig, params: ModelParams):
+def _make_optimizer(cfg: TrainConfig, params: ModelParams, ws=None):
     if cfg.optimizer == "adam":
-        return _Adam(cfg, params)
+        return _Adam(cfg, params, ws)
     return _Sgd(cfg)
 
 
@@ -617,8 +622,8 @@ def train(train_set, model_cfg: ModelConfig, train_cfg: TrainConfig, frame_cfg=N
     params = init_params(model_cfg, rng)
     stats = fit_standardizer(X) if train_cfg.standardize else None
     X = apply_standardizer(X, stats)
-    opt = _make_optimizer(train_cfg, params)
     ws = Workspace()  # every batch's large arrays, reused for the whole call
+    opt = _make_optimizer(train_cfg, params, ws)
 
     n = X.shape[0]
     loss_history: list[float] = []

@@ -1158,3 +1158,31 @@ class TestInterrupt:
             raise KeyboardInterrupt
         monkeypatch.setitem(cli._HANDLERS, "synth", boom)
         assert entrypoint(["synth"]) == 130
+
+
+class TestWriteAtomic:
+    def test_a_second_writer_cannot_reach_the_published_file(self, tmp_path):
+        """Two runs sharing a cache directory: a writer still holding open the
+        fixed temp path `<name>.tmp` must not write into the file another
+        call publishes."""
+        path = tmp_path / "clip.roif"
+        data = bytes(range(64))
+        with open(path.with_name(path.name + ".tmp"), "wb") as other:
+            cli._write_atomic(path, data)
+            other.write(b"\xff" * 16)
+            other.flush()
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("fails", ["write", "rename"])
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, fails):
+        path = tmp_path / "summary.txt"
+        data = "text"
+        if fails == "write":
+            data = 5  # neither bytes nor text: the write raises TypeError
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+            monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises((TypeError, OSError)):
+            cli._write_atomic(path, data)
+        assert list(tmp_path.iterdir()) == []
