@@ -148,7 +148,9 @@ class AggregateReport:
 
 def predict_batch(ckpt: Checkpoint, feature_seqs, batch_size: int = 256) -> np.ndarray:
     """Posterior rows for a list of FeatureSequence, applying the checkpoint's
-    stored feature standardization. Sequences must share one padded length."""
+    stored feature standardization. Sequences must share one padded length.
+    Each batch of batch_size sequences is stacked and standardized on its own,
+    so no array of the whole list's frames is made."""
     if not feature_seqs:
         return np.zeros((0, N_CLASSES))
     d = feature_seqs[0].n_mfcc
@@ -159,15 +161,13 @@ def predict_batch(ckpt: Checkpoint, feature_seqs, batch_size: int = 256) -> np.n
     shapes = {f.frames.shape for f in feature_seqs}
     if len(shapes) != 1:
         raise ConfigMismatchError(f"feature sequences disagree in shape: {sorted(shapes)}")
-    X = np.stack([f.frames for f in feature_seqs])
-    pad = np.stack([f.pad_mask for f in feature_seqs])
-    X = apply_standardizer(X, ckpt.feature_stats)
     rows = []
-    for start in range(0, X.shape[0], batch_size):
-        probs, _, _ = _forward_batch(
-            X[start : start + batch_size], pad[start : start + batch_size],
-            ckpt.params, ckpt.model_cfg,
-        )
+    for start in range(0, len(feature_seqs), batch_size):
+        batch = feature_seqs[start : start + batch_size]
+        X = np.stack([f.frames for f in batch])
+        pad = np.stack([f.pad_mask for f in batch])
+        apply_standardizer(X, ckpt.feature_stats, out=X)
+        probs, _, _ = _forward_batch(X, pad, ckpt.params, ckpt.model_cfg)
         rows.append(probs)
     return np.concatenate(rows, axis=0)
 

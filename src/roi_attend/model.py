@@ -519,8 +519,9 @@ def _attention_backward(dcontext, att_cache, params, cfg, grads, out=None):
 def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=None):
     """Posterior for a batch. X: (B, T, input_dim), pad: (B, T) bool or None.
 
-    dropout_mask, when given, is a (B, T, enc_width) array already scaled by
-    1/(1-rate) (inverted dropout); None means evaluation (identity).
+    dropout_mask, when given, is make_dropout_mask's (B, T, enc_width) bool
+    keep mask: the encoder outputs are multiplied by it and then by
+    1/(1-rate) in place (inverted dropout); None means evaluation (identity).
     Returns (probs (B, n_classes), trace, cache) where trace is
     (e, a, context) stacked over decoder steps for attention variants. The
     encoder outputs, the tapes and the decoder's states are ws's arrays.
@@ -531,7 +532,7 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=
     ws = Workspace() if ws is None else ws
     p, enc_tapes = _encode_batch(X, params, cfg, want_cache=want_cache, ws=ws)
     if dropout_mask is not None:
-        p *= dropout_mask
+        _apply_dropout(p, dropout_mask, cfg)
 
     att_caches = []
     trace = None
@@ -576,15 +577,25 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=
 
 
 def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng, ws=None) -> np.ndarray | None:
-    """Inverted-dropout mask over encoder outputs, or None when rate is 0.
-    The uniform draws go into the mask array itself, taken from ws; each is
-    replaced in place by its keep flag (1.0 or 0.0), then divided by the
-    keep rate."""
+    """Inverted-dropout keep mask over encoder outputs, (B, T, enc_width) bool
+    taken from ws, or None when rate is 0. Each clip's uniform draws go into
+    one (T, enc_width) float row of ws, clip after clip, so the rng stream is
+    consumed as by one draw over the whole mask; a draw at or above the rate
+    keeps its element. _apply_dropout applies the 1/(1-rate) scale."""
     if cfg.dropout_rate == 0.0:
         return None
-    full = (*shape, cfg.enc_width)
+    B, T = shape
     ws = Workspace() if ws is None else ws
-    mask = rng.random(out=ws.take("mask", full))
-    np.greater_equal(mask, cfg.dropout_rate, out=mask)
-    mask /= 1.0 - cfg.dropout_rate
-    return mask
+    keep = ws.take("mask", (B, T, cfg.enc_width), dtype=bool)
+    row = ws.take("mask.row", (T, cfg.enc_width))
+    for clip in keep:
+        np.greater_equal(rng.random(out=row), cfg.dropout_rate, out=clip)
+    return keep
+
+
+def _apply_dropout(a, keep, cfg: ModelConfig) -> None:
+    """a *= keep, then a *= 1/(1-rate), in place: bit for bit a times the
+    float mask keep/(1-rate), since a*1.0*s == a*s and a*0.0*s keeps the
+    zero's sign."""
+    a *= keep
+    a *= 1.0 / (1.0 - cfg.dropout_rate)

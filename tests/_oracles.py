@@ -22,6 +22,11 @@ The LSTM reference is the per-step code the model ran before it wrote its
 steps onto one preallocated tape: each step returns a tuple of its gates,
 [i, f] as halves of one sigmoid block, and BPTT pops those tuples. The
 model's tape must give the same outputs and gradients bit for bit.
+
+The dropout reference is the float mask the model drew before it kept a bool
+keep mask: one uniform draw over the whole (B, T, width) array, each draw
+turned into its keep flag and divided by the keep rate. Training under the
+bool mask must give the same outputs and gradients bit for bit.
 """
 
 import math
@@ -330,3 +335,13 @@ def lstm_seq_backward(caches, dH_out, W, U, dW, dU, db, want_dx=True):
             dX[:, t, :] = dx
         tc = tc_prev
     return dX
+
+
+def dropout_float_mask(rate: float, shape, rng) -> np.ndarray:
+    """Inverted-dropout mask of the given (B, T, width) shape: 1/(1-rate)
+    where a uniform draw is at or above rate, else 0.0. Multiplying the
+    encoder outputs, and their gradient, by it is the reference dropout."""
+    mask = rng.random(out=np.empty(shape))
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    return mask

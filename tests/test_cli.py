@@ -1140,15 +1140,16 @@ class TestConfigurationErrorsStopBeforeWork:
         assert (only_dir(tmp_path, "eval-loso") / "MANIFEST").read_text() == "9001\n9002\n"
 
     def test_gradcheck_last_case_seed_past_the_rng_range(self, monkeypatch, capsys):
-        # six cases run with seeds base .. base + 5; no case may start when the last cannot
+        # n cases run with seeds base .. base + n - 1; no case may start when the last cannot
         def reached(*args, **kwargs):
             raise RuntimeError("grad_check reached")
 
+        n = len(training.GRAD_CHECK_CASES)
         monkeypatch.setattr(training, "grad_check", reached)
         assert entrypoint(["gradcheck", f"--train.seed={2**64 - 1}"]) == 2
         assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
-        # the last case of 2**64 - 6 runs with 2**64 - 1, a valid seed
-        assert entrypoint(["gradcheck", f"--train.seed={2**64 - 6}"]) == 1
+        # the last case of 2**64 - n runs with 2**64 - 1, a valid seed
+        assert entrypoint(["gradcheck", f"--train.seed={2**64 - n}"]) == 1
         assert "error: grad_check reached" in capsys.readouterr().err
 
 

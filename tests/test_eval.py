@@ -20,7 +20,7 @@ from roi_attend.evaluation import (
     predict_batch,
     summary_text,
 )
-from roi_attend.model import ModelConfig, ModelParams, Variant, param_shapes
+from roi_attend.model import ModelConfig, ModelParams, Variant, _forward_batch, init_params, param_shapes
 from roi_attend.numerics import SeededRng
 from roi_attend.training import Checkpoint, TrainConfig
 
@@ -130,6 +130,24 @@ class TestPredictAndFold:
             predict_batch(ckpt, seqs, batch_size=2),
             predict_batch(ckpt, seqs, batch_size=256),
         )
+
+    def test_batches_standardized_alone_match_the_whole_list_standardized(self):
+        """Each batch is stacked and standardized on its own; the rows are bit
+        for bit those of standardizing the whole list at once, and the
+        caller's features are left as they were."""
+        cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=3, enc_hidden=4, dec_hidden=4)
+        rng = SeededRng(7)
+        params = init_params(cfg, rng)
+        stats = {"mean": rng.normal(size=3), "std": rng.uniform(0.5, 2.0, size=3)}
+        ckpt = Checkpoint(model_cfg=cfg, params=params, train_cfg=TrainConfig(), feature_stats=stats)
+        seqs = [seq(rng.normal(size=(6, 3))) for _ in range(5)]
+        before = [s.frames.copy() for s in seqs]
+        X = (np.stack(before) - stats["mean"]) / stats["std"]
+        pad = np.zeros((5, 6), dtype=bool)
+        ref = np.concatenate([_forward_batch(X[k : k + 2], pad[k : k + 2], params, cfg)[0] for k in (0, 2, 4)])
+        np.testing.assert_array_equal(predict_batch(ckpt, seqs, batch_size=2), ref)
+        for s, frames in zip(seqs, before):
+            np.testing.assert_array_equal(s.frames, frames)
 
     def test_posterior_rows_are_distributions(self):
         ckpt = zero_checkpoint(Variant.BI_ATTENTION, input_dim=3)

@@ -17,6 +17,7 @@ from roi_attend.model import (
     param_shapes,
 )
 from roi_attend.model import (
+    _apply_dropout,
     _attention_backward,
     _attention_forward,
     _encode_batch,
@@ -423,8 +424,9 @@ class TestSplitScorer:
 class TestAttentionQueryGradient:
     """do_prev, the gradient _attention_backward returns for the decoder's
     previous output, against central differences of sum(G * context) over
-    o_prev. gradient_check_suite does not see it: at the suite's init scale
-    its share of the dec.* gradients is below the gate's tolerance."""
+    o_prev. At the init scale its share of the dec.* gradients is below the
+    gradient gate's tolerance, so gradient_check_suite sees it only in its
+    last case, whose attention weights are scaled by 4."""
 
     @staticmethod
     def _case(attn_hidden, seed):
@@ -593,11 +595,27 @@ class TestDropoutMask:
         assert make_dropout_mask(cfg, (2, 5), SeededRng(0)) is None
 
     def test_inverted_scaling_values(self):
+        """The mask is one byte per element, a keep flag; applied, it scales
+        kept elements by 1/(1-rate) and zeroes the rest."""
         cfg = ModelConfig(variant=Variant.UNI_PLAIN, enc_hidden=8, dropout_rate=0.25)
-        mask = make_dropout_mask(cfg, (4, 10), SeededRng(1))
-        assert mask.shape == (4, 10, 8)
-        vals = set(np.unique(mask).tolist())
-        assert vals <= {0.0, 1.0 / 0.75}
+        keep = make_dropout_mask(cfg, (4, 10), SeededRng(1))
+        assert keep.shape == (4, 10, 8)
+        assert keep.dtype == np.bool_ and keep.nbytes == keep.size
+        ones = np.ones(keep.shape)
+        _apply_dropout(ones, keep, cfg)
+        assert set(np.unique(ones).tolist()) == {0.0, 1.0 / 0.75}
+        np.testing.assert_array_equal(ones == 0.0, ~keep)
+
+    @pytest.mark.parametrize("B, T", [(4, 10), (3, 1), (1, 7)])
+    def test_keep_flags_and_rng_stream_are_the_float_masks(self, B, T):
+        """Drawn clip by clip, the keep flags are the float mask's nonzeros
+        and the rng ends where one draw over the whole mask leaves it."""
+        cfg = ModelConfig(variant=Variant.BI_PLAIN, enc_hidden=5, dropout_rate=0.3)
+        rng, ref_rng = SeededRng(3), SeededRng(3)
+        keep = make_dropout_mask(cfg, (B, T), rng)
+        ref = _oracles.dropout_float_mask(0.3, (B, T, cfg.enc_width), ref_rng)
+        np.testing.assert_array_equal(keep, ref != 0.0)
+        assert rng.get_state() == ref_rng.get_state()
 
     def test_keep_fraction_near_rate(self):
         cfg = ModelConfig(variant=Variant.UNI_PLAIN, enc_hidden=64, dropout_rate=0.5)

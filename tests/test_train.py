@@ -5,10 +5,11 @@ import struct
 import tracemalloc
 import types
 
+import _oracles
 import numpy as np
 import pytest
 
-from roi_attend import model
+from roi_attend import model, training
 from roi_attend.dataset import SyntheticSpec, generate_synthetic
 from roi_attend.dsp import FeatureSequence, FrameConfig, extract_features, pad_to_length
 from roi_attend.model import (
@@ -201,6 +202,42 @@ class TestGradients:
         report = grad_check(f, params.to_vector(), analytic, h=1e-5)
         assert max(block_relative_errors(cfg, report).values()) < 1e-4
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_bool_keep_mask_trains_bitwise_as_the_float_mask(self, variant, monkeypatch):
+        """The loss, every gradient, the posterior, the trace and the dropped
+        encoder outputs (signed zeros included) under make_dropout_mask's
+        bool keep mask are bit for bit those under the reference float mask."""
+        cfg = tiny_cfg(variant, input_dim=13, enc_hidden=8, dec_hidden=6,
+                       dec_steps=2 if variant.has_attention else 1, dropout_rate=0.3)
+        rng = SeededRng(38)
+        X = rng.normal(size=(3, 10, 13))
+        pad = np.zeros((3, 10), dtype=bool)
+        pad[1, 6:] = True
+        y = np.array([1, 4, 5])
+        params = init_params(cfg, rng)
+        keep = model.make_dropout_mask(cfg, (3, 10), SeededRng(39))
+        assert keep.dtype == np.bool_
+        float_mask = _oracles.dropout_float_mask(cfg.dropout_rate, keep.shape, SeededRng(39))
+
+        def run():
+            loss, grads = loss_and_grads(X, pad, y, params, cfg, dropout_mask=keep)
+            probs, trace, cache = model._forward_batch(X, pad, params, cfg, dropout_mask=keep, want_cache=True)
+            parts = [struct.pack("<d", loss), probs.tobytes(), cache["p"].tobytes()]
+            parts += [grads[name].tobytes() for name in params.names()]
+            return parts + [part.tobytes() for part in trace or ()]
+
+        got = run()
+        # some dropped outputs are negative, so the comparison covers -0.0
+        p, _ = model._encode_batch(X, params, cfg, want_cache=False, ws=Workspace())
+        assert np.signbit(p[~keep]).any()
+
+        def float_dropout(a, mask, cfg):
+            a *= float_mask
+
+        monkeypatch.setattr(model, "_apply_dropout", float_dropout)
+        monkeypatch.setattr(training, "_apply_dropout", float_dropout)
+        assert got == run()
+
     # SHA-256 of the loss and every gradient block, computed before the LSTM
     # caches dropped h_prev and tanh(c) (rebuilt in BPTT), before dropout was
     # applied in place and before the encoder's backward took strided views.
@@ -390,6 +427,25 @@ class TestGradCheckGate:
         blocks = self._with_analytic(self._bi_report(suite110), "dec.U", lambda g: g * (1 + 1e-3))
         assert blocks["dec.U"] > GRAD_CHECK_TOL
         assert blocks["attn.b"] < GRAD_CHECK_TOL
+
+    def test_dropping_the_attention_query_gradient_fails(self, monkeypatch):
+        """loss_and_grads adds the attention query's gradient into the
+        previous decoder step's dh (`dh += do_prev`). With it dropped the
+        suite must fail: its last case scales the attention weights so the
+        query's share of the gradient is above the gate's tolerance."""
+        backward = training._attention_backward
+
+        def no_query_gradient(*args, **kwargs):
+            do_prev, dp = backward(*args, **kwargs)
+            return np.zeros_like(do_prev), dp
+
+        monkeypatch.setattr(training, "_attention_backward", no_query_gradient)
+        # the suite fails if one case does: run only the last, at the seed the
+        # suite gives it at the CI seed 110
+        cases = training.GRAD_CHECK_CASES
+        monkeypatch.setattr(training, "GRAD_CHECK_CASES", cases[-1:])
+        ((_, _, blocks),) = gradient_check_suite(seed=110 + len(cases) - 1)
+        assert max(blocks.values()) >= GRAD_CHECK_TOL
 
     def test_noise_floor_scales_with_loss_and_step(self):
         cfg = ModelConfig(variant=Variant.UNI_PLAIN, input_dim=1, enc_hidden=1, dec_hidden=1)
@@ -638,6 +694,37 @@ class TestTrainLoop:
         a warm epoch's traced peak stays below the largest parameter's bytes
         (dec.W's 262,144)."""
         assert warm_epoch.peak < warm_epoch.param_bytes
+
+    def test_later_epochs_hold_nothing_the_size_of_the_corpus(self):
+        """Each batch gathers its clips from the list into the workspace, so
+        no standardized copy of the set lives through the epochs: doubling
+        the corpus raises a later epoch's traced peak by less than a quarter
+        of one (N, T, d) float64 array. Traced bytes only."""
+        N, T, d = 32, 49, 13
+        rng = SeededRng(40)
+        corpus = [(FeatureSequence(rng.normal(size=(T, d)), np.zeros(T, dtype=bool)), k % 6) for k in range(2 * N)]
+        cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=d, enc_hidden=4, dec_hidden=4, dropout_rate=0.1)
+        tc = TrainConfig(epochs=3, batch_size=16, seed=41)
+        train(corpus[:N], cfg, dataclasses.replace(tc, epochs=1))  # one-time allocations, untraced
+
+        def later_epoch_peak(train_set):
+            seen = {}
+
+            def hook(epoch, mean_loss, params, stats):
+                if epoch == 0:
+                    tracemalloc.reset_peak()
+                else:
+                    seen["peak"] = tracemalloc.get_traced_memory()[1]
+
+            tracemalloc.start()
+            try:
+                train(train_set, cfg, tc, on_epoch=hook)
+            finally:
+                tracemalloc.stop()
+            return seen["peak"]
+
+        grown = later_epoch_peak(corpus) - later_epoch_peak(corpus[:N])
+        assert grown < N * T * d * 8 / 4
 
     def test_training_error_carries_coordinates(self):
         err = TrainingError("non-finite loss", epoch=3, batch=7)
