@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 runtime failure, 2 bad usage or configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import math
@@ -220,20 +221,33 @@ def _run_dir(command: str, cfg: dict) -> Path:
     return Path(cfg["paths.output_dir"]) / run_id(command, cfg)
 
 
-def _write_atomic(path: Path, data) -> None:
-    """Publish data (bytes or text) at path by renaming a new file over it.
-    Each call writes a temp file of its own name beside path, so two runs
-    sharing a directory never write through one file; the temp is removed if
-    the write or the rename fails."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "xb" if isinstance(data, bytes) else "x")
+def _write_atomic(path: str | os.PathLike, data: bytes | str) -> None:
+    """Publish data (bytes, or text written as UTF-8) at path by renaming a
+    new file over it. Each call writes a temp file of its own name beside
+    path, so two runs sharing a directory never write through one file; the
+    temp is removed if the write or the rename fails. The directory is made
+    only when the temp file cannot be created for want of it, so a write into
+    an existing directory costs no mkdir."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+    if not isinstance(data, bytes):
+        data = str.encode(data, "utf-8")
+    try:
+        fh = open(tmp, "xb", buffering=0)
+    except FileNotFoundError:
+        if not head:
+            raise
+        os.makedirs(head, exist_ok=True)
+        fh = open(tmp, "xb", buffering=0)
     try:
         with fh:
-            fh.write(data)
+            written = fh.write(data)
+        if written != len(data):
+            raise OSError(f"short write to {tmp}: {written} of {len(data)} bytes")
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
@@ -290,6 +304,10 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
     features are not cached is read again and must hash to the same digest.
     So the pass holds one decoded clip, not the corpus.
 
+    A missing .roif file is a miss; one that exists but cannot be read fails
+    the pass; a malformed one, or one whose shape does not fit the clip, is
+    recomputed. The cache directory is made by the first write into it.
+
     keep=False is for the `features` command, which only fills the cache: each
     sequence is dropped once it is written (cold) or loaded and shape-checked
     (warm), and None stands in for the feature list. `train` and `eval-loso`
@@ -314,18 +332,20 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
         + f"target={target}\n".encode("ascii")
     )
     feats = [] if keep else None
-    cache = Path(cache_dir) if cache_dir else None
-    if cache is not None:
-        cache.mkdir(parents=True, exist_ok=True)
     for rate, digest, entry in zip(rates, digests, manifest.entries):
         cpath = None
-        if cache is not None:
-            stem = Path(entry.path).stem
-            key = hashlib.sha256(key_prefix + digest).hexdigest()[:16]
-            cpath = cache / f"{stem}.{key}.roif"
-            if cpath.exists():
+        if cache_dir:
+            stem = os.path.splitext(os.path.basename(entry.path))[0]
+            name = f"{stem}.{hashlib.sha256(key_prefix + digest).hexdigest()[:16]}.roif"
+            cpath = os.path.join(cache_dir, name)
+            try:
+                with open(cpath, "rb", buffering=0) as fh:
+                    cached = fh.readall()
+            except FileNotFoundError:  # not cached; any other OSError fails the command
+                pass
+            else:
                 try:
-                    seq = load_feature_cache(cpath.read_bytes())
+                    seq = load_feature_cache(cached)
                     shape = (frame_cfg.frame_count(target, rate), frame_cfg.n_mfcc)
                     if seq.frames.shape != shape:
                         raise FeatureCacheError(f"holds {seq.frames.shape} features, the clip gives {shape}")
@@ -333,7 +353,7 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
                         feats.append(seq)
                     continue
                 except FeatureCacheError as exc:
-                    print(f"recomputing {cpath.name}: {exc}", file=sys.stderr)
+                    print(f"recomputing {name}: {exc}", file=sys.stderr)
         hasher = hashlib.sha256()
         clip = read_wav_file(entry.path, hasher=hasher)
         if hasher.digest() != digest:
@@ -406,11 +426,13 @@ def _summarize(folds_dir: Path, out: Path, cfg: dict) -> None:
     listing = folds_dir / FOLDS_MANIFEST
     if not listing.exists():
         raise FileNotFoundError(f"no {FOLDS_MANIFEST} under {folds_dir} to list the fold-*.csv files to aggregate")
-    with open(listing, newline="") as fh:  # the writer ends each subject in "\n"; keep every other character
+    # the writer ends each subject in "\n"; keep every other character
+    with open(listing, encoding="utf-8", newline="") as fh:
         subjects = [s for s in fh.read().split("\n") if s]
     matrices = []
     for subject in subjects:
-        with open(folds_dir / f"fold-{subject}.csv", newline="") as fh:  # keep line breaks inside quoted paths
+        # keep line breaks inside quoted paths
+        with open(folds_dir / f"fold-{subject}.csv", encoding="utf-8", newline="") as fh:
             _, true, pred, _ = parse_fold_csv(fh.read())
         matrices.append(ConfusionMatrix.from_labels(true, pred))
     saved = folds_dir / MODEL_CONFIG_FILE

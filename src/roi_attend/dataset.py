@@ -311,7 +311,7 @@ def write_synthetic_corpus(clips: Iterable[SyntheticClip], root) -> list[str]:
         write_wav_file(path, sc.clip.samples, sc.clip.sample_rate)
         paths.append(path)
         rows.append((path, sc.burst_start, sc.burst_end))
-    with open(os.path.join(root, "regions.csv"), "w", newline="") as fh:
+    with open(os.path.join(root, "regions.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("path,burst_start,burst_end\n")
         fh.writelines(f"{_csv_field(path)},{start},{end}\n" for path, start, end in rows)
     return paths

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,8 +246,8 @@ def read_wav(data: bytes, source_id: str = "") -> AudioClip:
 def read_wav_file(path, hasher=None) -> AudioClip:
     """Read and parse a WAV file; `hasher` (a hashlib object), when given, is
     fed the file's bytes, so callers can key on content without keeping it."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     if hasher is not None:
         hasher.update(data)
     return read_wav(data, source_id=str(path))
@@ -274,7 +274,8 @@ def write_wav_file(path, samples: np.ndarray, sample_rate: int) -> None:
 def pad_to_length(clips: list[AudioClip], target: int | None = None) -> list[AudioClip]:
     """Append zeros so every clip has exactly `target` samples.
 
-    target defaults to the longest clip. Shortening is refused.
+    target defaults to the longest clip. Shortening is refused. Each result
+    holds a new array, also at exact length, never the input's memory.
     """
     if not clips:
         return []
@@ -288,8 +289,9 @@ def pad_to_length(clips: list[AudioClip], target: int | None = None) -> list[Aud
     out = []
     for c in clips:
         n = len(c)
-        padded = np.concatenate([c.samples, np.zeros(target - n)]) if n < target else c.samples.copy()
-        out.append(replace(c, samples=padded, original_len=n if c.original_len is None else c.original_len))
+        padded = np.zeros(target)
+        padded[:n] = c.samples
+        out.append(AudioClip(padded, c.sample_rate, c.source_id, n if c.original_len is None else c.original_len))
     return out
 
 
@@ -321,7 +323,10 @@ def frame_signal(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
     not a copy.
     """
     count, step, length = _frame_geometry(clip, cfg)
-    return np.lib.stride_tricks.sliding_window_view(clip.samples, length)[::step][:count]
+    (stride,) = clip.samples.strides
+    return np.lib.stride_tricks.as_strided(
+        clip.samples, shape=(count, length), strides=(step * stride, stride), writeable=False
+    )
 
 
 def _check_rate(clip: AudioClip, cfg: FrameConfig) -> None:

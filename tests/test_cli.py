@@ -53,13 +53,13 @@ def corpus(tmp_path_factory):
     return root
 
 
-def run_module(*args):
+def run_module(*args, interpreter_flags=()):
     """Run `python -m roi_attend.cli` in a child interpreter that imports the
     same package as this process, whether or not PYTHONPATH names it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "roi_attend.cli", *args],
+        [sys.executable, *interpreter_flags, "-m", "roi_attend.cli", *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -422,6 +422,26 @@ class TestFeaturesCommand:
         assert f"recomputing {victim.name}: " in capsys.readouterr().err
         assert victim.read_bytes() == cold
         assert entrypoint(["train", *paths, *FAST]) == 0
+
+    def test_unreadable_cache_entry_fails_and_names_it(self, corpus, tmp_path, monkeypatch, capsys):
+        # a missing file is a miss; one that exists but cannot be read is not recomputed over
+        cache = tmp_path / "cache"
+        argv = [
+            "features", f"--paths.corpus_dir={corpus}",
+            f"--paths.cache_dir={cache}", f"--paths.output_dir={tmp_path}",
+        ]
+        assert entrypoint(argv) == 0
+        victim = sorted(cache.glob("*.roif"))[3]
+        victim.unlink()
+        victim.mkdir()
+        computed = []
+        monkeypatch.setattr(cli, "extract_features", lambda *a, **k: computed.append(a) or extract_features(*a, **k))
+        capsys.readouterr()
+        assert entrypoint(argv) == 1
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and str(victim) in err
+        assert "recomputing" not in err
+        assert computed == [] and victim.is_dir()
 
     def test_env_var_supplies_cache_dir(self, corpus, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
@@ -1187,3 +1207,75 @@ class TestWriteAtomic:
         with pytest.raises((TypeError, OSError)):
             cli._write_atomic(path, data)
         assert list(tmp_path.iterdir()) == []
+
+    def test_missing_nested_directories_are_made(self, tmp_path):
+        path = tmp_path / "runs" / "features-0" / "manifest.csv"
+        cli._write_atomic(path, "path\n")
+        assert path.read_bytes() == b"path\n"
+        assert os.listdir(path.parent) == ["manifest.csv"]
+
+    @pytest.mark.parametrize("below", ["clip.roif", "sub/clip.roif"])
+    def test_a_parent_that_is_a_file_raises_and_leaves_no_temp_file(self, tmp_path, below):
+        blocker = tmp_path / "cache"
+        blocker.write_bytes(b"not a directory")
+        with pytest.raises(OSError):
+            cli._write_atomic(blocker / below, b"ROIF")
+        assert os.listdir(tmp_path) == ["cache"]
+        assert blocker.read_bytes() == b"not a directory"
+
+    def test_a_bare_file_name_lands_in_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cli._write_atomic(Path("summary.txt"), "text")
+        assert os.listdir(tmp_path) == ["summary.txt"]
+        assert (tmp_path / "summary.txt").read_bytes() == b"text"
+
+    def test_text_is_written_as_utf8(self, tmp_path):
+        path = tmp_path / "summary.txt"
+        cli._write_atomic(path, "Überraschung \u2192 5\n")
+        assert path.read_bytes() == "Überraschung \u2192 5\n".encode("utf-8")
+
+    def test_a_short_write_is_not_published(self, tmp_path, monkeypatch):
+        real_open = open
+
+        class ShortFile:
+            """An unbuffered file whose write stops one byte short."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def write(self, data):
+                return self.fh.write(data[:-1])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", ShortFile, raising=False)
+        with pytest.raises(OSError, match="short write"):
+            cli._write_atomic(tmp_path / "clip.roif", b"ROIF" * 4)
+        assert os.listdir(tmp_path) == []
+
+
+def test_seeded_pipeline_opens_no_text_in_the_locale_encoding(tmp_path):
+    """Every text file a command reads or writes names its encoding, so its
+    bytes do not follow the locale: each command runs with EncodingWarning
+    raised as an error."""
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    runs = tmp_path / "runs"
+    common = [f"--paths.output_dir={runs}", f"--paths.cache_dir={tmp_path / 'cache'}"]
+
+    def run(*args):
+        done = run_module(*args, *common, interpreter_flags=flags)
+        assert done.returncode == 0, done.stderr
+        assert "EncodingWarning" not in done.stderr
+
+    run("synth", "--synth.n_clips_per_class=2", "--synth.clip_len=4000", "--synth.burst_len=800", "--synth.n_actors=3")
+    corpus = only_dir(runs, "synth")
+    run("features", f"--paths.corpus_dir={corpus}")
+    run("train", f"--paths.corpus_dir={corpus}", "--model.variant=bi_attention", *FAST)
+    run("eval-loso", "--eval.folds=1", f"--paths.corpus_dir={corpus}", *FAST)
+    run("report", f"--paths.folds_dir={only_dir(runs, 'eval-loso')}")
+    wav = sorted(corpus.glob("*.wav"))[0]
+    run("explain", f"--paths.checkpoint={only_dir(runs, 'train') / 'checkpoint.roic'}", f"--paths.wav={wav}")

@@ -150,6 +150,7 @@ class TestPadToLength:
         np.testing.assert_array_equal(out[0].samples[:100], np.ones(100))
         assert not out[0].samples[100:].any()
         np.testing.assert_array_equal(out[1].samples, clips[1].samples)
+        assert not any(np.shares_memory(o.samples, c.samples) for o, c in zip(out, clips))
 
     def test_default_target_is_corpus_maximum(self):
         clips = [AudioClip(np.ones(100), 16000), AudioClip(np.ones(250), 16000)]
@@ -160,6 +161,7 @@ class TestPadToLength:
         clip = AudioClip(np.arange(250, dtype=np.float64) / 250, 16000)
         out = pad_to_length([clip], target=250)[0]
         np.testing.assert_array_equal(out.samples, clip.samples)
+        assert not np.shares_memory(out.samples, clip.samples)
 
     def test_small_example(self):
         out = pad_to_length([AudioClip(np.array([1.0, 2.0, 3.0]), 16000)], target=5)[0]
@@ -211,6 +213,16 @@ class TestFrameSignal:
             assert frames.shape == (1 + (N - L) // S, L)
             for i, row in enumerate(frames):
                 np.testing.assert_array_equal(row, samples[i * S : i * S + L])
+
+    @pytest.mark.parametrize("every", [1, 3], ids=["contiguous", "strided"])
+    def test_frames_are_a_read_only_view_of_the_clip(self, every):
+        samples = np.arange(3 * 800, dtype=np.float64)[::every]
+        clip = AudioClip(samples, 16000)
+        frames = frame_signal(clip, FrameConfig())
+        assert np.shares_memory(frames, clip.samples)
+        assert not frames.flags.writeable
+        for i, row in enumerate(frames):
+            np.testing.assert_array_equal(row, samples[i * 160 : i * 160 + 320])
 
     def test_wrong_rate_rejected_in_strict_mode(self):
         with pytest.raises(ValueError):
