@@ -59,7 +59,7 @@ from .evaluation import (
     per_emotion_report,
     summary_text,
 )
-from .model import ModelConfig, Variant
+from .model import ModelConfig
 from .roi import attention_json, detect_roi, dump_attention_json, extract_attention, render_svg
 from .training import (
     GRAD_CHECK_CASES,
@@ -272,11 +272,7 @@ def _settings(cfg: dict, section: str, **fixed):
 
 
 def _model_cfg(cfg: dict) -> ModelConfig:
-    try:
-        variant = Variant.parse(cfg["model.variant"])
-    except ValueError as exc:
-        raise UsageError(f"bad value for key 'model.variant': {exc}") from None
-    return _settings(cfg, "model", variant=variant, input_dim=cfg["frame.n_mfcc"])
+    return _settings(cfg, "model", input_dim=cfg["frame.n_mfcc"])
 
 
 def _require(cfg: dict, key: str) -> str:
@@ -358,8 +354,8 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
         clip = read_wav_file(entry.path, hasher=hasher)
         if hasher.digest() != digest:
             raise CorpusChangedError(f"{entry.path} changed while its features were being computed")
-        padded = pad_to_length([clip], target=target)[0]
-        seq = extract_features(padded, frame_cfg, power=power_spectrogram(padded, frame_cfg))
+        padded = pad_to_length(clip, target)
+        seq = extract_features(padded, frame_cfg, power_spectrogram(padded, frame_cfg))
         if cpath is not None:
             _write_atomic(cpath, save_feature_cache(seq))
         if keep:
@@ -524,15 +520,15 @@ def _cmd_explain(cfg: dict) -> int:
     frame_cfg = ckpt.frame_cfg if ckpt.frame_cfg is not None else _settings(cfg, "frame")
     clip = read_wav_file(wav_path)
     spec = power_spectrogram(clip, frame_cfg)
-    features = extract_features(clip, frame_cfg, power=spec)
+    features = extract_features(clip, frame_cfg, spec)
     out = _run_dir("explain", cfg)
     rate = clip.sample_rate
     maps = extract_attention(ckpt, features, frame_cfg.frame_step(rate), frame_cfg.frame_len(rate))
     for step_no, amap in enumerate(maps, start=1):
-        roi = detect_roi(amap, ratio=cfg["roi.ratio"])
+        roi = detect_roi(amap, cfg["roi.ratio"])
         payload = attention_json(wav_path, amap, roi)
         _write_atomic(out / f"attention-step{step_no}.json", dump_attention_json(payload))
-        _write_atomic(out / f"roi-step{step_no}.svg", render_svg(clip.samples, amap, roi, spectrogram=spec))
+        _write_atomic(out / f"roi-step{step_no}.svg", render_svg(clip.samples, amap, roi, spec))
         spans = ", ".join(f"[{r.start_sample}, {r.end_sample})" for r in roi.regions) or "none"
         print(f"step {step_no}: {len(roi.regions)} region(s) {spans}, silence mass {roi.silence_mass:.4f}")
     print(f"results: {out}")

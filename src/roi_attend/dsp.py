@@ -271,28 +271,17 @@ def write_wav_file(path, samples: np.ndarray, sample_rate: int) -> None:
 # -- padding and framing -----------------------------------------------------
 
 
-def pad_to_length(clips: list[AudioClip], target: int | None = None) -> list[AudioClip]:
-    """Append zeros so every clip has exactly `target` samples.
-
-    target defaults to the longest clip. Shortening is refused. Each result
+def pad_to_length(clip: AudioClip, target: int) -> AudioClip:
+    """Append zeros so the clip has exactly `target` samples; the result's
+    original_len is the clip's own length. Shortening is refused. The result
     holds a new array, also at exact length, never the input's memory.
     """
-    if not clips:
-        return []
-    longest = max(len(c) for c in clips)
-    if target is None:
-        target = longest
-    if target < longest:
-        raise TruncationRefusedError(
-            f"target {target} would truncate a clip of length {longest}; refusing"
-        )
-    out = []
-    for c in clips:
-        n = len(c)
-        padded = np.zeros(target)
-        padded[:n] = c.samples
-        out.append(AudioClip(padded, c.sample_rate, c.source_id, n if c.original_len is None else c.original_len))
-    return out
+    n = len(clip)
+    if target < n:
+        raise TruncationRefusedError(f"target {target} would truncate a clip of length {n}; refusing")
+    padded = np.zeros(target)
+    padded[:n] = clip.samples
+    return AudioClip(padded, clip.sample_rate, clip.source_id, n)
 
 
 def _read_only(fn):
@@ -432,15 +421,11 @@ def mfcc(frames: np.ndarray, sample_rate: int, cfg: FrameConfig, original_len: i
     return _cepstra(_power_spectrum(frames, cfg), sample_rate, cfg, original_len)
 
 
-def extract_features(clip: AudioClip, cfg: FrameConfig, power: np.ndarray | None = None) -> FeatureSequence:
-    """Full front end for one (possibly padded) clip.
-
-    `power`, when given, is the clip's power_spectrogram under the same `cfg`;
-    the MFCCs are then taken from it instead of framing and transforming the
-    clip a second time.
+def extract_features(clip: AudioClip, cfg: FrameConfig, power: np.ndarray) -> FeatureSequence:
+    """Full front end for one (possibly padded) clip, from `power`, the
+    clip's power_spectrogram under the same `cfg`, so the clip is framed and
+    transformed once.
     """
-    if power is None:
-        power = power_spectrogram(clip, cfg)
     count, _, _ = _frame_geometry(clip, cfg)
     if power.shape != (count, cfg.fft_size // 2 + 1):
         raise ValueError(

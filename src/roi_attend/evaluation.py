@@ -128,7 +128,6 @@ class ConfusionMatrix:
 @dataclass
 class FoldResult:
     subject: str
-    confusion: ConfusionMatrix
     paths: list
     true_labels: np.ndarray
     pred_labels: np.ndarray
@@ -183,7 +182,6 @@ def evaluate_fold(ckpt: Checkpoint, items, subject: str) -> FoldResult:
     pred = np.argmax(probs, axis=1)
     return FoldResult(
         subject=subject,
-        confusion=ConfusionMatrix.from_labels(true, pred),
         paths=[it.path for it in items],
         true_labels=true,
         pred_labels=pred,
@@ -191,13 +189,13 @@ def evaluate_fold(ckpt: Checkpoint, items, subject: str) -> FoldResult:
     )
 
 
-def aggregate(folds, mode: str = "sum_then_normalize") -> AggregateReport:
+def aggregate(matrices, mode: str) -> AggregateReport:
+    """Pool per-fold ConfusionMatrix objects under one of AGGREGATION_MODES."""
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"unknown aggregation mode '{mode}' (expected one of {AGGREGATION_MODES})")
-    folds = list(folds)
-    if not folds:
+    matrices = list(matrices)
+    if not matrices:
         raise EmptyReportError("no folds to aggregate")
-    matrices = [f.confusion if isinstance(f, FoldResult) else f for f in folds]
     totals = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for cm in matrices:
         totals += cm.counts

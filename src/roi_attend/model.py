@@ -86,7 +86,7 @@ class Variant(Enum):
             return cls(s.strip().lower())
         except ValueError:
             valid = ", ".join(v.value for v in cls)
-            raise ValueError(f"unknown model variant '{s}' (expected one of: {valid})") from None
+            raise ValueError(f"unknown model.variant '{s}' (expected one of: {valid})") from None
 
 
 @dataclass
@@ -247,13 +247,13 @@ class Workspace:
         return out
 
 
-def _tape(rows, B, hid, c0, ws, key):
+def _tape(rows, B, hid, ws, key):
     """The arrays an LSTM's steps write into, taken from ws under key:
     sigmoid gates (rows, 3, B, H) in [i, f, o] order, the tanh gate g
-    (rows, B, H), and cells (rows + 1, B, H) whose row 0 holds c0 (zeros when
-    None). Every gate row is a contiguous (B, H) block."""
+    (rows, B, H), and cells (rows + 1, B, H) whose row 0 holds the zero
+    initial cell. Every gate row is a contiguous (B, H) block."""
     cell = ws.take(f"{key}.cell", (rows + 1, B, hid))
-    cell[0] = 0.0 if c0 is None else c0
+    cell[0] = 0.0
     return ws.take(f"{key}.sig", (rows, 3, B, hid)), ws.take(f"{key}.tg", (rows, B, hid)), cell
 
 
@@ -373,27 +373,27 @@ def _lstm_step_backward(step, dh, dc, W, U, dW, dU, db, scratch, dx=None, first=
     return dx
 
 
-def _lstm_seq(X, W, U, b, h0=None, c0=None, want_cache=True, out=None, *, ws, key="lstm"):
-    """Run a whole sequence. X: (B, T, d). Returns (outputs (B,T,H), (h,c), tape).
+def _lstm_seq(X, W, U, b, want_cache=True, out=None, *, ws, key):
+    """Run a whole sequence from zero state. X: (B, T, d). Returns (outputs (B,T,H), (h,c), tape).
 
     The outputs are written into out, any (B, T, H) view, or else into ws
-    under key. The tape is [X, h0, sig, tg, cell] with _tape's arrays sized
-    to the sequence; without want_cache it is None, and the steps share one
-    gate row and two cell rows."""
+    under key. The tape is [X, h0, sig, tg, cell] with h0 the zero state and
+    _tape's arrays sized to the sequence; without want_cache it is None, and
+    the steps share one gate row and two cell rows."""
     B, T, _ = X.shape
     hid = U.shape[0]
-    h = h_first = np.zeros((B, hid)) if h0 is None else h0
-    sig, tg, cell = _tape(T if want_cache else 1, B, hid, c0, ws, key)
+    h = h0 = np.zeros((B, hid))
+    sig, tg, cell = _tape(T if want_cache else 1, B, hid, ws, key)
     outs = ws.take(f"{key}.out", (B, T, hid)) if out is None else out
     bias, scratch = _bias_rows(ws, b, B), _step_scratch(ws, B, hid)
     with np.errstate(over="ignore"):
         for t in range(T):
             h = _lstm_step(X[:, t, :], h, W, U, bias, sig, tg, cell, t, outs[:, t, :], scratch)
-    tape = [X, h_first, sig, tg, cell] if want_cache else None
+    tape = [X, h0, sig, tg, cell] if want_cache else None
     return outs, (h, cell[T % len(cell)]), tape
 
 
-def _lstm_seq_backward(tape, dH_out, W, U, dW, dU, db, want_dx=True, *, ws, key="lstm"):
+def _lstm_seq_backward(tape, dH_out, W, U, dW, dU, db, want_dx=True, *, ws, key):
     """BPTT over _lstm_seq's tape. dH_out: (B, T, H) upstream gradient per
     step, any strides.
 
@@ -543,7 +543,7 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=
         # Each step's output has a row of its own: it is the next step's
         # attention query, which the attention cache keeps.
         h = h0 = np.zeros((B, cfg.dec_hidden))
-        sig, tg, cell = _tape(cfg.dec_steps if want_cache else 1, B, cfg.dec_hidden, None, ws, "dec")
+        sig, tg, cell = _tape(cfg.dec_steps if want_cache else 1, B, cfg.dec_hidden, ws, "dec")
         hs = ws.take("dec.out", (cfg.dec_steps, B, cfg.dec_hidden))
         W, U, b = dec
         bias, scratch = _bias_rows(ws, b, B), _step_scratch(ws, B, cfg.dec_hidden)
@@ -576,7 +576,7 @@ def _forward_batch(X, pad, params, cfg, dropout_mask=None, want_cache=False, ws=
     return probs, trace, cache
 
 
-def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng, ws=None) -> np.ndarray | None:
+def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng, ws) -> np.ndarray | None:
     """Inverted-dropout keep mask over encoder outputs, (B, T, enc_width) bool
     taken from ws, or None when rate is 0. Each clip's uniform draws go into
     one (T, enc_width) float row of ws, clip after clip, so the rng stream is
@@ -585,7 +585,6 @@ def make_dropout_mask(cfg: ModelConfig, shape: tuple[int, int], rng: SeededRng, 
     if cfg.dropout_rate == 0.0:
         return None
     B, T = shape
-    ws = Workspace() if ws is None else ws
     keep = ws.take("mask", (B, T, cfg.enc_width), dtype=bool)
     row = ws.take("mask.row", (T, cfg.enc_width))
     for clip in keep:

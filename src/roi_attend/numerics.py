@@ -121,8 +121,9 @@ def check_seed(seed) -> int:
     return seed
 
 
-class SeededRng:
-    """Deterministic random source: Philox4x64 keyed directly by a 64-bit seed.
+class SeededRng(np.random.Generator):
+    """Deterministic random source: a Generator over Philox4x64 keyed directly
+    by a 64-bit seed.
 
     Philox is counter-based, so the seed->stream mapping is frozen by the
     algorithm itself; equal seeds give bit-equal streams on every platform.
@@ -130,28 +131,11 @@ class SeededRng:
 
     def __init__(self, seed: int):
         self.seed = check_seed(seed)
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size=size)
-
-    def random(self, out: np.ndarray) -> np.ndarray:
-        """Fill out, a C-contiguous float64 array, with the doubles that
-        uniform(0, 1) would draw for its shape, and return it."""
-        return self._gen.random(out=out)
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray:
-        return self._gen.normal(loc, scale, size=size)
-
-    def integers(self, low: int, high: int | None = None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        super().__init__(np.random.Philox(key=self.seed))
 
     def get_state(self) -> str:
         """Serialize the generator state as canonical JSON (for checkpoints)."""
-        st = self._gen.bit_generator.state
+        st = self.bit_generator.state
         safe = {
             "bit_generator": st["bit_generator"],
             "counter": [int(x) for x in st["state"]["counter"]],
@@ -169,7 +153,7 @@ class SeededRng:
         if safe.get("bit_generator") != "Philox":
             raise ValueError("rng state is not a Philox state")
         self.seed = int(safe["seed"])
-        self._gen.bit_generator.state = {
+        self.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {
                 "counter": np.array(safe["counter"], dtype=np.uint64),

@@ -125,7 +125,7 @@ def expand_to_samples(amap: AttentionMap, n_samples: int) -> np.ndarray:
     return out
 
 
-def detect_roi(amap: AttentionMap, ratio: float = 2.0) -> RoiResult:
+def detect_roi(amap: AttentionMap, ratio: float) -> RoiResult:
     """Regions where attention exceeds ratio times the uniform share 1/x."""
     if ratio <= 0:
         raise ValueError("ratio must be positive")
@@ -188,6 +188,7 @@ _W = 900
 _PANEL_H = 160
 _GAP = 30
 _MARGIN = 40
+_H = 2 * _MARGIN + 3 * _PANEL_H + 2 * _GAP  # three panels
 
 
 def _f(v: float) -> str:
@@ -281,20 +282,17 @@ def _spectrogram_rects(spec: np.ndarray, x0: float, y0: float, w: float, h: floa
     ]
 
 
-def render_svg(samples: np.ndarray, amap: AttentionMap, roi: RoiResult, spectrogram: np.ndarray | None = None) -> str:
-    """Stacked panels: waveform with shaded regions, attention curve over
-    samples, and optionally a spectrogram. Output bytes are deterministic."""
+def render_svg(samples: np.ndarray, amap: AttentionMap, roi: RoiResult, spectrogram: np.ndarray) -> str:
+    """Three stacked panels: waveform with shaded regions, attention curve
+    over samples, and the spectrogram. Output bytes are deterministic."""
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
     if n < 1:
         raise ValueError("need at least one sample to draw")
-    panels = 2 + (1 if spectrogram is not None else 0)
-    height = _MARGIN * 2 + panels * _PANEL_H + (panels - 1) * _GAP
     w = _W - 2 * _MARGIN
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{height}" '
-        f'viewBox="0 0 {_W} {height}">',
-        f'<rect x="0" y="0" width="{_W}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
+        f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>',
     ]
     y = float(_MARGIN)
 
@@ -318,12 +316,11 @@ def render_svg(samples: np.ndarray, amap: AttentionMap, roi: RoiResult, spectrog
     parts.append(f'<rect x="{_MARGIN}" y="{_f(y)}" width="{w}" height="{_PANEL_H}" fill="none" stroke="#222222"/>')
     parts.append("</g>")
 
-    if spectrogram is not None:
-        y += _PANEL_H + _GAP
-        parts.append('<g id="spectrogram">')
-        parts.extend(_spectrogram_rects(np.asarray(spectrogram, dtype=np.float64), _MARGIN, y, w, _PANEL_H))
-        parts.append(f'<rect x="{_MARGIN}" y="{_f(y)}" width="{w}" height="{_PANEL_H}" fill="none" stroke="#222222"/>')
-        parts.append("</g>")
+    y += _PANEL_H + _GAP
+    parts.append('<g id="spectrogram">')
+    parts.extend(_spectrogram_rects(np.asarray(spectrogram, dtype=np.float64), _MARGIN, y, w, _PANEL_H))
+    parts.append(f'<rect x="{_MARGIN}" y="{_f(y)}" width="{w}" height="{_PANEL_H}" fill="none" stroke="#222222"/>')
+    parts.append("</g>")
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -191,15 +191,14 @@ def loss_and_grads(X, pad, y, params: ModelParams, cfg: ModelConfig, dropout_mas
     return loss, grads
 
 
-def _global_norm(grads, ws=None) -> float:
+def _global_norm(grads, ws) -> float:
     """Each gradient is squared into ws's parameter-sized scratch, which
     np.sum adds up."""
-    ws = Workspace() if ws is None else ws
     squares = (np.multiply(g, g, out=ws.take(PARAM_SCRATCH, g.shape)) for g in grads.values())
     return float(np.sqrt(sum(float(np.sum(sq)) for sq in squares)))
 
 
-def _clip_grads(grads, clip, ws=None) -> float:
+def _clip_grads(grads, clip, ws) -> float:
     norm = _global_norm(grads, ws)
     if clip is not None and norm > clip:
         scale = clip / norm
@@ -224,7 +223,7 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, cfg: TrainConfig, params: ModelParams, ws=None):
+    def __init__(self, cfg: TrainConfig, params: ModelParams, ws):
         self.lr = cfg.lr
         self.b1 = cfg.beta1
         self.b2 = cfg.beta2
@@ -232,7 +231,7 @@ class _Adam:
         self.t = 0
         self.m = params.zeros_like()
         self.v = params.zeros_like()
-        self._ws = Workspace() if ws is None else ws  # each step's row is its PARAM_SCRATCH
+        self._ws = ws  # each step's row is its PARAM_SCRATCH
 
     def step(self, params: ModelParams, grads):
         """One update, in place: arr -= lr * (m / c1) / (sqrt(v / c2) + eps),
@@ -260,7 +259,7 @@ class _Adam:
             arr -= g
 
 
-def _make_optimizer(cfg: TrainConfig, params: ModelParams, ws=None):
+def _make_optimizer(cfg: TrainConfig, params: ModelParams, ws):
     if cfg.optimizer == "adam":
         return _Adam(cfg, params, ws)
     return _Sgd(cfg)

@@ -295,13 +295,13 @@ def lstm_step_backward(cache, dh, dc, W, U, dW, dU, db, want_dx=True):
     return (dv @ W.T if want_dx else None), dv @ U.T, dc_prev
 
 
-def lstm_seq(X, W, U, b, h0=None, c0=None):
-    """Run a whole sequence. X: (B, T, d). Returns (outputs (B,T,H), (h,c), caches);
-    each step's cache drops tanh(c), and h_prev after the first step."""
+def lstm_seq(X, W, U, b):
+    """Run a whole sequence from zero state. X: (B, T, d). Returns (outputs
+    (B,T,H), (h,c), caches); each step's cache drops tanh(c), and h_prev
+    after the first step."""
     B, T, _ = X.shape
     hid = U.shape[0]
-    h = np.zeros((B, hid)) if h0 is None else h0
-    c = np.zeros((B, hid)) if c0 is None else c0
+    h = c = np.zeros((B, hid))
     outs = np.empty((B, T, hid))
     caches = []
     with np.errstate(over="ignore"):

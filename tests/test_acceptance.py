@@ -24,7 +24,7 @@ from roi_attend.dataset import (
     generate_synthetic,
     loso_folds,
 )
-from roi_attend.dsp import FeatureSequence, FrameConfig, extract_features, mfcc, pad_to_length
+from roi_attend.dsp import FeatureSequence, FrameConfig, extract_features, mfcc, pad_to_length, power_spectrogram
 from roi_attend.evaluation import (
     ConfusionMatrix,
     EvalItem,
@@ -92,7 +92,9 @@ class announce:
 
 def corpus_features(clips, target=None):
     """MFCCs of each clip after padding all of them to `target` (default: the longest)."""
-    return [extract_features(c, FRAME) for c in pad_to_length(clips, target)]
+    target = max(len(c) for c in clips) if target is None else target
+    padded = [pad_to_length(c, target) for c in clips]
+    return [extract_features(c, FRAME, power_spectrogram(c, FRAME)) for c in padded]
 
 
 def _accuracy(ckpt, feats, labels):
@@ -342,7 +344,8 @@ def _mini_loso_csv(entries, actors):
         items = [
             EvalItem(f"{subject}-{j}.wav", feat, label) for j, (feat, label) in enumerate(held_out)
         ]
-        folds.append(evaluate_fold(ckpt, items, subject))
+        fold = evaluate_fold(ckpt, items, subject)
+        folds.append(ConfusionMatrix.from_labels(fold.true_labels, fold.pred_labels))
     return matrix_csv(aggregate(folds, "sum_then_normalize").rates)
 
 

@@ -76,3 +76,59 @@ def test_tracer_names_attention_and_encoder_spans_on_bi_attention():
         "model.lstm_seq_backward.enc_bw",
     } <= names
     assert not any(name.endswith(".other") for name in names)
+
+
+# The spans bench-smoke requires to read non-zero on its traced `features`
+# and `loso` runs, plus the command-level boundaries of the other commands.
+FEATURES_LAYERS = (
+    "dsp.read_wav", "dsp.frame_signal", "dsp.mel_filterbank", "dsp.power_spectrogram",
+    "dsp.load_feature_cache", "cli.corpus_features",
+)
+LOSO_SPANS = (
+    "model.encode_batch", "model.encode_backward",
+    "model.lstm_seq.enc_fw", "model.lstm_seq.enc_bw",
+    "model.lstm_seq_backward.enc_fw", "model.lstm_seq_backward.enc_bw",
+    "model.attention_forward", "model.attention_backward",
+    "training.dec_step_backward", "training.clip_grads", "training.optimizer_step",
+)
+COMMAND_SPANS = (
+    "dsp.extract_features", "roi.extract_attention", "roi.detect_roi", "roi.render_svg",
+    "evaluation.evaluate_fold", "evaluation.aggregate", "cli.write_atomic",
+)
+
+
+def test_every_command_level_hook_fires_on_a_tiny_pipeline(tmp_path):
+    """synth -> features (cold, then warm) -> train -> eval-loso -> report ->
+    explain through the command entry point, traced: every span the benchmark
+    reads must be recorded, so a renamed call site or a moved argument fails
+    here and not only in a traced benchmark run."""
+    out = f"--paths.output_dir={tmp_path}"
+    small = ["--model.enc_hidden=4", "--model.dec_hidden=4", "--train.epochs=1", "--train.batch_size=8"]
+    tracer = tracing.Tracer()
+    tracing.install(tracer, roi_attend)
+    try:
+        assert tracer.missing == []
+
+        def run(*argv):
+            assert roi_attend.cli.entrypoint([*argv, out]) == 0, argv
+
+        run("synth", "--synth.n_clips_per_class=2", "--synth.n_actors=2", "--synth.clip_len=4000",
+            "--synth.burst_len=800")
+        (corpus,) = tmp_path.glob("synth-*")
+        data = [f"--paths.corpus_dir={corpus}", f"--paths.cache_dir={tmp_path / 'cache'}"]
+        run("features", *data)
+        run("features", *data)
+        run("train", *data, *small)
+        run("eval-loso", *data, *small, "--eval.folds=1")
+        (ckpt,) = tmp_path.glob("train-*/checkpoint.roic")
+        (folds,) = tmp_path.glob("eval-loso-*")
+        run("report", f"--paths.folds_dir={folds}")
+        run("explain", f"--paths.checkpoint={ckpt}", f"--paths.wav={sorted(corpus.glob('*.wav'))[0]}")
+    finally:
+        tracer.unpatch()
+    totals = tracer.totals({tracer.op})
+    silent = [
+        name for name in FEATURES_LAYERS + LOSO_SPANS + COMMAND_SPANS
+        if totals.get(name, (0, 0.0))[0] == 0 or totals[name][1] <= 0.0
+    ]
+    assert silent == []

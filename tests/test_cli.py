@@ -23,6 +23,7 @@ from roi_attend.dsp import (
     extract_features,
     load_feature_cache,
     pad_to_length,
+    power_spectrogram,
     read_wav_file,
     save_feature_cache,
     write_wav_file,
@@ -44,6 +45,11 @@ FAST = [
     "--train.epochs=1",
     "--train.batch_size=8",
 ]
+
+
+def features(clip, cfg):
+    """The front end as `features` and `explain` run it."""
+    return extract_features(clip, cfg, power_spectrogram(clip, cfg))
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +104,28 @@ class TestArgumentHandling:
         assert entrypoint(["synth", "--synth.seed"]) == 2
         assert "missing a value" in capsys.readouterr().err
 
-    def test_bad_variant_reported_as_usage(self, capsys):
-        rc = entrypoint(["train", "--paths.corpus_dir=/nonexistent", "--model.variant=lstm9000"])
-        assert rc == 2
+    def test_bad_variant_reported_as_usage(self, tmp_path, capsys):
+        # the variant is checked before the corpus is read and before any write
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        runs = tmp_path / "runs"
+        argv = ["train", f"--paths.corpus_dir={corpus}", f"--paths.output_dir={runs}", "--model.variant=lstm9000"]
+        assert entrypoint(argv) == 2
         err = capsys.readouterr().err
         assert "model.variant" in err and "lstm9000" in err
+        assert all(v.value in err for v in Variant)
+        assert not runs.exists()
+
+    def test_bad_variant_in_eval_loso_reported_as_usage(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        runs = tmp_path / "runs"
+        argv = ["eval-loso", f"--paths.corpus_dir={corpus}", f"--paths.output_dir={runs}", "--model.variant=bogus"]
+        assert entrypoint(argv) == 2
+        err = capsys.readouterr().err
+        assert "model.variant" in err and "bogus" in err
+        assert all(v.value in err for v in Variant)
+        assert not runs.exists()
 
     def test_missing_required_path(self, capsys):
         assert entrypoint(["features"]) == 2
@@ -531,7 +554,7 @@ class TestFeatureCacheKey:
         manifest, feats, target = cli._corpus_features(str(corpus), str(cache), frame_cfg)
         assert cache_state(cache) == after
         for entry, seq in zip(manifest.entries, feats):
-            want = extract_features(pad_to_length([read_wav_file(entry.path)], target)[0], frame_cfg)
+            want = features(pad_to_length(read_wav_file(entry.path), target), frame_cfg)
             assert seq.T == frames_t
             np.testing.assert_array_equal(seq.frames, want.frames)
             np.testing.assert_array_equal(seq.pad_mask, want.pad_mask)
@@ -571,7 +594,7 @@ class TestFeatureCacheKey:
         _, feats, _ = cli._corpus_features(str(corpus), str(cache), FrameConfig())
         after = cache_state(cache)
         assert set(before) < set(after) and len(after) == len(before) + 1
-        want = extract_features(pad_to_length([read_wav_file(victim)], 4000)[0], FrameConfig())
+        want = features(pad_to_length(read_wav_file(victim), 4000), FrameConfig())
         np.testing.assert_array_equal(feats[0].frames, want.frames)
 
     # The name the front end before FRONT_END_REVISION 2 (SciPy's DCT) gave the
@@ -587,7 +610,7 @@ class TestFeatureCacheKey:
 
         cache = tmp_path / "cache"
         cache.mkdir()
-        want = extract_features(pad_to_length([read_wav_file(first)], 4000)[0], FrameConfig())
+        want = features(pad_to_length(read_wav_file(first), 4000), FrameConfig())
         stale = save_feature_cache(replace(want, frames=want.frames + 1.0))
         (cache / self.PRE_REVISION_NAME).write_bytes(stale)
         _, feats, _ = cli._corpus_features(str(corpus), str(cache), FrameConfig())
@@ -986,7 +1009,7 @@ class TestExplainCommand:
         assert json.loads(text)["frame_len"] == 160  # 20 ms at 8 kHz
         assert json.loads(text)["step"] == 80
         ckpt = load_checkpoint(ckpt_path.read_bytes())
-        (amap,) = extract_attention(ckpt, extract_features(read_wav_file(wav), ckpt.frame_cfg), 80, 160)
+        (amap,) = extract_attention(ckpt, features(read_wav_file(wav), ckpt.frame_cfg), 80, 160)
         assert text == dump_attention_json(attention_json(str(wav), amap, detect_roi(amap, ratio=2.0)))
 
     def test_checkpoint_without_frame_settings_uses_frame_keys(self, corpus, attention_ckpt, tmp_path):

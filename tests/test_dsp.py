@@ -53,6 +53,11 @@ def wav_bytes(samples_i16, rate=16000, channels=1, bits=16, magic=b"RIFF", fmt_t
     return magic + struct.pack("<I", len(body)) + body
 
 
+def features(clip, cfg):
+    """The front end as the commands run it: MFCCs from the clip's power spectrogram."""
+    return extract_features(clip, cfg, power_spectrogram(clip, cfg))
+
+
 class TestReadWav:
     def test_pcm_conversion_rule(self):
         clip = read_wav(wav_bytes([0, 16384, -16384, 32767]), source_id="fixture")
@@ -145,35 +150,30 @@ class TestReadWav:
 class TestPadToLength:
     def test_pads_to_explicit_target(self):
         clips = [AudioClip(np.ones(100), 16000), AudioClip(np.ones(250), 16000)]
-        out = pad_to_length(clips, target=250)
+        out = [pad_to_length(c, 250) for c in clips]
         assert [len(c) for c in out] == [250, 250]
         np.testing.assert_array_equal(out[0].samples[:100], np.ones(100))
         assert not out[0].samples[100:].any()
         np.testing.assert_array_equal(out[1].samples, clips[1].samples)
         assert not any(np.shares_memory(o.samples, c.samples) for o, c in zip(out, clips))
 
-    def test_default_target_is_corpus_maximum(self):
-        clips = [AudioClip(np.ones(100), 16000), AudioClip(np.ones(250), 16000)]
-        out = pad_to_length(clips)
-        assert [len(c) for c in out] == [250, 250]
-
     def test_exact_length_is_identity(self):
         clip = AudioClip(np.arange(250, dtype=np.float64) / 250, 16000)
-        out = pad_to_length([clip], target=250)[0]
+        out = pad_to_length(clip, 250)
         np.testing.assert_array_equal(out.samples, clip.samples)
         assert not np.shares_memory(out.samples, clip.samples)
 
     def test_small_example(self):
-        out = pad_to_length([AudioClip(np.array([1.0, 2.0, 3.0]), 16000)], target=5)[0]
+        out = pad_to_length(AudioClip(np.array([1.0, 2.0, 3.0]), 16000), 5)
         np.testing.assert_array_equal(out.samples, [1.0, 2.0, 3.0, 0.0, 0.0])
 
     def test_records_original_length(self):
-        out = pad_to_length([AudioClip(np.ones(100), 16000)], target=250)[0]
+        out = pad_to_length(AudioClip(np.ones(100), 16000), 250)
         assert out.original_len == 100
 
     def test_truncation_refused(self):
         with pytest.raises(TruncationRefusedError):
-            pad_to_length([AudioClip(np.ones(300), 16000)], target=250)
+            pad_to_length(AudioClip(np.ones(300), 16000), 250)
 
 
 class TestFrameSignal:
@@ -302,8 +302,8 @@ class TestMfcc:
         assert seq.frames.shape == (3, 13)
 
     def test_pad_mask_marks_frames_at_or_past_original_length(self):
-        clip = pad_to_length([AudioClip(np.ones(400), 16000)], target=800)[0]
-        seq = extract_features(clip, FrameConfig())  # frames start at 0, 160, 320 and 480
+        clip = pad_to_length(AudioClip(np.ones(400), 16000), 800)
+        seq = features(clip, FrameConfig())  # frames start at 0, 160, 320 and 480
         np.testing.assert_array_equal(seq.pad_mask, [False, False, False, True])
         cut = mfcc(frame_signal(clip, FrameConfig()), 16000, FrameConfig(), original_len=400)
         np.testing.assert_array_equal(cut.pad_mask, seq.pad_mask)
@@ -312,10 +312,8 @@ class TestMfcc:
         rng = np.random.default_rng(8)
         samples = rng.uniform(-0.5, 0.5, size=800)
         cfg = FrameConfig(preemphasis=0.0)
-        plain = extract_features(AudioClip(samples, 16000), cfg)
-        padded = extract_features(
-            pad_to_length([AudioClip(samples, 16000)], target=1120)[0], cfg
-        )
+        plain = features(AudioClip(samples, 16000), cfg)
+        padded = features(pad_to_length(AudioClip(samples, 16000), 1120), cfg)
         assert padded.T > plain.T
         np.testing.assert_array_equal(padded.frames[: plain.T], plain.frames)
 
@@ -339,7 +337,7 @@ class TestCachedFrontEnd:
         cfg = FRONT_END_CFGS[name]
         clip = AudioClip(np.random.default_rng(n).uniform(-0.9, 0.9, size=n), 16000)
         if target is not None:
-            clip = pad_to_length([clip], target=target)[0]
+            clip = pad_to_length(clip, target)
         power, times, coeffs, mask = _oracles.frontend_reference(clip.samples, 16000, cfg, clip.original_len)
 
         length = cfg.frame_len(16000)
@@ -347,25 +345,25 @@ class TestCachedFrontEnd:
         np.testing.assert_array_equal(frames, clip.samples[times[:, None] + np.arange(length)])
         spec = power_spectrogram(clip, cfg)
         np.testing.assert_array_equal(spec, power)
-        for seq in (extract_features(clip, cfg), extract_features(clip, cfg, power=spec)):
-            np.testing.assert_array_equal(seq.frames, coeffs)
-            np.testing.assert_array_equal(seq.pad_mask, mask)
+        seq = extract_features(clip, cfg, spec)
+        np.testing.assert_array_equal(seq.frames, coeffs)
+        np.testing.assert_array_equal(seq.pad_mask, mask)
 
     def test_filterbank_built_once_per_config(self):
         dsp.mel_filterbank.cache_clear()
         clips = [AudioClip(np.random.default_rng(i).normal(size=4000 + 160 * i), 16000) for i in range(3)]
         for clip in clips:
-            extract_features(clip, FrameConfig())
+            features(clip, FrameConfig())
         info = dsp.mel_filterbank.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         for clip in clips:
-            extract_features(clip, FrameConfig(n_mels=40))
+            features(clip, FrameConfig(n_mels=40))
         info = dsp.mel_filterbank.cache_info()
         assert (info.misses, info.hits) == (2, 4)
 
     def test_cached_tables_are_read_only(self):
         clip = AudioClip(np.zeros(800), 16000)
-        extract_features(clip, FrameConfig())
+        features(clip, FrameConfig())
         frames = frame_signal(clip, FrameConfig())
         for table in (mel_filterbank(26, 512, 16000), dsp._hamming(320), frames):
             assert not table.flags.writeable
@@ -374,14 +372,14 @@ class TestCachedFrontEnd:
 
     def test_public_filterbank_is_the_read_only_cached_table(self):
         clip = AudioClip(np.random.default_rng(4).normal(size=1600), 16000)
-        before = extract_features(clip, FrameConfig()).frames
+        before = features(clip, FrameConfig()).frames
         fb = mel_filterbank(26, 512, 16000)
         assert fb is mel_filterbank(26, 512, 16000)
         assert not fb.flags.writeable
         with pytest.raises(ValueError):
             fb[:] = 0.0
         assert mel_filterbank(26, 512, 16000).max() > 0.0
-        np.testing.assert_array_equal(extract_features(clip, FrameConfig()).frames, before)
+        np.testing.assert_array_equal(features(clip, FrameConfig()).frames, before)
 
     def test_inputs_left_untouched(self):
         frames = np.random.default_rng(6).normal(size=(5, 320))
@@ -393,9 +391,9 @@ class TestCachedFrontEnd:
         clip = AudioClip(np.zeros(1600), 16000)
         spec = power_spectrogram(clip, FrameConfig())
         with pytest.raises(ValueError, match="does not fit"):
-            extract_features(clip, FrameConfig(), power=spec[:-1])
+            extract_features(clip, FrameConfig(), spec[:-1])
         with pytest.raises(ValueError, match="does not fit"):
-            extract_features(clip, FrameConfig(fft_size=1024), power=spec)
+            extract_features(clip, FrameConfig(fft_size=1024), spec)
 
 
 class TestDctTable:
@@ -423,7 +421,7 @@ class TestDctTable:
         dsp._dct_table.cache_clear()
         clips = [AudioClip(np.random.default_rng(i).normal(size=4000 + 160 * i), 16000) for i in range(3)]
         for clip in clips:
-            extract_features(clip, FrameConfig())
+            features(clip, FrameConfig())
         info = dsp._dct_table.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         table = dsp._dct_table(26, 13)

@@ -53,15 +53,6 @@ def sign_checkpoint():
     return ckpt
 
 
-def fold_from_counts(subject, counts):
-    return FoldResult(
-        subject=subject,
-        confusion=ConfusionMatrix(np.asarray(counts, dtype=np.int64)),
-        paths=[], true_labels=np.zeros(0, dtype=np.int64),
-        pred_labels=np.zeros(0, dtype=np.int64), probs=np.zeros((0, 6)),
-    )
-
-
 def counts6(entries):
     m = np.zeros((6, 6), dtype=np.int64)
     for t, p, n in entries:
@@ -87,7 +78,7 @@ class TestConfusionMatrix:
     def test_recall_is_diagonal_of_normalized(self):
         cm = ConfusionMatrix(counts6([(ANG, ANG, 1), (ANG, DIS, 1), (SAD, SAD, 1)]))
         np.testing.assert_allclose(np.diag(cm.normalized()), [0.5, 0, 0, 0, 0, 1.0])
-        report = aggregate([cm])
+        report = aggregate([cm], "sum_then_normalize")
         np.testing.assert_allclose(np.diag(report.rates), [0.5, 0, 0, 0, 0, 1.0])
         assert report.mean_recall == pytest.approx((0.5 + 1.0) / 2)
 
@@ -111,10 +102,11 @@ class TestPredictAndFold:
         items += [EvalItem(f"s{i}.wav", seq([[0.2]]), SAD) for i in range(2)]
         result = evaluate_fold(ckpt, items, "0042")
         assert result.subject == "0042"
-        assert result.confusion.counts[ANG, ANG] == 3
-        assert result.confusion.counts[SAD, ANG] == 2
-        assert result.confusion.total == 5
-        assert result.confusion.accuracy() == pytest.approx(3 / 5)
+        confusion = ConfusionMatrix.from_labels(result.true_labels, result.pred_labels)
+        assert confusion.counts[ANG, ANG] == 3
+        assert confusion.counts[SAD, ANG] == 2
+        assert confusion.total == 5
+        assert confusion.accuracy() == pytest.approx(3 / 5)
         np.testing.assert_array_equal(result.pred_labels, [ANG] * 5)
 
     def test_sign_predictor_splits_classes(self):
@@ -184,18 +176,18 @@ class TestPredictAndFold:
 
 class TestAggregate:
     def test_single_fold_matches_its_own_rates(self):
-        fold = fold_from_counts("a", counts6([(ANG, ANG, 3), (ANG, SAD, 1), (SAD, SAD, 2)]))
+        fold = ConfusionMatrix(counts6([(ANG, ANG, 3), (ANG, SAD, 1), (SAD, SAD, 2)]))
         for mode in AGGREGATION_MODES:
             report = aggregate([fold], mode=mode)
-            np.testing.assert_allclose(report.rates, fold.confusion.normalized())
+            np.testing.assert_allclose(report.rates, fold.normalized())
             assert report.n_folds == 1
             assert report.n_samples == 6
 
     def test_two_fold_hand_example(self):
         # fold A: 3 anger right, 1 anger->disgust, 2 sad right
         # fold B: 1 anger right, 1 anger->happy, 1 sad->anger, 3 sad right
-        a = fold_from_counts("a", counts6([(ANG, ANG, 3), (ANG, DIS, 1), (SAD, SAD, 2)]))
-        b = fold_from_counts("b", counts6([(ANG, ANG, 1), (ANG, HAP, 1), (SAD, ANG, 1), (SAD, SAD, 3)]))
+        a = ConfusionMatrix(counts6([(ANG, ANG, 3), (ANG, DIS, 1), (SAD, SAD, 2)]))
+        b = ConfusionMatrix(counts6([(ANG, ANG, 1), (ANG, HAP, 1), (SAD, ANG, 1), (SAD, SAD, 3)]))
 
         summed = aggregate([a, b], mode="sum_then_normalize")
         np.testing.assert_allclose(summed.rates[ANG], [4 / 6, 1 / 6, 0, 1 / 6, 0, 0])
@@ -213,8 +205,8 @@ class TestAggregate:
             assert report.n_samples == 12
 
     def test_opposing_folds_average_to_half(self):
-        a = fold_from_counts("a", counts6([(ANG, ANG, 2), (DIS, DIS, 2)]))
-        b = fold_from_counts("b", counts6([(ANG, DIS, 2), (DIS, ANG, 2)]))
+        a = ConfusionMatrix(counts6([(ANG, ANG, 2), (DIS, DIS, 2)]))
+        b = ConfusionMatrix(counts6([(ANG, DIS, 2), (DIS, ANG, 2)]))
         for mode in AGGREGATION_MODES:
             rates = aggregate([a, b], mode=mode).rates
             np.testing.assert_allclose(rates[ANG], [0.5, 0.5, 0, 0, 0, 0])
@@ -222,7 +214,7 @@ class TestAggregate:
 
     def test_fold_order_invariance(self):
         rng = np.random.default_rng(0)
-        folds = [fold_from_counts(str(i), rng.integers(0, 5, size=(6, 6))) for i in range(4)]
+        folds = [ConfusionMatrix(rng.integers(0, 5, size=(6, 6))) for _ in range(4)]
         for mode in AGGREGATION_MODES:
             fwd = aggregate(folds, mode=mode)
             rev = aggregate(folds[::-1], mode=mode)
@@ -230,23 +222,23 @@ class TestAggregate:
             assert fwd.accuracy == rev.accuracy
 
     def test_modes_differ_when_fold_sizes_differ(self):
-        a = fold_from_counts("a", counts6([(ANG, ANG, 9), (ANG, SAD, 1)]))
-        b = fold_from_counts("b", counts6([(ANG, SAD, 1)]))
+        a = ConfusionMatrix(counts6([(ANG, ANG, 9), (ANG, SAD, 1)]))
+        b = ConfusionMatrix(counts6([(ANG, SAD, 1)]))
         summed = aggregate([a, b], mode="sum_then_normalize")
         meaned = aggregate([a, b], mode="mean_of_normalized")
         assert summed.rates[ANG, ANG] == pytest.approx(9 / 11)
         assert meaned.rates[ANG, ANG] == pytest.approx(0.45)
 
     def test_mean_mode_skips_folds_without_support(self):
-        a = fold_from_counts("a", counts6([(ANG, ANG, 4), (SAD, SAD, 1)]))
-        b = fold_from_counts("b", counts6([(SAD, SAD, 3)]))  # no anger rows here
+        a = ConfusionMatrix(counts6([(ANG, ANG, 4), (SAD, SAD, 1)]))
+        b = ConfusionMatrix(counts6([(SAD, SAD, 3)]))  # no anger rows here
         meaned = aggregate([a, b], mode="mean_of_normalized")
         assert meaned.rates[ANG, ANG] == 1.0
         assert meaned.rates[SAD, SAD] == 1.0
 
     def test_supported_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        folds = [fold_from_counts(str(i), rng.integers(0, 4, size=(6, 6))) for i in range(5)]
+        folds = [ConfusionMatrix(rng.integers(0, 4, size=(6, 6))) for _ in range(5)]
         for mode in AGGREGATION_MODES:
             report = aggregate(folds, mode=mode)
             sums = report.rates.sum(axis=1)
@@ -259,31 +251,31 @@ class TestAggregate:
         counts = [rng.integers(1, 6, size=(6, 6)) for _ in range(3)]
         perm = np.array([3, 0, 5, 1, 4, 2])
         P = np.eye(6, dtype=np.int64)[perm]
-        base = aggregate([fold_from_counts(str(i), c) for i, c in enumerate(counts)])
-        permuted = aggregate([fold_from_counts(str(i), P @ c @ P.T) for i, c in enumerate(counts)])
+        base = aggregate([ConfusionMatrix(c) for c in counts], "sum_then_normalize")
+        permuted = aggregate([ConfusionMatrix(P @ c @ P.T) for c in counts], "sum_then_normalize")
         np.testing.assert_allclose(permuted.rates, P @ base.rates @ P.T, atol=1e-15)
         assert permuted.accuracy == pytest.approx(base.accuracy)
 
     def test_mean_recall_ignores_missing_classes(self):
-        fold = fold_from_counts("a", counts6([(ANG, ANG, 3), (ANG, DIS, 1), (SAD, SAD, 1)]))
-        report = aggregate([fold])
+        fold = ConfusionMatrix(counts6([(ANG, ANG, 3), (ANG, DIS, 1), (SAD, SAD, 1)]))
+        report = aggregate([fold], "sum_then_normalize")
         assert report.mean_recall == pytest.approx((0.75 + 1.0) / 2)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="median"):
-            aggregate([fold_from_counts("a", counts6([(ANG, ANG, 1)]))], mode="median")
+            aggregate([ConfusionMatrix(counts6([(ANG, ANG, 1)]))], mode="median")
 
     def test_no_folds_rejected(self):
         with pytest.raises(EmptyReportError):
-            aggregate([])
+            aggregate([], "sum_then_normalize")
 
     def test_zero_total_counts_rejected(self):
         with pytest.raises(EmptyReportError):
-            aggregate([fold_from_counts("a", np.zeros((6, 6), dtype=np.int64))])
+            aggregate([ConfusionMatrix(np.zeros((6, 6), dtype=np.int64))], "sum_then_normalize")
 
     def test_accepts_bare_confusion_matrices(self):
         cm = ConfusionMatrix(counts6([(ANG, ANG, 2)]))
-        assert aggregate([cm]).accuracy == 1.0
+        assert aggregate([cm], "sum_then_normalize").accuracy == 1.0
 
 
 class TestTextArtifacts:
@@ -327,7 +319,7 @@ class TestTextArtifacts:
 
     def test_fold_csv_bytes_for_ordinary_paths_pinned(self):
         result = FoldResult(
-            subject="0001", confusion=ConfusionMatrix(), paths=["corpus/03-01-05-01-01-01-01.wav", "a b/c.wav"],
+            subject="0001", paths=["corpus/03-01-05-01-01-01-01.wav", "a b/c.wav"],
             true_labels=np.array([ANG, SAD]), pred_labels=np.array([ANG, FEA]),
             probs=np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0], [1e-05, 0.1, 0.7, 0.0, 0.0, 0.19999]]),
         )
@@ -364,8 +356,8 @@ class TestTextArtifacts:
         assert len(lines) == 7
 
     def test_summary_text_fields(self):
-        fold = fold_from_counts("a", counts6([(ANG, ANG, 3), (SAD, SAD, 1)]))
-        text = summary_text(aggregate([fold]))
+        fold = ConfusionMatrix(counts6([(ANG, ANG, 3), (SAD, SAD, 1)]))
+        text = summary_text(aggregate([fold], "sum_then_normalize"))
         assert "mode: sum_then_normalize" in text
         assert "folds: 1" in text
         assert "samples: 4" in text
@@ -374,15 +366,15 @@ class TestTextArtifacts:
         assert "zero_support: Disgust,Fear,Happy,Neutral" in text
 
     def test_per_emotion_report_perfect_recall(self):
-        fold = fold_from_counts("a", np.eye(6, dtype=np.int64) * 2)
-        text = per_emotion_report(aggregate([fold]), model_number=2)
+        fold = ConfusionMatrix(np.eye(6, dtype=np.int64) * 2)
+        text = per_emotion_report(aggregate([fold], "sum_then_normalize"), model_number=2)
         for lab in ("Anger", "Disgust", "Fear", "Happy", "Neutral", "Sad"):
             assert lab in text
         assert text.count("100.00") == 6
 
     def test_per_emotion_report_shows_reference_when_known(self):
-        fold = fold_from_counts("a", np.eye(6, dtype=np.int64))
-        report = aggregate([fold])
+        fold = ConfusionMatrix(np.eye(6, dtype=np.int64))
+        report = aggregate([fold], "sum_then_normalize")
         m2 = per_emotion_report(report, model_number=2)
         assert "75.60" in m2  # anger, model 2
         m3 = per_emotion_report(report, model_number=3)

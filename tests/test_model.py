@@ -157,7 +157,7 @@ class TestLstmSeq:
         rng = SeededRng(2)
         seq = rng.normal(size=(3, 5))
         W, U, b = np.zeros((5, 16)), np.zeros((4, 16)), np.zeros(16)
-        outs, (h, c), _ = _lstm_seq(seq[None], W, U, b, want_cache=False, ws=Workspace())
+        outs, (h, c), _ = _lstm_seq(seq[None], W, U, b, want_cache=False, ws=Workspace(), key="lstm")
         assert not outs.any() and not h.any() and not c.any()
 
     def test_scalar_hand_oracle(self):
@@ -165,7 +165,7 @@ class TestLstmSeq:
         W = np.array([[0.0, 0.0, 1.0, 0.0]])
         U = np.zeros((1, 4))
         b = np.zeros(4)
-        outs, (h, c), _ = _lstm_seq(np.array([[[0.5]]]), W, U, b, want_cache=False, ws=Workspace())
+        outs, (h, c), _ = _lstm_seq(np.array([[[0.5]]]), W, U, b, want_cache=False, ws=Workspace(), key="lstm")
         c_want = 0.5 * math.tanh(0.5)  # 0.231059...
         h_want = 0.5 * math.tanh(c_want)  # 0.113516...
         assert c[0, 0] == pytest.approx(c_want, abs=1e-12)
@@ -182,7 +182,7 @@ class TestLstmSeq:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             outs, (h, c), _ = _lstm_seq(
-                np.zeros((1, 3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), b, want_cache=False, ws=Workspace()
+                np.zeros((1, 3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), b, want_cache=False, ws=Workspace(), key="lstm"
             )
             cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=2, enc_hidden=2, dec_hidden=2)
             params = zero_params(cfg)
@@ -191,19 +191,22 @@ class TestLstmSeq:
         assert not outs.any() and not h.any() and not c.any()
         np.testing.assert_array_equal(probs[0], np.full(6, 1 / 6))
 
-    def test_state_threading_matches_stepwise_calls(self):
+    def test_reused_workspace_starts_from_zero_state(self):
+        """Every LSTM starts from zeros, also on a workspace whose tape still
+        holds the last state of another sequence run under the same key."""
         rng = SeededRng(4)
         W, U, b = rng.normal(size=(3, 8)), rng.normal(size=(2, 8)), rng.normal(size=8)
-        seq = rng.normal(size=(4, 3))
-        full, (h, c), _ = _lstm_seq(seq[None], W, U, b, want_cache=False, ws=Workspace())
-        h_step = c_step = np.zeros((1, 2))
-        for t in range(4):
-            out_t, (h_step, c_step), _ = _lstm_seq(
-                seq[None, t : t + 1], W, U, b, h0=h_step, c0=c_step, want_cache=False, ws=Workspace()
-            )
-            np.testing.assert_allclose(out_t[0, 0], full[0, t], atol=1e-12)
-        np.testing.assert_allclose(h_step, h, atol=1e-12)
-        np.testing.assert_allclose(c_step, c, atol=1e-12)
+        first, second = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 4, 3))
+        for want_cache in (True, False):
+            ws = Workspace()
+            _, (h, c), _ = _lstm_seq(first, W, U, b, want_cache=want_cache, ws=ws, key="lstm")
+            assert h.any() and c.any()
+            outs, (h, c), tape = _lstm_seq(second, W, U, b, want_cache=want_cache, ws=ws, key="lstm")
+            ref_outs, (ref_h, ref_c), _ = _oracles.lstm_seq(second, W, U, b)
+            for got, want in [(outs, ref_outs), (h, ref_h), (c, ref_c)]:
+                np.testing.assert_array_equal(got, want)
+            if want_cache:
+                assert not tape[1].any() and not tape[4][0].any()
 
 
 class TestLstmTapeMatchesStepCaches:
@@ -211,29 +214,44 @@ class TestLstmTapeMatchesStepCaches:
     _lstm_seq_backward reads it back; the per-step-cache reference in
     _oracles must give the same outputs, final state and gradients bit for
     bit, for a clip read forward or reversed (a negative-stride view, as the
-    encoder's second direction reads it) and for saturated gates."""
+    encoder's second direction reads it), for outputs written into the
+    workspace or through a caller's strided view (as the encoder writes each
+    direction into its half of p), and for saturated gates."""
 
     @staticmethod
-    def _case(B, T, state, saturated):
+    def _case(B, T, saturated):
         rng = SeededRng(100 + 10 * B + T)
         d, H = 5, 4
         W, U, b = rng.normal(size=(d, 4 * H)), 0.5 * rng.normal(size=(H, 4 * H)), rng.normal(size=4 * H)
         if saturated:  # every gate block has columns at +800 and at -800
             b = np.where(np.arange(4 * H) % 2, 800.0, -800.0)
         X = rng.normal(size=(B, T, d))
-        h0, c0 = (rng.normal(size=(B, H)), rng.normal(size=(B, H))) if state else (None, None)
-        return X, W, U, b, h0, c0, rng.normal(size=(B, T, H))
+        return X, W, U, b, rng.normal(size=(B, T, H))
 
-    def _check(self, X, W, U, b, h0, c0, dH, want_dx):
+    @staticmethod
+    def _out_view(X, U, into_view):
+        """None, or a time-reversed view of the middle third of a (B, T, 3H)
+        buffer that holds 7.0 everywhere, with that buffer."""
+        if not into_view:
+            return None, None
+        (B, T, _), H = X.shape, U.shape[0]
+        buf = np.full((B, T, 3 * H), 7.0)
+        return buf[:, ::-1, H : 2 * H], buf
+
+    def _check(self, X, W, U, b, dH, want_dx, into_view=False):
+        out, buf = self._out_view(X, U, into_view)
+        free_out, free_buf = self._out_view(X, U, into_view)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outs, (h, c), tape = _lstm_seq(X, W, U, b, h0=h0, c0=c0, ws=Workspace())
-            ref_outs, (ref_h, ref_c), caches = _oracles.lstm_seq(X, W, U, b, h0=h0, c0=c0)
+            outs, (h, c), tape = _lstm_seq(X, W, U, b, out=out, ws=Workspace(), key="lstm")
+            ref_outs, (ref_h, ref_c), caches = _oracles.lstm_seq(X, W, U, b)
             grads = [np.zeros_like(a) for a in (W, U, b)]
             ref_grads = [np.zeros_like(a) for a in (W, U, b)]
-            dX = _lstm_seq_backward(tape, dH, W, U, *grads, want_dx=want_dx, ws=Workspace())
+            dX = _lstm_seq_backward(tape, dH, W, U, *grads, want_dx=want_dx, ws=Workspace(), key="lstm")
             ref_dX = _oracles.lstm_seq_backward(caches, dH, W, U, *ref_grads, want_dx=want_dx)
-            free_outs, (free_h, free_c), no_tape = _lstm_seq(X, W, U, b, h0=h0, c0=c0, want_cache=False, ws=Workspace())
+            free_outs, (free_h, free_c), no_tape = _lstm_seq(
+                X, W, U, b, want_cache=False, out=free_out, ws=Workspace(), key="lstm"
+            )
         for got, want in [(outs, ref_outs), (h, ref_h), (c, ref_c), *zip(grads, ref_grads),
                           (free_outs, ref_outs), (free_h, ref_h), (free_c, ref_c)]:
             np.testing.assert_array_equal(got, want)
@@ -242,23 +260,29 @@ class TestLstmTapeMatchesStepCaches:
         else:
             assert dX is None and ref_dX is None
         assert no_tape is None
+        if into_view:
+            H = U.shape[0]
+            assert outs is out and free_outs is free_out
+            for written in (buf, free_buf):
+                np.testing.assert_array_equal(written[:, ::-1, H : 2 * H], ref_outs)
+                assert (written[:, :, :H] == 7.0).all() and (written[:, :, 2 * H :] == 7.0).all()
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
     @pytest.mark.parametrize("want_dx", [True, False], ids=["dx", "no-dx"])
-    @pytest.mark.parametrize("state", [False, True], ids=["zero-state", "h0-c0"])
+    @pytest.mark.parametrize("into_view", [False, True], ids=["ws-out", "view-out"])
     @pytest.mark.parametrize("T", [1, 2, 7])
     @pytest.mark.parametrize("B", [1, 3, 16])
-    def test_outputs_state_and_grads_are_bitwise_the_references(self, B, T, state, want_dx, reverse):
-        X, W, U, b, h0, c0, dH = self._case(B, T, state, saturated=False)
+    def test_outputs_state_and_grads_are_bitwise_the_references(self, B, T, into_view, want_dx, reverse):
+        X, W, U, b, dH = self._case(B, T, saturated=False)
         if reverse:
             X, dH = X[:, ::-1], dH[:, ::-1]
-        self._check(X, W, U, b, h0, c0, dH, want_dx)
+        self._check(X, W, U, b, dH, want_dx, into_view)
 
     @pytest.mark.parametrize("want_dx", [True, False], ids=["dx", "no-dx"])
     @pytest.mark.parametrize("B", [1, 3, 16])
     def test_saturated_gates_match_and_raise_no_warning(self, B, want_dx):
-        X, W, U, b, h0, c0, dH = self._case(B, 7, state=True, saturated=True)
-        self._check(X[:, ::-1], W, U, b, h0, c0, dH, want_dx)
+        X, W, U, b, dH = self._case(B, 7, saturated=True)
+        self._check(X[:, ::-1], W, U, b, dH, want_dx)
 
 
 class TestEncodeBatch:
@@ -520,7 +544,7 @@ class TestForward:
         cfg = self._cfg(Variant.UNI_ATTENTION, dropout_rate=0.0)
         params = init_params(cfg, SeededRng(16))
         f = feats(6, 5, seed=4)
-        mask = make_dropout_mask(cfg, (1, 6), SeededRng(18))
+        mask = make_dropout_mask(cfg, (1, 6), SeededRng(18), Workspace())
         probs, _, cache = _forward_batch(
             f.frames[None], f.pad_mask[None], params, cfg, dropout_mask=mask, want_cache=True
         )
@@ -533,7 +557,7 @@ class TestForward:
         f = feats(6, 5)
 
         def train_posterior(seed):
-            mask = make_dropout_mask(cfg, (1, 6), SeededRng(seed))
+            mask = make_dropout_mask(cfg, (1, 6), SeededRng(seed), Workspace())
             probs, _, _ = _forward_batch(
                 f.frames[None], f.pad_mask[None], params, cfg, dropout_mask=mask, want_cache=True
             )
@@ -592,13 +616,13 @@ class TestForward:
 class TestDropoutMask:
     def test_rate_zero_gives_none(self):
         cfg = ModelConfig(variant=Variant.UNI_PLAIN, dropout_rate=0.0)
-        assert make_dropout_mask(cfg, (2, 5), SeededRng(0)) is None
+        assert make_dropout_mask(cfg, (2, 5), SeededRng(0), Workspace()) is None
 
     def test_inverted_scaling_values(self):
         """The mask is one byte per element, a keep flag; applied, it scales
         kept elements by 1/(1-rate) and zeroes the rest."""
         cfg = ModelConfig(variant=Variant.UNI_PLAIN, enc_hidden=8, dropout_rate=0.25)
-        keep = make_dropout_mask(cfg, (4, 10), SeededRng(1))
+        keep = make_dropout_mask(cfg, (4, 10), SeededRng(1), Workspace())
         assert keep.shape == (4, 10, 8)
         assert keep.dtype == np.bool_ and keep.nbytes == keep.size
         ones = np.ones(keep.shape)
@@ -612,14 +636,14 @@ class TestDropoutMask:
         and the rng ends where one draw over the whole mask leaves it."""
         cfg = ModelConfig(variant=Variant.BI_PLAIN, enc_hidden=5, dropout_rate=0.3)
         rng, ref_rng = SeededRng(3), SeededRng(3)
-        keep = make_dropout_mask(cfg, (B, T), rng)
+        keep = make_dropout_mask(cfg, (B, T), rng, Workspace())
         ref = _oracles.dropout_float_mask(0.3, (B, T, cfg.enc_width), ref_rng)
         np.testing.assert_array_equal(keep, ref != 0.0)
         assert rng.get_state() == ref_rng.get_state()
 
     def test_keep_fraction_near_rate(self):
         cfg = ModelConfig(variant=Variant.UNI_PLAIN, enc_hidden=64, dropout_rate=0.5)
-        mask = make_dropout_mask(cfg, (10, 50), SeededRng(2))
+        mask = make_dropout_mask(cfg, (10, 50), SeededRng(2), Workspace())
         keep = float((mask > 0).mean())
         assert 0.45 < keep < 0.55
 

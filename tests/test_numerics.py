@@ -158,6 +158,15 @@ class TestSeededRng:
         with pytest.raises(ValueError):
             SeededRng(2**64)
 
+    def test_is_a_generator_on_philox_keyed_by_the_seed(self):
+        rng, ref = SeededRng(11), np.random.Generator(np.random.Philox(key=11))
+        assert isinstance(rng, np.random.Generator)
+        np.testing.assert_array_equal(rng.uniform(size=7), ref.uniform(size=7))
+        np.testing.assert_array_equal(rng.normal(size=7), ref.normal(size=7))
+        np.testing.assert_array_equal(rng.integers(0, 100, size=7), ref.integers(0, 100, size=7))
+        np.testing.assert_array_equal(rng.permutation(30), ref.permutation(30))
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
     def test_permutation_is_a_permutation(self):
         perm = SeededRng(5).permutation(30)
         assert sorted(perm.tolist()) == list(range(30))

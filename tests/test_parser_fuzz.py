@@ -37,7 +37,7 @@ from roi_attend.dsp import (
     save_feature_cache,
     write_wav,
 )
-from roi_attend.evaluation import ConfusionMatrix, FoldCsvError, FoldResult, fold_csv, parse_fold_csv
+from roi_attend.evaluation import FoldCsvError, FoldResult, fold_csv, parse_fold_csv
 from roi_attend.model import ModelConfig, Variant, init_params
 from roi_attend.numerics import SeededRng
 from roi_attend.training import Checkpoint, CheckpointFormatError, TrainConfig, load_checkpoint, save_checkpoint
@@ -230,7 +230,7 @@ def test_config_bytes(conf_path, data):
 
 def _fold(paths, true, pred, probs) -> FoldResult:
     return FoldResult(
-        subject="9001", confusion=ConfusionMatrix(), paths=list(paths),
+        subject="9001", paths=list(paths),
         true_labels=np.asarray(true, dtype=np.int64), pred_labels=np.asarray(pred, dtype=np.int64),
         probs=np.asarray(probs, dtype=np.float64).reshape(-1, 6),
     )

@@ -39,6 +39,11 @@ def zero_checkpoint(variant=Variant.BI_ATTENTION, input_dim=4, frame_cfg=FrameCo
     return Checkpoint(model_cfg=cfg, params=params, train_cfg=TrainConfig(), frame_cfg=frame_cfg)
 
 
+def spec_for(m):
+    """A spectrogram for render_svg's third panel, one row per frame of m."""
+    return SeededRng(6).uniform(size=(m.x, 20)) + 0.1
+
+
 def feats(T, d=4, n_pad=0, seed=0):
     pad = np.zeros(T, dtype=bool)
     if n_pad:
@@ -58,7 +63,8 @@ class TestAttentionMap:
         # frame_len as "step"; the bytes are pinned
         clip = AudioClip(SeededRng(3).uniform(-0.5, 0.5, size=FRAME), 16000)
         cfg = FrameConfig()
-        (m,) = extract_attention(zero_checkpoint(input_dim=cfg.n_mfcc), extract_features(clip, cfg), STEP, FRAME)
+        features = extract_features(clip, cfg, power_spectrogram(clip, cfg))
+        (m,) = extract_attention(zero_checkpoint(input_dim=cfg.n_mfcc), features, STEP, FRAME)
         assert m.x == 1 and m.step == STEP
         text = dump_attention_json(attention_json("one.wav", m, detect_roi(m, ratio=0.5)))
         assert text == (
@@ -124,7 +130,7 @@ class TestExtractAttention:
         cfg = FrameConfig(allow_any_rate=True)
         ckpt = zero_checkpoint(input_dim=cfg.n_mfcc, frame_cfg=cfg)
         clip = AudioClip(SeededRng(8).uniform(-0.5, 0.5, size=4000), 8000)
-        features = extract_features(clip, cfg)
+        features = extract_features(clip, cfg, power_spectrogram(clip, cfg))
         (m,) = extract_attention(ckpt, features, cfg.frame_step(clip.sample_rate), cfg.frame_len(clip.sample_rate))
         assert m.frame_len == 160 and m.step == 80
         assert (m.x - 1) * m.step + m.frame_len == len(clip)  # the last frame ends at the last sample
@@ -241,7 +247,7 @@ class TestDetectRoi:
 
     def test_silence_mass_carried_through(self):
         m = amap([0.1, 0.2, 0.3, 0.4], pad=[False, False, False, True])
-        assert detect_roi(m).silence_mass == pytest.approx(0.4)
+        assert detect_roi(m, ratio=2.0).silence_mass == pytest.approx(0.4)
 
     def test_ratio_must_be_positive(self):
         for bad in (0.0, -1.0):
@@ -289,40 +295,33 @@ class TestRenderSvg:
         m = AttentionMap(w, STEP, FRAME, np.zeros(x, dtype=bool))
         return samples, m, detect_roi(m, ratio=2.0)
 
-    def test_two_panels_without_spectrogram(self):
-        samples, m, roi = self._scene()
-        svg = render_svg(samples, m, roi)
-        assert svg.count("<g id=") == 2
-        assert '<g id="waveform">' in svg
-        assert '<g id="attention">' in svg
-        assert '<g id="spectrogram">' not in svg
-        assert svg.startswith("<svg ")
-        assert svg.rstrip().endswith("</svg>")
-
     def test_spectrogram_panel_added(self):
         samples, m, roi = self._scene()
-        spec = SeededRng(6).uniform(size=(m.x, 20)) + 0.1
-        svg = render_svg(samples, m, roi, spectrogram=spec)
+        svg = render_svg(samples, m, roi, spec_for(m))
         assert svg.count("<g id=") == 3
+        assert '<g id="waveform">' in svg
+        assert '<g id="attention">' in svg
         assert '<g id="spectrogram">' in svg
+        assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="900" height="620" viewBox="0 0 900 620">')
+        assert svg.rstrip().endswith("</svg>")
 
     def test_byte_determinism(self):
         samples, m, roi = self._scene()
-        assert render_svg(samples, m, roi) == render_svg(samples, m, roi)
+        assert render_svg(samples, m, roi, spec_for(m)) == render_svg(samples, m, roi, spec_for(m))
 
     def test_regions_shaded_in_both_signal_panels(self):
         samples, m, roi = self._scene()
         assert len(roi.regions) >= 1
-        svg = render_svg(samples, m, roi)
+        svg = render_svg(samples, m, roi, spec_for(m))
         assert svg.count('fill="#e8a23d"') == 2 * len(roi.regions)
 
     def test_threshold_line_drawn_dashed(self):
         samples, m, roi = self._scene()
-        assert 'stroke-dasharray="4,3"' in render_svg(samples, m, roi)
+        assert 'stroke-dasharray="4,3"' in render_svg(samples, m, roi, spec_for(m))
 
     def test_silent_clip_draws_flat_midline(self):
         m = amap([1.0])
-        svg = render_svg(np.zeros(FRAME), m, detect_roi(m, ratio=2.0))
+        svg = render_svg(np.zeros(FRAME), m, detect_roi(m, ratio=2.0), spec_for(m))
         polygon = re.search(r'<polygon points="([^"]+)"', svg).group(1)
         ys = {pt.split(",")[1] for pt in polygon.split(" ")}
         assert len(ys) == 1  # every envelope point sits on the midline
@@ -330,12 +329,12 @@ class TestRenderSvg:
     def test_empty_samples_rejected(self):
         m = amap([1.0])
         with pytest.raises(ValueError):
-            render_svg(np.zeros(0), m, detect_roi(m))
+            render_svg(np.zeros(0), m, detect_roi(m, ratio=2.0), spec_for(m))
 
     def test_real_frame_past_clip_end_rejected(self):
         m = amap([0.5, 0.5])
         with pytest.raises(ValueError, match="beyond"):
-            render_svg(np.zeros(100), m, detect_roi(m))
+            render_svg(np.zeros(100), m, detect_roi(m, ratio=2.0), spec_for(m))
 
 
 class TestRenderSvgMatchesScalarOracle:
@@ -343,12 +342,12 @@ class TestRenderSvgMatchesScalarOracle:
     per-run-end and per-cell reference loops in _oracles."""
 
     @staticmethod
-    def _oracle_svg(monkeypatch, *args, **kw):
+    def _oracle_svg(monkeypatch, *args):
         with monkeypatch.context() as m:
             m.setattr(roi_mod, "_waveform_polyline", _oracles.waveform_polyline)
             m.setattr(roi_mod, "_curve_polyline", _oracles.collapsed_curve_polyline)
             m.setattr(roi_mod, "_spectrogram_rects", _oracles.spectrogram_rects)
-            return render_svg(*args, **kw)
+            return render_svg(*args)
 
     @staticmethod
     def _scene(n, peaks=(), seed=0):
@@ -360,14 +359,14 @@ class TestRenderSvgMatchesScalarOracle:
         m = AttentionMap(w / w.sum(), STEP, FRAME, np.zeros(x, dtype=bool))
         return samples, m, detect_roi(m, ratio=2.0)
 
-    def _assert_same(self, monkeypatch, samples, m, roi, spec=None):
-        want = self._oracle_svg(monkeypatch, samples, m, roi, spectrogram=spec)
-        assert render_svg(samples, m, roi, spectrogram=spec) == want
+    def _assert_same(self, monkeypatch, samples, m, roi, spec):
+        want = self._oracle_svg(monkeypatch, samples, m, roi, spec)
+        assert render_svg(samples, m, roi, spec) == want
 
     @pytest.mark.parametrize("n", [500, 819, 820, 821, 1601, 8000, 12345])
     def test_waveform_and_curve_for_every_column_split(self, monkeypatch, n):
         samples, m, roi = self._scene(n, peaks=(0.5,), seed=n)
-        self._assert_same(monkeypatch, samples, m, roi)
+        self._assert_same(monkeypatch, samples, m, roi, spec_for(m))
 
     @pytest.mark.parametrize("peaks,count", [((), 0), ((0.3,), 1), ((0.1, 0.5, 0.9), 3)])
     def test_zero_one_and_several_regions(self, monkeypatch, peaks, count):
@@ -396,7 +395,7 @@ class TestRenderSvgMatchesScalarOracle:
     def test_flat_spectrogram(self, monkeypatch):
         samples, m, roi = self._scene(4000, peaks=(0.6,))
         self._assert_same(monkeypatch, samples, m, roi, np.full((m.x, 40), 0.25))
-        assert 'fill="#ffffff" stroke="none"/>' in render_svg(samples, m, roi, spectrogram=np.zeros((m.x, 40)))
+        assert 'fill="#ffffff" stroke="none"/>' in render_svg(samples, m, roi, np.zeros((m.x, 40)))
 
     @pytest.mark.parametrize("shape", [(46, 257), (181, 257), (400, 513), (1700, 129), (3, 2)])
     def test_block_means_equal_slice_means_bit_for_bit(self, shape):
@@ -410,9 +409,9 @@ class TestRenderSvgMatchesScalarOracle:
 
     def test_silent_and_single_sample_clips(self, monkeypatch):
         m = amap([1.0])
-        self._assert_same(monkeypatch, np.zeros(FRAME), m, detect_roi(m))
+        self._assert_same(monkeypatch, np.zeros(FRAME), m, detect_roi(m, ratio=2.0), spec_for(m))
         m = amap([1.0], frame_len=1)
-        self._assert_same(monkeypatch, np.array([0.5]), m, detect_roi(m))
+        self._assert_same(monkeypatch, np.array([0.5]), m, detect_roi(m, ratio=2.0), spec_for(m))
 
 
 class TestCurveKeepsRunEnds:
@@ -427,10 +426,10 @@ class TestCurveKeepsRunEnds:
 
     def _check(self, monkeypatch, samples, m):
         roi = detect_roi(m, ratio=2.0)
-        kept = self._curve_points(render_svg(samples, m, roi))
+        kept = self._curve_points(render_svg(samples, m, roi, spec_for(m)))
         with monkeypatch.context() as mp:
             mp.setattr(roi_mod, "_curve_polyline", _oracles.curve_polyline)
-            full = self._curve_points(render_svg(samples, m, roi))
+            full = self._curve_points(render_svg(samples, m, roi, spec_for(m)))
         assert len(full) == samples.shape[0]
         assert kept[0] == full[0] and kept[-1] == full[-1]
         # leftmost embedding of kept[1:-1] into full[1:-1]; the ends map to the ends

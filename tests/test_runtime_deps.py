@@ -17,7 +17,7 @@ PROBE = """
 import json, sys
 import numpy as np
 import roi_attend.cli
-from roi_attend.dsp import AudioClip, FrameConfig, extract_features
+from roi_attend.dsp import AudioClip, FrameConfig, extract_features, power_spectrogram
 from roi_attend.model import ModelConfig, Variant, init_params
 from roi_attend.numerics import SeededRng
 from roi_attend.roi import extract_attention
@@ -25,7 +25,7 @@ from roi_attend.training import Checkpoint, TrainConfig
 
 cfg = FrameConfig()
 clip = AudioClip(SeededRng(1).uniform(-0.5, 0.5, size=1600), 16000)
-features = extract_features(clip, cfg)
+features = extract_features(clip, cfg, power_spectrogram(clip, cfg))
 model_cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=cfg.n_mfcc, enc_hidden=3, dec_hidden=3)
 ckpt = Checkpoint(model_cfg, init_params(model_cfg, SeededRng(2)), TrainConfig(), frame_cfg=cfg)
 (amap,) = extract_attention(ckpt, features, cfg.frame_step(16000), cfg.frame_len(16000))

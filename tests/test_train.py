@@ -11,7 +11,7 @@ import pytest
 
 from roi_attend import model, training
 from roi_attend.dataset import SyntheticSpec, generate_synthetic
-from roi_attend.dsp import FeatureSequence, FrameConfig, extract_features, pad_to_length
+from roi_attend.dsp import FeatureSequence, FrameConfig, extract_features, pad_to_length, power_spectrogram
 from roi_attend.model import (
     ModelConfig,
     ModelParams,
@@ -63,7 +63,9 @@ def tiny_cfg(variant=Variant.UNI_ATTENTION, **kw):
 
 def synthetic_train_set(n_per_class=10, seed=0):
     clips = list(generate_synthetic(SyntheticSpec(n_clips_per_class=n_per_class, seed=seed)))
-    seqs = [extract_features(c, FrameConfig()) for c in pad_to_length([c.clip for c in clips])]
+    cfg, target = FrameConfig(), max(len(c.clip) for c in clips)
+    padded = [pad_to_length(c.clip, target) for c in clips]
+    seqs = [extract_features(p, cfg, power_spectrogram(p, cfg)) for p in padded]
     return [(seq, int(c.label)) for seq, c in zip(seqs, clips)]
 
 
@@ -119,7 +121,7 @@ class TestGradients:
         X = SeededRng(3).normal(size=(1, 6, 5))
         loss, grads = loss_and_grads(X, np.zeros((1, 6), dtype=bool), np.array([2]), params, cfg)
         assert loss < 1e-8
-        assert _global_norm(grads) < 1e-8
+        assert _global_norm(grads, Workspace()) < 1e-8
 
     def test_finite_difference_check_uni_plain(self):
         cfg = tiny_cfg(Variant.UNI_PLAIN)
@@ -168,7 +170,7 @@ class TestGradients:
         pad[0, 7:] = True
         y = np.array([0, 3, 5])
         params = init_params(cfg, rng)
-        mask = model.make_dropout_mask(cfg, (3, 10), SeededRng(10))
+        mask = model.make_dropout_mask(cfg, (3, 10), SeededRng(10), Workspace())
         loss, grads = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
 
         full_bptt = model._lstm_seq_backward
@@ -189,7 +191,7 @@ class TestGradients:
         params = init_params(cfg, rng)
         from roi_attend.model import make_dropout_mask
 
-        mask = make_dropout_mask(cfg, (2, 4), SeededRng(6))
+        mask = make_dropout_mask(cfg, (2, 4), SeededRng(6), Workspace())
 
         def f(vec):
             loss, _ = loss_and_grads(
@@ -215,7 +217,7 @@ class TestGradients:
         pad[1, 6:] = True
         y = np.array([1, 4, 5])
         params = init_params(cfg, rng)
-        keep = model.make_dropout_mask(cfg, (3, 10), SeededRng(39))
+        keep = model.make_dropout_mask(cfg, (3, 10), SeededRng(39), Workspace())
         assert keep.dtype == np.bool_
         float_mask = _oracles.dropout_float_mask(cfg.dropout_rate, keep.shape, SeededRng(39))
 
@@ -258,7 +260,7 @@ class TestGradients:
         X[pad] = 0.0
         y = np.array([0, 2, 4, 5])
         params = init_params(cfg, rng)
-        mask = model.make_dropout_mask(cfg, (4, 12), SeededRng(32))
+        mask = model.make_dropout_mask(cfg, (4, 12), SeededRng(32), Workspace())
         loss, grads = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
         digest = hashlib.sha256(struct.pack("<d", loss))
         for name in params.names():
@@ -307,7 +309,7 @@ class TestGradients:
         X[pad] = 0.0
         y = np.array([0, 2, 4, 5])
         params = init_params(cfg, rng)
-        mask = model.make_dropout_mask(cfg, (4, 12), SeededRng(35))
+        mask = model.make_dropout_mask(cfg, (4, 12), SeededRng(35), Workspace())
         loss, grads = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
         probs, trace, _ = model._forward_batch(X, pad, params, cfg, dropout_mask=mask)
         digest = hashlib.sha256(struct.pack("<d", loss))
@@ -327,7 +329,7 @@ class TestGradients:
         pad = np.zeros((3, 8), dtype=bool)
         y = np.array([1, 2, 4])
         params = init_params(cfg, rng)
-        mask = model.make_dropout_mask(cfg, (3, 8), SeededRng(37))
+        mask = model.make_dropout_mask(cfg, (3, 8), SeededRng(37), Workspace())
         loss, grads = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
         _, grads_next = loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)
         for g in grads.values():
@@ -350,7 +352,7 @@ class TestGradients:
         pad[::3, 40:] = True
         y = rng.integers(0, 6, size=B)
         params = init_params(cfg, rng)
-        mask = model.make_dropout_mask(cfg, (B, T), rng)
+        mask = model.make_dropout_mask(cfg, (B, T), rng, Workspace())
         loss_and_grads(X, pad, y, params, cfg, dropout_mask=mask)  # first-call allocations
         tracemalloc.start()
         try:
@@ -479,32 +481,32 @@ class TestOptimizers:
         np.testing.assert_array_equal(params["w"], [1.5])
 
         params = ModelParams({"w": np.array([1.5])})
-        adam = _Adam(TrainConfig(), params)
+        adam = _Adam(TrainConfig(), params, Workspace())
         adam.step(params, {"w": np.zeros(1)})
         np.testing.assert_allclose(params["w"], [1.5], atol=1e-12)
 
     def test_adam_first_step_magnitude(self):
         # With fresh moments, one adam step moves by ~lr in the gradient direction.
         params = ModelParams({"w": np.array([0.0])})
-        adam = _Adam(TrainConfig(lr=1e-3), params)
+        adam = _Adam(TrainConfig(lr=1e-3), params, Workspace())
         adam.step(params, {"w": np.array([7.0])})
         assert params["w"][0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_clip_scales_direction_preserving(self):
         g = np.array([6.0, 8.0])  # norm 10
         grads = {"w": g.copy()}
-        norm = _clip_grads(grads, 1.0)
+        norm = _clip_grads(grads, 1.0, Workspace())
         assert norm == pytest.approx(10.0)
         np.testing.assert_allclose(grads["w"], g * 0.1, atol=1e-15)
 
     def test_clip_noop_under_limit(self):
         grads = {"w": np.array([0.3, 0.4])}
-        _clip_grads(grads, 1.0)
+        _clip_grads(grads, 1.0, Workspace())
         np.testing.assert_array_equal(grads["w"], [0.3, 0.4])
 
     def test_clip_disabled_with_none(self):
         grads = {"w": np.array([30.0, 40.0])}
-        norm = _clip_grads(grads, None)
+        norm = _clip_grads(grads, None, Workspace())
         assert norm == pytest.approx(50.0)
         np.testing.assert_array_equal(grads["w"], [30.0, 40.0])
 
