@@ -36,8 +36,6 @@ from .dsp import (
 from .evaluation import (
     AggregateReport,
     ConfusionMatrix,
-    EvalItem,
-    FoldResult,
     aggregate,
     evaluate_fold,
     predict_batch,

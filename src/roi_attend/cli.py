@@ -50,10 +50,8 @@ from .dsp import (
 from .evaluation import (
     AGGREGATION_MODES,
     ConfusionMatrix,
-    EvalItem,
     aggregate,
     evaluate_fold,
-    fold_csv,
     matrix_csv,
     parse_fold_csv,
     per_emotion_report,
@@ -446,9 +444,9 @@ def _summarize(folds_dir: Path, out: Path, cfg: dict) -> None:
 
 
 def _fold_worker(payload):
-    subject, train_set, items, model_cfg, train_cfg, frame_cfg = payload
+    subject, train_set, paths, test_set, model_cfg, train_cfg, frame_cfg = payload
     ckpt = train(train_set, model_cfg, train_cfg, frame_cfg=frame_cfg)
-    return subject, fold_csv(evaluate_fold(ckpt, items, subject))
+    return subject, evaluate_fold(ckpt, paths, test_set, subject)
 
 
 def _cmd_eval_loso(cfg: dict) -> int:
@@ -464,18 +462,17 @@ def _cmd_eval_loso(cfg: dict) -> int:
     folds = loso_folds(manifest)
     if limit:
         folds = folds[:limit]
+    labelled = [(f, int(e.emotion)) for e, f in zip(manifest.entries, feats)]
 
     payloads = []
     for i, fold in enumerate(folds):
         # each fold gets its own seed so folds are independent but reproducible;
         # a base seed whose last fold seed passes 2**64 - 1 is a usage error
         tc = _settings(cfg, "train", seed=base_seed + i)
-        train_set = [(feats[j], int(manifest.entries[j].emotion)) for j in fold.train_indices]
-        items = [
-            EvalItem(manifest.entries[j].path, feats[j], int(manifest.entries[j].emotion))
-            for j in fold.test_indices
-        ]
-        payloads.append((fold.held_out_subject, train_set, items, model_cfg, tc, frame_cfg))
+        train_set = [labelled[j] for j in fold.train_indices]
+        test_set = [labelled[j] for j in fold.test_indices]
+        paths = [manifest.entries[j].path for j in fold.test_indices]
+        payloads.append((fold.held_out_subject, train_set, paths, test_set, model_cfg, tc, frame_cfg))
 
     out = _run_dir("eval-loso", cfg)
     # `report` reads the variant back from here; the bytes are a checkpoint's model_config section

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "UtteranceMeta",
     "Manifest",
     "LosoFold",
-    "ClassSignature",
     "SyntheticSpec",
     "SyntheticClip",
     "FilenameParseError",
@@ -209,18 +208,10 @@ def loso_folds(manifest: Manifest) -> list[LosoFold]:
 # -- synthetic corpus ----------------------------------------------------------
 
 
-@dataclass
-class ClassSignature:
-    carrier_hz: float
-    am_hz: float
-    amplitude: float = 0.5
-
-
-def _default_signatures() -> tuple[ClassSignature, ...]:
-    # Six carriers spread over 300-3000 Hz with six distinct AM rates.
-    carriers = np.linspace(300.0, 3000.0, 6)
-    am = np.linspace(2.0, 12.0, 6)
-    return tuple(ClassSignature(float(c), float(a)) for c, a in zip(carriers, am))
+# (carrier Hz, AM Hz) of each class's burst, in EmotionLabel order: six
+# carriers spread over 300-3000 Hz with six distinct AM rates.
+CLASS_TONES = tuple(zip(np.linspace(300.0, 3000.0, 6).tolist(), np.linspace(2.0, 12.0, 6).tolist()))
+BURST_AMPLITUDE = 0.5
 
 
 @dataclass
@@ -229,7 +220,6 @@ class SyntheticSpec:
     sample_rate: int = 16000
     clip_len: int = 8000
     burst_len: int = 1600
-    class_signatures: tuple[ClassSignature, ...] = field(default_factory=_default_signatures)
     noise_amplitude: float = 0.01
     seed: int = 0
     n_actors: int = 5
@@ -244,8 +234,6 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.burst_len >= self.clip_len:
             raise ValueError("burst_len must be smaller than clip_len")
-        if len(self.class_signatures) != 6:
-            raise ValueError("exactly 6 class signatures required")
         if self.min_clip_len is not None and not self.burst_len <= self.min_clip_len <= self.clip_len:
             raise ValueError("min_clip_len must lie in [burst_len, clip_len]")
         if self.n_actors < 1:
@@ -276,14 +264,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Iterator[SyntheticClip]:
     t = np.arange(spec.burst_len) / spec.sample_rate
     envelope = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(spec.burst_len) / spec.burst_len))
     serial = 0
-    for cls_idx, sig in enumerate(spec.class_signatures):
-        label = EmotionLabel(cls_idx)
+    for label, (carrier_hz, am_hz) in zip(EmotionLabel, CLASS_TONES):
         # only the phase varies by clip: the burst is amplitude * envelope * am *
         # sin(2*pi*carrier_hz*t + phase) evaluated left to right, so these
         # class-wide leading products give the same bits
-        am = 1.0 + 0.5 * np.sin(2.0 * np.pi * sig.am_hz * t)
-        gain = sig.amplitude * envelope * am
-        carrier_phase = 2.0 * np.pi * sig.carrier_hz * t
+        am = 1.0 + 0.5 * np.sin(2.0 * np.pi * am_hz * t)
+        gain = BURST_AMPLITUDE * envelope * am
+        carrier_phase = 2.0 * np.pi * carrier_hz * t
         for _ in range(spec.n_clips_per_class):
             if spec.min_clip_len is None:
                 length = spec.clip_len

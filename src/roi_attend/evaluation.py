@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import EmotionLabel, _csv_field
-from .dsp import FeatureSequence
 from .model import _forward_batch
 from .training import Checkpoint, apply_standardizer
 
@@ -23,9 +22,7 @@ __all__ = [
     "ConfigMismatchError",
     "EmptyReportError",
     "FoldCsvError",
-    "EvalItem",
     "ConfusionMatrix",
-    "FoldResult",
     "AggregateReport",
     "AGGREGATION_MODES",
     "REFERENCE_RECALL",
@@ -44,6 +41,9 @@ CODES = [lab.code for lab in EmotionLabel]
 FOLD_CSV_HEADER = ["path", "true", "pred"] + [f"p_{c}" for c in CODES]
 
 AGGREGATION_MODES = ("sum_then_normalize", "mean_of_normalized")
+
+# Sequences predict_batch stacks, standardizes and scores per forward pass.
+PREDICT_BATCH = 256
 
 # Recall percentages reported for the original corpus experiments, keyed by
 # (emotion label, model number). Shown beside our numbers for orientation;
@@ -76,13 +76,6 @@ class EmptyReportError(ValueError):
 
 class FoldCsvError(ValueError):
     """Fold CSV text is not a header plus rows as fold_csv writes them."""
-
-
-@dataclass
-class EvalItem:
-    path: str
-    features: FeatureSequence
-    label: int
 
 
 @dataclass
@@ -126,15 +119,6 @@ class ConfusionMatrix:
 
 
 @dataclass
-class FoldResult:
-    subject: str
-    paths: list
-    true_labels: np.ndarray
-    pred_labels: np.ndarray
-    probs: np.ndarray
-
-
-@dataclass
 class AggregateReport:
     mode: str
     rates: np.ndarray  # 6x6, rows sum to 1 except flagged zero-support rows
@@ -145,11 +129,11 @@ class AggregateReport:
     zero_support: list  # emotion labels with no test samples anywhere
 
 
-def predict_batch(ckpt: Checkpoint, feature_seqs, batch_size: int = 256) -> np.ndarray:
+def predict_batch(ckpt: Checkpoint, feature_seqs) -> np.ndarray:
     """Posterior rows for a list of FeatureSequence, applying the checkpoint's
     stored feature standardization. Sequences must share one padded length.
-    Each batch of batch_size sequences is stacked and standardized on its own,
-    so no array of the whole list's frames is made."""
+    Each batch of PREDICT_BATCH sequences is stacked and standardized on its
+    own, so no array of the whole list's frames is made."""
     if not feature_seqs:
         return np.zeros((0, N_CLASSES))
     d = feature_seqs[0].n_mfcc
@@ -161,8 +145,8 @@ def predict_batch(ckpt: Checkpoint, feature_seqs, batch_size: int = 256) -> np.n
     if len(shapes) != 1:
         raise ConfigMismatchError(f"feature sequences disagree in shape: {sorted(shapes)}")
     rows = []
-    for start in range(0, len(feature_seqs), batch_size):
-        batch = feature_seqs[start : start + batch_size]
+    for start in range(0, len(feature_seqs), PREDICT_BATCH):
+        batch = feature_seqs[start : start + PREDICT_BATCH]
         X = np.stack([f.frames for f in batch])
         pad = np.stack([f.pad_mask for f in batch])
         apply_standardizer(X, ckpt.feature_stats, out=X)
@@ -171,22 +155,14 @@ def predict_batch(ckpt: Checkpoint, feature_seqs, batch_size: int = 256) -> np.n
     return np.concatenate(rows, axis=0)
 
 
-def evaluate_fold(ckpt: Checkpoint, items, subject: str) -> FoldResult:
-    """Score one held-out subject. Ties in the posterior go to the lowest
-    class index (np.argmax convention)."""
-    items = list(items)
-    if not items:
+def evaluate_fold(ckpt: Checkpoint, paths, test_set, subject: str) -> str:
+    """Score one held-out subject's (FeatureSequence, label) pairs, the clips
+    at paths, and return the fold's CSV text. Ties in the posterior go to the
+    lowest class index (np.argmax convention)."""
+    if not test_set:
         raise ValueError(f"fold '{subject}' has an empty test set")
-    probs = predict_batch(ckpt, [it.features for it in items])
-    true = np.asarray([it.label for it in items], dtype=np.int64)
-    pred = np.argmax(probs, axis=1)
-    return FoldResult(
-        subject=subject,
-        paths=[it.path for it in items],
-        true_labels=true,
-        pred_labels=pred,
-        probs=probs,
-    )
+    probs = predict_batch(ckpt, [features for features, _ in test_set])
+    return fold_csv(paths, [label for _, label in test_set], np.argmax(probs, axis=1), probs)
 
 
 def aggregate(matrices, mode: str) -> AggregateReport:
@@ -231,15 +207,11 @@ def aggregate(matrices, mode: str) -> AggregateReport:
 # -- text artifacts --------------------------------------------------------------
 
 
-def _fold_csv_text(paths, true, pred, probs) -> str:
+def fold_csv(paths, true, pred, probs) -> str:
     lines = [",".join(FOLD_CSV_HEADER)]
-    for path, t, p, row in zip(paths, true, pred, probs):
+    for path, t, p, row in zip(paths, true, pred, probs, strict=True):
         lines.append(f"{_csv_field(path)},{CODES[t]},{CODES[p]}," + ",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def fold_csv(result: FoldResult) -> str:
-    return _fold_csv_text(result.paths, result.true_labels, result.pred_labels, result.probs)
 
 
 def parse_fold_csv(text: str):
@@ -264,7 +236,7 @@ def parse_fold_csv(text: str):
         except ValueError:
             raise FoldCsvError(f"bad fold csv row: {row!r}") from None
         paths.append(row[0])
-    if _fold_csv_text(paths, true, pred, probs) != text:
+    if fold_csv(paths, true, pred, probs) != text:
         raise FoldCsvError("fold csv is not in canonical form")
     return paths, np.asarray(true, dtype=np.int64), np.asarray(pred, dtype=np.int64), np.asarray(probs)
 

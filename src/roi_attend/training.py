@@ -123,11 +123,14 @@ class TrainConfig:
 
 def cross_entropy(probs, labels):
     """Mean negative log likelihood of labels under (B, C) probability rows;
-    probabilities are floored at 1e-12."""
+    probabilities are floored at 1e-12, and a label outside [0, C) raises."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != probs.shape[0]:
         raise ShapeError(f"{labels.shape[0]} labels for {probs.shape[0]} probability rows")
+    outside = labels[(labels < 0) | (labels >= probs.shape[1])]
+    if outside.size:
+        raise ValueError(f"label {outside[0]} is outside [0, {probs.shape[1]})")
     picked = probs[np.arange(probs.shape[0]), labels]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
@@ -371,10 +374,9 @@ def _parse_config_text(data) -> dict:
 
 @functools.cache
 def _config_fields(cls) -> tuple:
-    """(field, type, optional) for each setting of a config dataclass, the
-    type resolved from the annotation once per class (`T | None` gives T and
-    optional=True). Settings are the fields of scalar or Enum type; others,
-    such as SyntheticSpec.class_signatures, are not."""
+    """(field, type, optional) for each field of a config dataclass, the type
+    resolved from the annotation once per class (`T | None` gives T and
+    optional=True)."""
     hints = typing.get_type_hints(cls)
     out = []
     for f in fields(cls):
@@ -383,8 +385,7 @@ def _config_fields(cls) -> tuple:
         optional = type(None) in args
         if optional:
             (kind,) = (a for a in args if a is not type(None))
-        if isinstance(kind, type) and issubclass(kind, (int, float, str, Enum)):
-            out.append((f, kind, optional))
+        out.append((f, kind, optional))
     return tuple(out)
 
 

@@ -27,10 +27,10 @@ from roi_attend.dataset import (
 from roi_attend.dsp import FeatureSequence, FrameConfig, extract_features, mfcc, pad_to_length, power_spectrogram
 from roi_attend.evaluation import (
     ConfusionMatrix,
-    EvalItem,
     aggregate,
     evaluate_fold,
     matrix_csv,
+    parse_fold_csv,
     predict_batch,
 )
 from roi_attend.model import (
@@ -341,11 +341,9 @@ def _mini_loso_csv(entries, actors):
         train_set = [e for e, who in zip(entries, actors) if who != subject]
         held_out = [e for e, who in zip(entries, actors) if who == subject]
         ckpt = train(train_set, cfg, TrainConfig(epochs=2, batch_size=8, seed=100 + i), frame_cfg=FRAME)
-        items = [
-            EvalItem(f"{subject}-{j}.wav", feat, label) for j, (feat, label) in enumerate(held_out)
-        ]
-        fold = evaluate_fold(ckpt, items, subject)
-        folds.append(ConfusionMatrix.from_labels(fold.true_labels, fold.pred_labels))
+        paths = [f"{subject}-{j}.wav" for j in range(len(held_out))]
+        _, true, pred, _ = parse_fold_csv(evaluate_fold(ckpt, paths, held_out, subject))
+        folds.append(ConfusionMatrix.from_labels(true, pred))
     return matrix_csv(aggregate(folds, "sum_then_normalize").rates)
 
 

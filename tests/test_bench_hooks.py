@@ -5,18 +5,18 @@ name it patches, and the LSTM spans must still resolve which weights they
 ran on."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
 import roi_attend
 import roi_attend.cli
-from roi_attend import model, training
+from roi_attend import dataset, model, training
 from roi_attend.numerics import SeededRng
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
 tracing = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracing)
 
@@ -78,30 +78,22 @@ def test_tracer_names_attention_and_encoder_spans_on_bi_attention():
     assert not any(name.endswith(".other") for name in names)
 
 
-# The spans bench-smoke requires to read non-zero on its traced `features`
-# and `loso` runs, plus the command-level boundaries of the other commands.
-FEATURES_LAYERS = (
-    "dsp.read_wav", "dsp.frame_signal", "dsp.mel_filterbank", "dsp.power_spectrogram",
-    "dsp.load_feature_cache", "cli.corpus_features",
-)
-LOSO_SPANS = (
-    "model.encode_batch", "model.encode_backward",
-    "model.lstm_seq.enc_fw", "model.lstm_seq.enc_bw",
-    "model.lstm_seq_backward.enc_fw", "model.lstm_seq_backward.enc_bw",
-    "model.attention_forward", "model.attention_backward",
-    "training.dec_step_backward", "training.clip_grads", "training.optimizer_step",
-)
-COMMAND_SPANS = (
-    "dsp.extract_features", "roi.extract_attention", "roi.detect_roi", "roi.render_svg",
-    "evaluation.evaluate_fold", "evaluation.aggregate", "cli.write_atomic",
-)
+def _benchmark_spans() -> set:
+    """The span behind each per-layer time, call count or byte count that
+    BENCHMARK.json declares, less dsp.mfcc: no command calls it, since the
+    commands hand extract_features the power spectrogram they already hold
+    (ROADMAP items 1 and 3)."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    pairs = (metric["name"].rsplit(".", 1) for metric in declared)
+    return {span for span, kind in pairs if kind in ("self_s", "calls", "bytes")} - {"dsp.mfcc"}
 
 
 def test_every_command_level_hook_fires_on_a_tiny_pipeline(tmp_path):
-    """synth -> features (cold, then warm) -> train -> eval-loso -> report ->
-    explain through the command entry point, traced: every span the benchmark
-    reads must be recorded, so a renamed call site or a moved argument fails
-    here and not only in a traced benchmark run."""
+    """A corpus built as the benchmark's set-up builds it, then features
+    (cold, then warm) -> train -> eval-loso -> report -> explain through the
+    command entry point, traced: every span the benchmark reads must be
+    recorded, so a renamed call site or a moved argument fails here and not
+    only in a traced benchmark run."""
     out = f"--paths.output_dir={tmp_path}"
     small = ["--model.enc_hidden=4", "--model.dec_hidden=4", "--train.epochs=1", "--train.batch_size=8"]
     tracer = tracing.Tracer()
@@ -112,9 +104,9 @@ def test_every_command_level_hook_fires_on_a_tiny_pipeline(tmp_path):
         def run(*argv):
             assert roi_attend.cli.entrypoint([*argv, out]) == 0, argv
 
-        run("synth", "--synth.n_clips_per_class=2", "--synth.n_actors=2", "--synth.clip_len=4000",
-            "--synth.burst_len=800")
-        (corpus,) = tmp_path.glob("synth-*")
+        corpus = tmp_path / "corpus"
+        spec = dataset.SyntheticSpec(n_clips_per_class=2, n_actors=2, clip_len=4000, burst_len=800)
+        dataset.write_synthetic_corpus(dataset.generate_synthetic(spec), corpus)
         data = [f"--paths.corpus_dir={corpus}", f"--paths.cache_dir={tmp_path / 'cache'}"]
         run("features", *data)
         run("features", *data)
@@ -127,8 +119,7 @@ def test_every_command_level_hook_fires_on_a_tiny_pipeline(tmp_path):
     finally:
         tracer.unpatch()
     totals = tracer.totals({tracer.op})
-    silent = [
-        name for name in FEATURES_LAYERS + LOSO_SPANS + COMMAND_SPANS
-        if totals.get(name, (0, 0.0))[0] == 0 or totals[name][1] <= 0.0
-    ]
+    spans = _benchmark_spans() | {"evaluation.aggregate"}  # recorded, though no metric names it
+    assert len(spans) > 30
+    silent = sorted(name for name in spans if totals.get(name, (0, 0.0))[0] == 0 or totals[name][1] <= 0.0)
     assert silent == []

@@ -7,9 +7,8 @@ from roi_attend.evaluation import (
     ConfigMismatchError,
     ConfusionMatrix,
     EmptyReportError,
-    EvalItem,
     FoldCsvError,
-    FoldResult,
+    PREDICT_BATCH,
     REFERENCE_RECALL,
     aggregate,
     evaluate_fold,
@@ -98,16 +97,16 @@ class TestPredictAndFold:
     def test_constant_predictor_confusion(self):
         ckpt = zero_checkpoint()
         ckpt.params.arrays["out.b"][ANG] = 1.0
-        items = [EvalItem(f"a{i}.wav", seq([[0.1 * i]]), ANG) for i in range(3)]
-        items += [EvalItem(f"s{i}.wav", seq([[0.2]]), SAD) for i in range(2)]
-        result = evaluate_fold(ckpt, items, "0042")
-        assert result.subject == "0042"
-        confusion = ConfusionMatrix.from_labels(result.true_labels, result.pred_labels)
+        paths = [f"a{i}.wav" for i in range(3)] + [f"s{i}.wav" for i in range(2)]
+        test_set = [(seq([[0.1 * i]]), ANG) for i in range(3)] + [(seq([[0.2]]), SAD) for i in range(2)]
+        got_paths, true, pred, _ = parse_fold_csv(evaluate_fold(ckpt, paths, test_set, "0042"))
+        assert got_paths == paths
+        confusion = ConfusionMatrix.from_labels(true, pred)
         assert confusion.counts[ANG, ANG] == 3
         assert confusion.counts[SAD, ANG] == 2
         assert confusion.total == 5
         assert confusion.accuracy() == pytest.approx(3 / 5)
-        np.testing.assert_array_equal(result.pred_labels, [ANG] * 5)
+        np.testing.assert_array_equal(pred, [ANG] * 5)
 
     def test_sign_predictor_splits_classes(self):
         ckpt = sign_checkpoint()
@@ -116,12 +115,11 @@ class TestPredictAndFold:
         assert np.argmax(probs[1]) == FEA
 
     def test_batch_size_does_not_change_output(self):
+        """A list of three batches scores each sequence as it scores alone."""
         ckpt = sign_checkpoint()
-        seqs = [seq([[v]]) for v in np.linspace(-2, 2, 9)]
-        np.testing.assert_array_equal(
-            predict_batch(ckpt, seqs, batch_size=2),
-            predict_batch(ckpt, seqs, batch_size=256),
-        )
+        seqs = [seq([[v]]) for v in np.linspace(-2, 2, 2 * PREDICT_BATCH + 1)]
+        alone = np.concatenate([predict_batch(ckpt, [s]) for s in seqs])
+        np.testing.assert_array_equal(predict_batch(ckpt, seqs), alone)
 
     def test_batches_standardized_alone_match_the_whole_list_standardized(self):
         """Each batch is stacked and standardized on its own; the rows are bit
@@ -132,12 +130,16 @@ class TestPredictAndFold:
         params = init_params(cfg, rng)
         stats = {"mean": rng.normal(size=3), "std": rng.uniform(0.5, 2.0, size=3)}
         ckpt = Checkpoint(model_cfg=cfg, params=params, train_cfg=TrainConfig(), feature_stats=stats)
-        seqs = [seq(rng.normal(size=(6, 3))) for _ in range(5)]
+        n = 2 * PREDICT_BATCH + 1
+        seqs = [seq(rng.normal(size=(2, 3))) for _ in range(n)]
         before = [s.frames.copy() for s in seqs]
         X = (np.stack(before) - stats["mean"]) / stats["std"]
-        pad = np.zeros((5, 6), dtype=bool)
-        ref = np.concatenate([_forward_batch(X[k : k + 2], pad[k : k + 2], params, cfg)[0] for k in (0, 2, 4)])
-        np.testing.assert_array_equal(predict_batch(ckpt, seqs, batch_size=2), ref)
+        pad = np.zeros((n, 2), dtype=bool)
+        ref = np.concatenate([
+            _forward_batch(X[k : k + PREDICT_BATCH], pad[k : k + PREDICT_BATCH], params, cfg)[0]
+            for k in range(0, n, PREDICT_BATCH)
+        ])
+        np.testing.assert_array_equal(predict_batch(ckpt, seqs), ref)
         for s, frames in zip(seqs, before):
             np.testing.assert_array_equal(s.frames, frames)
 
@@ -164,7 +166,7 @@ class TestPredictAndFold:
 
     def test_empty_fold_rejected(self):
         with pytest.raises(ValueError, match="0042"):
-            evaluate_fold(zero_checkpoint(), [], "0042")
+            evaluate_fold(zero_checkpoint(), [], [], "0042")
 
     def test_standardizer_applied_before_forward(self):
         ckpt = sign_checkpoint()
@@ -279,16 +281,12 @@ class TestAggregate:
 
 
 class TestTextArtifacts:
-    def _result(self):
-        ckpt = sign_checkpoint()
-        items = [
-            EvalItem("clips/p.wav", seq([[3.0]]), ANG),
-            EvalItem("clips/n.wav", seq([[-3.0]]), SAD),
-        ]
-        return evaluate_fold(ckpt, items, "0001")
+    def _fold_text(self):
+        test_set = [(seq([[3.0]]), ANG), (seq([[-3.0]]), SAD)]
+        return evaluate_fold(sign_checkpoint(), ["clips/p.wav", "clips/n.wav"], test_set, "0001")
 
     def test_fold_csv_header_and_shape(self):
-        text = fold_csv(self._result())
+        text = self._fold_text()
         lines = text.splitlines()
         assert lines[0] == "path,true,pred,p_ANG,p_DIS,p_FEA,p_HAP,p_NEU,p_SAD"
         assert len(lines) == 3
@@ -297,17 +295,17 @@ class TestTextArtifacts:
         assert text.endswith("\n")
 
     def test_fold_csv_roundtrip_exact(self):
-        result = self._result()
-        paths, true, pred, probs = parse_fold_csv(fold_csv(result))
-        assert paths == result.paths
-        np.testing.assert_array_equal(true, result.true_labels)
-        np.testing.assert_array_equal(pred, result.pred_labels)
-        np.testing.assert_array_equal(probs, result.probs)  # repr() roundtrips float64
+        probs = predict_batch(sign_checkpoint(), [seq([[3.0]]), seq([[-3.0]])])
+        paths, true, pred, got = parse_fold_csv(self._fold_text())
+        assert paths == ["clips/p.wav", "clips/n.wav"]
+        np.testing.assert_array_equal(true, [ANG, SAD])
+        np.testing.assert_array_equal(pred, np.argmax(probs, axis=1))
+        np.testing.assert_array_equal(got, probs)  # repr() roundtrips float64
 
     def test_parse_rejects_bad_header_and_rows(self):
         with pytest.raises(ValueError, match="header"):
             parse_fold_csv("nope\n")
-        good = fold_csv(self._result())
+        good = self._fold_text()
         with pytest.raises(ValueError, match="row"):
             parse_fold_csv(good + "only,three,fields\n")
 
@@ -318,12 +316,9 @@ class TestTextArtifacts:
     )
 
     def test_fold_csv_bytes_for_ordinary_paths_pinned(self):
-        result = FoldResult(
-            subject="0001", paths=["corpus/03-01-05-01-01-01-01.wav", "a b/c.wav"],
-            true_labels=np.array([ANG, SAD]), pred_labels=np.array([ANG, FEA]),
-            probs=np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0], [1e-05, 0.1, 0.7, 0.0, 0.0, 0.19999]]),
-        )
-        assert fold_csv(result) == self.PINNED
+        paths = ["corpus/03-01-05-01-01-01-01.wav", "a b/c.wav"]
+        probs = np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0], [1e-05, 0.1, 0.7, 0.0, 0.0, 0.19999]])
+        assert fold_csv(paths, np.array([ANG, SAD]), np.array([ANG, FEA]), probs) == self.PINNED
 
     @pytest.mark.parametrize("old,new", [
         (",0.25,", ", 0.25 ,"),  # spaces around a number
@@ -341,7 +336,7 @@ class TestTextArtifacts:
 
     @pytest.mark.parametrize("old,new", [(",ANG,ANG,", ",ANG,ANX,"), (",SAD,", ",sad,"), (",0.1", ",0.x")])
     def test_bad_code_or_number_is_a_fold_csv_error(self, old, new):
-        good = fold_csv(self._result())
+        good = self._fold_text()
         assert old in good
         with pytest.raises(FoldCsvError, match="row"):
             parse_fold_csv(good.replace(old, new, 1))

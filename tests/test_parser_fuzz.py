@@ -37,7 +37,7 @@ from roi_attend.dsp import (
     save_feature_cache,
     write_wav,
 )
-from roi_attend.evaluation import FoldCsvError, FoldResult, fold_csv, parse_fold_csv
+from roi_attend.evaluation import FoldCsvError, fold_csv, parse_fold_csv
 from roi_attend.model import ModelConfig, Variant, init_params
 from roi_attend.numerics import SeededRng
 from roi_attend.training import Checkpoint, CheckpointFormatError, TrainConfig, load_checkpoint, save_checkpoint
@@ -228,14 +228,6 @@ def test_config_bytes(conf_path, data):
     _check_config(conf_path, data)
 
 
-def _fold(paths, true, pred, probs) -> FoldResult:
-    return FoldResult(
-        subject="9001", paths=list(paths),
-        true_labels=np.asarray(true, dtype=np.int64), pred_labels=np.asarray(pred, dtype=np.int64),
-        probs=np.asarray(probs, dtype=np.float64).reshape(-1, 6),
-    )
-
-
 _FOLD_ROWS = st.lists(
     st.tuples(st.text(), st.integers(0, 5), st.integers(0, 5), st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)),
     min_size=1, max_size=4,
@@ -246,17 +238,17 @@ _FOLD_ROWS = st.lists(
 @example(rows=[('a,b\nc\rd\r\n"e",', 0, 5, [0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0])])
 @example(rows=[("", 1, 2, [0.0, 1.0, 5e-324, 0.1, 1e-05, 0.3])])
 def test_fold_csv_roundtrip(rows):
-    result = _fold(*zip(*rows))
-    text = fold_csv(result)
+    written = [list(column) for column in zip(*rows)]
+    text = fold_csv(*written)
     paths, true, pred, probs = parse_fold_csv(text)
-    assert paths == result.paths
-    np.testing.assert_array_equal(true, result.true_labels)
-    np.testing.assert_array_equal(pred, result.pred_labels)
-    np.testing.assert_array_equal(probs, result.probs)
-    assert fold_csv(_fold(paths, true, pred, probs)) == text
+    assert paths == written[0]
+    np.testing.assert_array_equal(true, written[1])
+    np.testing.assert_array_equal(pred, written[2])
+    np.testing.assert_array_equal(probs, written[3])
+    assert fold_csv(paths, true, pred, probs) == text
 
 
-FOLD = fold_csv(_fold(['clips/a,"b"\n.wav'], [0], [3], [0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0]))
+FOLD = fold_csv(['clips/a,"b"\n.wav'], [0], [3], [[0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0]])
 
 
 def test_every_single_character_fold_csv_mutation():
@@ -268,7 +260,7 @@ def test_every_single_character_fold_csv_mutation():
                     parsed = parse_fold_csv(mutant)
                 except FoldCsvError:
                     continue
-                assert fold_csv(_fold(*parsed)) == mutant
+                assert fold_csv(*parsed) == mutant
 
 
 # -- structural ROIC mutants -------------------------------------------------------

@@ -99,6 +99,18 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError):
             cross_entropy(np.full((2, 6), 1 / 6), [0])
 
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_label_outside_the_classes_is_rejected(self, bad):
+        # a -1 once indexed the last class and scored it
+        with pytest.raises(ValueError, match=f"label {bad} is outside"):
+            cross_entropy(np.full((2, 6), 1 / 6), [bad, 0])
+
+    def test_loss_and_grads_rejects_a_label_outside_the_classes(self):
+        cfg = tiny_cfg(Variant.UNI_PLAIN)
+        X = SeededRng(5).normal(size=(2, 4, 5))
+        with pytest.raises(ValueError, match="label -1 is outside"):
+            loss_and_grads(X, np.zeros((2, 4), dtype=bool), np.array([0, -1]), init_params(cfg, SeededRng(6)), cfg)
+
 
 class TestGradients:
     def test_batch_gradient_is_mean_of_singles(self):
