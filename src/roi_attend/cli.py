@@ -21,8 +21,10 @@ import functools
 import hashlib
 import math
 import os
+import queue
 import sys
 import textwrap
+import threading
 from contextlib import ExitStack
 from enum import Enum
 from pathlib import Path
@@ -226,10 +228,15 @@ def _write_atomic(path: str | os.PathLike, data: bytes | str) -> None:
     temp is removed if the write or the rename fails. The directory is made
     only when the temp file cannot be created for want of it, so a write into
     an existing directory costs no mkdir."""
+    _publish(path, data if isinstance(data, bytes) else str.encode(data, "utf-8"))
+
+
+def _publish(path: str | os.PathLike, data: bytes) -> None:
+    """_write_atomic's body, which the cache writer thread calls directly:
+    the benchmark wraps _write_atomic in a span, and its span stack belongs
+    to the main thread."""
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
-    if not isinstance(data, bytes):
-        data = str.encode(data, "utf-8")
     try:
         fh = open(tmp, "xb", buffering=0)
     except FileNotFoundError:
@@ -247,6 +254,51 @@ def _write_atomic(path: str | os.PathLike, data: bytes | str) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+# Files a cold feature pass may hand its writer thread before it waits for
+# one to be published: about 165 KB of 0.5-s clips' features.
+CACHE_WRITE_QUEUE = 32
+
+
+class _CacheWriter:
+    """Publishes cache files from one background thread, in the order given,
+    so that a file's creation (kernel time) overlaps the next clip's front
+    end. The thread starts at the first write; leaving the `with` block
+    waits for every pending file. The first error the thread meets is raised
+    at the next write, or on leaving the block; the thread publishes nothing
+    after it."""
+
+    def __init__(self):
+        self._pending = queue.Queue(CACHE_WRITE_QUEUE)
+        self._thread = None
+        self._error = None
+
+    def write(self, path: str, data: bytes) -> None:
+        if self._error is not None:
+            raise self._error
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._run, name="roi-attend-cache-writer", daemon=True)
+            self._thread.start()
+        self._pending.put((path, data))
+
+    def _run(self) -> None:
+        for path, data in iter(self._pending.get, None):
+            if self._error is None:
+                try:
+                    _publish(path, data)
+                except BaseException as exc:  # raised again on the main thread
+                    self._error = exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._thread is not None:
+            self._pending.put(None)
+            self._thread.join()
+        if exc_type is None and self._error is not None:
+            raise self._error
 
 
 # -- config -> dataclasses -----------------------------------------------------
@@ -301,6 +353,9 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
     A missing .roif file is a miss; one that exists but cannot be read fails
     the pass; a malformed one, or one whose shape does not fit the clip, is
     recomputed. The cache directory is made by the first write into it.
+    Computed features are serialized here and published by a _CacheWriter
+    thread; every file is published, or its error raised, before the pass
+    returns.
 
     keep=False is for the `features` command, which only fills the cache: each
     sequence is dropped once it is written (cold) or loaded and shape-checked
@@ -326,38 +381,39 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
         + f"target={target}\n".encode("ascii")
     )
     feats = [] if keep else None
-    for rate, digest, entry in zip(rates, digests, manifest.entries):
-        cpath = None
-        if cache_dir:
-            stem = os.path.splitext(os.path.basename(entry.path))[0]
-            name = f"{stem}.{hashlib.sha256(key_prefix + digest).hexdigest()[:16]}.roif"
-            cpath = os.path.join(cache_dir, name)
-            try:
-                with open(cpath, "rb", buffering=0) as fh:
-                    cached = fh.readall()
-            except FileNotFoundError:  # not cached; any other OSError fails the command
-                pass
-            else:
+    with _CacheWriter() as writer:
+        for rate, digest, entry in zip(rates, digests, manifest.entries):
+            cpath = None
+            if cache_dir:
+                stem = os.path.splitext(os.path.basename(entry.path))[0]
+                name = f"{stem}.{hashlib.sha256(key_prefix + digest).hexdigest()[:16]}.roif"
+                cpath = os.path.join(cache_dir, name)
                 try:
-                    seq = load_feature_cache(cached)
-                    shape = (frame_cfg.frame_count(target, rate), frame_cfg.n_mfcc)
-                    if seq.frames.shape != shape:
-                        raise FeatureCacheError(f"holds {seq.frames.shape} features, the clip gives {shape}")
-                    if keep:
-                        feats.append(seq)
-                    continue
-                except FeatureCacheError as exc:
-                    print(f"recomputing {name}: {exc}", file=sys.stderr)
-        hasher = hashlib.sha256()
-        clip = read_wav_file(entry.path, hasher=hasher)
-        if hasher.digest() != digest:
-            raise CorpusChangedError(f"{entry.path} changed while its features were being computed")
-        padded = pad_to_length(clip, target)
-        seq = extract_features(padded, frame_cfg, power_spectrogram(padded, frame_cfg))
-        if cpath is not None:
-            _write_atomic(cpath, save_feature_cache(seq))
-        if keep:
-            feats.append(seq)
+                    with open(cpath, "rb", buffering=0) as fh:
+                        cached = fh.readall()
+                except FileNotFoundError:  # not cached; any other OSError fails the command
+                    pass
+                else:
+                    try:
+                        seq = load_feature_cache(cached)
+                        shape = (frame_cfg.frame_count(target, rate), frame_cfg.n_mfcc)
+                        if seq.frames.shape != shape:
+                            raise FeatureCacheError(f"holds {seq.frames.shape} features, the clip gives {shape}")
+                        if keep:
+                            feats.append(seq)
+                        continue
+                    except FeatureCacheError as exc:
+                        print(f"recomputing {name}: {exc}", file=sys.stderr)
+            hasher = hashlib.sha256()
+            clip = read_wav_file(entry.path, hasher=hasher)
+            if hasher.digest() != digest:
+                raise CorpusChangedError(f"{entry.path} changed while its features were being computed")
+            padded = pad_to_length(clip, target)
+            seq = extract_features(padded, frame_cfg, power_spectrogram(padded, frame_cfg))
+            if cpath is not None:
+                writer.write(cpath, save_feature_cache(seq))
+            if keep:
+                feats.append(seq)
     return manifest, feats, target
 
 

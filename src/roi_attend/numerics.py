@@ -170,3 +170,7 @@ class SeededRng(np.random.Generator):
         rng = cls(0)
         rng.set_state(blob)
         return rng
+
+    def __reduce__(self):
+        # Generator's own reduce rebuilds the base class, losing seed and state methods
+        return (SeededRng.from_state, (self.get_state(),))

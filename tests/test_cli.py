@@ -4,6 +4,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import types
 from dataclasses import replace
@@ -529,6 +531,91 @@ def cache_state(cache):
         p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
         for p in Path(cache).glob("*.roif")
     }
+
+
+class TestCacheWriter:
+    """A cold pass publishes its cache files from one background thread."""
+
+    def features(self, corpus, tmp_path):
+        return entrypoint([
+            "features", f"--paths.corpus_dir={corpus}",
+            f"--paths.cache_dir={tmp_path / 'cache'}", f"--paths.output_dir={tmp_path / 'runs'}",
+        ])
+
+    @pytest.mark.parametrize("k", [0, 5, 11])
+    def test_a_failed_publish_fails_the_command_and_publishes_nothing_after_it(self, k, corpus, tmp_path, monkeypatch, capsys):
+        real_replace = os.replace
+        renamed = []
+
+        def replace(src, dst):
+            if str(dst).endswith(".roif"):
+                renamed.append(str(dst))
+                if len(renamed) == k + 1:
+                    raise OSError(28, "No space left on device", src, None, dst)  # as os.replace raises it
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        baseline = set(threading.enumerate())
+        assert self.features(corpus, tmp_path) == 1
+        assert set(threading.enumerate()) == baseline
+        assert len(renamed) == k + 1  # no rename after the failed one
+        err = capsys.readouterr().err
+        assert "No space left on device" in err and repr(renamed[k]) in err
+        assert sorted(os.listdir(tmp_path / "cache")) == sorted(os.path.basename(p) for p in renamed[:k])
+        assert not (tmp_path / "runs").exists()
+
+    def test_pending_files_never_exceed_the_bound(self, corpus, tmp_path, monkeypatch):
+        bound = 3
+        monkeypatch.setattr(cli, "CACHE_WRITE_QUEUE", bound)
+        real_publish, real_write = cli._publish, cli._CacheWriter.write
+        handed, done, pending = [], [], []
+
+        def write(self, path, data):
+            real_write(self, path, data)
+            handed.append(path)
+
+        def slow_publish(path, data):
+            if not str(path).endswith(".roif"):  # the manifest
+                return real_publish(path, data)
+            if not done:  # hold the first file until the main thread has filled the queue behind it
+                deadline = time.monotonic() + 10.0
+                while len(handed) <= bound and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            # handed but not done: those waiting, and at most this one being written
+            pending.append(len(handed) - len(done))
+            time.sleep(0.002)
+            real_publish(path, data)
+            done.append(path)
+
+        monkeypatch.setattr(cli._CacheWriter, "write", write)
+        monkeypatch.setattr(cli, "_publish", slow_publish)
+        assert self.features(corpus, tmp_path) == 0
+        assert done == handed and len(done) == 12
+        assert max(pending) == bound + 1  # a full queue, and the file being written
+
+    def test_every_exit_joins_the_writer(self, corpus, tmp_path, monkeypatch):
+        baseline = set(threading.enumerate())
+        assert self.features(corpus, tmp_path / "ok") == 0
+        assert set(threading.enumerate()) == baseline
+        assert len(list((tmp_path / "ok" / "cache").glob("*.roif"))) == 12
+
+        computed = []
+
+        def interrupt_fifth(*args):
+            computed.append(args)
+            if len(computed) == 5:
+                raise KeyboardInterrupt
+            return extract_features(*args)
+
+        monkeypatch.setattr(cli, "extract_features", interrupt_fifth)
+        assert self.features(corpus, tmp_path / "stopped") == 130
+        assert set(threading.enumerate()) == baseline
+        assert len(list((tmp_path / "stopped" / "cache").glob("*.roif"))) == 4  # every clip before it
+
+    def test_a_warm_pass_starts_no_thread(self, corpus, tmp_path, monkeypatch):
+        assert self.features(corpus, tmp_path) == 0
+        monkeypatch.setattr(cli.threading, "Thread", None)
+        assert self.features(corpus, tmp_path) == 0
 
 
 class TestFeatureCacheKey:

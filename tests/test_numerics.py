@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -174,3 +175,13 @@ class TestSeededRng:
     def test_foreign_state_rejected(self):
         with pytest.raises(ValueError):
             SeededRng.from_state('{"bit_generator": "MT19937", "seed": 0}')
+
+    def test_pickle_roundtrip_keeps_type_seed_and_stream(self):
+        rng = SeededRng(7)
+        rng.normal(size=5)
+        rng.integers(0, 10, dtype=np.int32)  # leaves half of a 64-bit draw buffered
+        copy = pickle.loads(pickle.dumps(rng))
+        assert type(copy) is SeededRng
+        assert copy.seed == 7 and copy.get_state() == rng.get_state()
+        np.testing.assert_array_equal(copy.integers(0, 10, dtype=np.int32, size=3), rng.integers(0, 10, dtype=np.int32, size=3))
+        np.testing.assert_array_equal(copy.uniform(size=5), rng.uniform(size=5))
