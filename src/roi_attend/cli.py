@@ -79,8 +79,6 @@ CACHE_ENV = "ROI_ATTEND_CACHE"
 MODEL_CONFIG_FILE = "model_config.txt"
 FOLDS_MANIFEST = "MANIFEST"
 
-COMMANDS = ("synth", "features", "train", "eval-loso", "explain", "gradcheck", "report")
-
 
 class UsageError(ValueError):
     """Bad flags or configuration; maps to exit code 2."""
@@ -485,11 +483,8 @@ def _summarize(folds_dir: Path, out: Path, cfg: dict) -> None:
         with open(folds_dir / f"fold-{subject}.csv", encoding="utf-8", newline="") as fh:
             _, true, pred, _ = parse_fold_csv(fh.read())
         matrices.append(ConfusionMatrix.from_labels(true, pred))
-    saved = folds_dir / MODEL_CONFIG_FILE
-    if saved.exists():
-        model_cfg = _config_section({"model_config": saved.read_bytes()}, "model_config", ModelConfig)
-    else:  # a run dir written before eval-loso saved its model config
-        model_cfg = _model_cfg(cfg)
+    saved = (folds_dir / MODEL_CONFIG_FILE).read_bytes()
+    model_cfg = _config_section({"model_config": saved}, "model_config", ModelConfig)
     for agg_mode in AGGREGATION_MODES:
         _write_atomic(out / f"aggregate-{agg_mode}.csv", matrix_csv(aggregate(matrices, agg_mode).rates))
     selected = aggregate(matrices, mode)
@@ -570,7 +565,7 @@ def _cmd_explain(cfg: dict) -> int:
             f"checkpoint holds variant '{ckpt.model_cfg.variant.value}' "
             f"(model {ckpt.model_cfg.variant.model_number}), which produces no attention weights"
         )
-    frame_cfg = ckpt.frame_cfg if ckpt.frame_cfg is not None else _settings(cfg, "frame")
+    frame_cfg = ckpt.frame_cfg  # the settings the model was trained on
     clip = read_wav_file(wav_path)
     spec = power_spectrogram(clip, frame_cfg)
     features = extract_features(clip, frame_cfg, spec)
@@ -606,15 +601,17 @@ def _cmd_gradcheck(cfg: dict) -> int:
     return 1 if failed else 0
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "features": _cmd_features,
-    "train": _cmd_train,
-    "eval-loso": _cmd_eval_loso,
-    "explain": _cmd_explain,
-    "gradcheck": _cmd_gradcheck,
-    "report": _cmd_report,
+# name -> (handler, help), in the order --help lists them
+_COMMAND_TABLE = {
+    "synth": (_cmd_synth, "generate a labelled synthetic test corpus"),
+    "features": (_cmd_features, "compute and cache MFCC features for a corpus"),
+    "train": (_cmd_train, "train one model on a corpus"),
+    "eval-loso": (_cmd_eval_loso, "leave-one-subject-out evaluation over a corpus"),
+    "explain": (_cmd_explain, "attention weights and regions of interest for one clip"),
+    "gradcheck": (_cmd_gradcheck, "verify analytic gradients against finite differences"),
+    "report": (_cmd_report, "summarize an eval-loso run dir: the fold csv files its MANIFEST lists"),
 }
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 @functools.cache
@@ -630,17 +627,8 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "synth": "generate a labelled synthetic test corpus",
-        "features": "compute and cache MFCC features for a corpus",
-        "train": "train one model on a corpus",
-        "eval-loso": "leave-one-subject-out evaluation over a corpus",
-        "explain": "attention weights and regions of interest for one clip",
-        "gradcheck": "verify analytic gradients against finite differences",
-        "report": "summarize an eval-loso run dir: the fold csv files its MANIFEST lists",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name], add_help=True)
+    for name, (_, help_text) in _COMMAND_TABLE.items():
+        sp = sub.add_parser(name, help=help_text, add_help=True)
         sp.add_argument("--config", default=None, help="key=value configuration file")
     return parser
 
@@ -649,7 +637,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     ns, leftover = parser.parse_known_args(argv)
     cfg = effective_config(ns.config, leftover)
-    return _HANDLERS[ns.command](cfg)
+    handler, _ = _COMMAND_TABLE[ns.command]
+    return handler(cfg)
 
 
 def entrypoint(argv=None) -> int:

@@ -152,7 +152,7 @@ class SeededRng(np.random.Generator):
         safe = json.loads(blob)
         if safe.get("bit_generator") != "Philox":
             raise ValueError("rng state is not a Philox state")
-        self.seed = int(safe["seed"])
+        self.seed = check_seed(safe["seed"])
         self.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {

@@ -336,11 +336,11 @@ class Checkpoint:
     model_cfg: ModelConfig
     params: ModelParams
     train_cfg: TrainConfig
-    frame_cfg: FrameConfig | None = None
+    frame_cfg: FrameConfig
+    rng_state: str  # SeededRng.get_state() JSON text
     epoch: int = 0
     loss_history: list = field(default_factory=list)
-    rng_state: str | None = None  # SeededRng.get_state() JSON text
-    feature_stats: dict | None = None
+    feature_stats: dict | None = None  # exactly when train_cfg.standardize
     optimizer_t: int = 0
     optimizer_m: dict = field(default_factory=dict)
     optimizer_v: dict = field(default_factory=dict)
@@ -473,38 +473,37 @@ def _rng_state_text(state) -> bytes:
 
 
 # The checkpoint's sections in the order save_checkpoint writes them, the one
-# layout load_checkpoint accepts; only the optional ones may be left out.
+# layout load_checkpoint accepts; feature_stats, last, only when train_config
+# standardizes.
 _SECTIONS = (
     "model_config", "train_config", "frame_config", "params", "optimizer",
     "meta", "rng_state", "loss_history", "feature_stats",
 )
-_OPTIONAL_SECTIONS = {"frame_config", "rng_state", "feature_stats"}
+# What SeededRng.from_state raises on JSON it cannot restore.
+_RNG_STATE_ERRORS = (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError, ValueError)
 
 
 def save_checkpoint(ckpt: Checkpoint) -> bytes:
     """The checkpoint's bytes, joined once from one flat list of chunks."""
     kind = ckpt.train_cfg.optimizer.encode("utf-8")
     hist = np.asarray(ckpt.loss_history, dtype="<f8")
-    present = {
+    sections = {  # in _SECTIONS order
         "model_config": [_config_text(_config_pairs(ckpt.model_cfg))],
         "train_config": [_config_text(_config_pairs(ckpt.train_cfg))],
+        "frame_config": [_config_text(_config_pairs(ckpt.frame_cfg))],
         "params": _pack_named_arrays(ckpt.params.arrays),
         "optimizer": [struct.pack(f"<I{len(kind)}sQ", len(kind), kind, ckpt.optimizer_t)]
         + _pack_named_arrays(ckpt.optimizer_m)
         + _pack_named_arrays(ckpt.optimizer_v),
         "meta": [_config_text({"epoch": ckpt.epoch})],
+        "rng_state": [_rng_state_text(ckpt.rng_state)],
         "loss_history": [struct.pack("<I", hist.size), hist.tobytes()],
     }
-    if ckpt.frame_cfg is not None:
-        present["frame_config"] = [_config_text(_config_pairs(ckpt.frame_cfg))]
-    if ckpt.rng_state is not None:
-        present["rng_state"] = [_rng_state_text(ckpt.rng_state)]
     if ckpt.feature_stats is not None:
-        present["feature_stats"] = _pack_named_arrays(ckpt.feature_stats)
-    sections = [(name, present[name]) for name in _SECTIONS if name in present]
+        sections["feature_stats"] = _pack_named_arrays(ckpt.feature_stats)
 
     out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(sections))]
-    for name, chunks in sections:
+    for name, chunks in sections.items():
         nb = name.encode("utf-8")
         out.append(struct.pack(f"<I{len(nb)}sQ", len(nb), nb, sum(len(c) for c in chunks)))
         out += chunks
@@ -515,8 +514,10 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     """Inverse of save_checkpoint. Malformed bytes or values (a bad or
     non-finite number, an unknown variant, a field out of range, an optimizer
     kind other than train_config's, shapes that do not fit the config, optimizer
-    moments that do not fit the params, feature stats that are not finite or
-    whose std is not positive) raise CheckpointFormatError.
+    moments that do not fit the params, an rng state SeededRng cannot restore
+    to the same text, feature stats present when train_config does not
+    standardize or absent when it does, or not finite, or with a std that is not
+    positive) raise CheckpointFormatError.
 
     Params and feature stats are copied out; the optimizer moments, which only
     a resumed run reads, are read-only views of data."""
@@ -542,15 +543,14 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
         names.append(str(cur.take(cur.u32()), "utf-8"))
         sections[names[-1]] = cur.take(cur.u64())
     cur.finish()
-    layout = [name for name in _SECTIONS if name in sections or name not in _OPTIONAL_SECTIONS]
-    if names != layout:
-        raise CheckpointFormatError(f"checkpoint sections {names} are not in the writer's layout {layout}")
+    if tuple(names) not in (_SECTIONS, _SECTIONS[:-1]):
+        raise CheckpointFormatError(f"checkpoint sections {names} are not in the writer's layout {list(_SECTIONS)}")
 
     model_cfg = _config_section(sections, "model_config", ModelConfig)
     train_cfg = _config_section(sections, "train_config", TrainConfig)
-    frame_cfg = None
-    if "frame_config" in sections:
-        frame_cfg = _config_section(sections, "frame_config", FrameConfig)
+    if ("feature_stats" in sections) != train_cfg.standardize:
+        raise CheckpointFormatError("feature stats must be stored exactly when train_config standardizes")
+    frame_cfg = _config_section(sections, "frame_config", FrameConfig)
 
     params = ModelParams(_whole_named_arrays(sections["params"], "params section"))
     params.validate_shapes(model_cfg)
@@ -563,26 +563,30 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     ocur.finish()
     if kind != train_cfg.optimizer:  # TrainConfig holds it to 'adam' or 'sgd'
         raise CheckpointFormatError(f"optimizer section holds {kind!r}, train_config says {train_cfg.optimizer!r}")
-    # SGD keeps no moments; Adam keeps one pair per param, and none before its first step
+    # SGD keeps no moments; Adam keeps one pair per param
     moments = ({n: a.shape for n, a in m_arrays.items()}, {n: a.shape for n, a in v_arrays.items()})
     shapes = {n: params[n].shape for n in params.names()}
     if kind == "sgd" and moments != ({}, {}):
         raise CheckpointFormatError("sgd optimizer section holds moments; SGD keeps none")
-    if kind == "adam" and moments != (shapes, shapes) and not (opt_t == 0 and moments == ({}, {})):
+    if kind == "adam" and moments != (shapes, shapes):
         raise CheckpointFormatError("adam optimizer moments do not match the params' names and shapes")
 
     epoch = int(_parse_config_text(sections["meta"]).get("epoch", "0"))
     if _config_text({"epoch": epoch}) != sections["meta"]:
         raise CheckpointFormatError("meta section is not in canonical form")
 
-    rng_state = None
-    if "rng_state" in sections:
-        try:
-            rng_state = json.loads(str(sections["rng_state"], "utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CheckpointFormatError(f"rng_state is not valid JSON: {exc}") from None
-        if _rng_state_text(rng_state) != sections["rng_state"]:
-            raise CheckpointFormatError("rng_state section is not in canonical form")
+    try:
+        rng_state = json.loads(str(sections["rng_state"], "utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointFormatError(f"rng_state is not valid JSON: {exc}") from None
+    if _rng_state_text(rng_state) != sections["rng_state"]:
+        raise CheckpointFormatError("rng_state section is not in canonical form")
+    try:
+        restored = SeededRng.from_state(rng_state).get_state()
+    except _RNG_STATE_ERRORS as exc:
+        raise CheckpointFormatError(f"rng_state cannot be restored: {exc!r}") from None
+    if restored != rng_state:
+        raise CheckpointFormatError("rng_state does not restore to the text it holds")
 
     hcur = _Cursor(sections["loss_history"], "loss history", CheckpointFormatError)
     n_hist = hcur.u32()
@@ -590,7 +594,7 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     hcur.finish()
 
     stats = None
-    if "feature_stats" in sections:
+    if train_cfg.standardize:
         stats = _whole_named_arrays(sections["feature_stats"], "feature stats")
         if set(stats) != {"mean", "std"}:
             raise CheckpointFormatError("feature stats must hold exactly 'mean' and 'std'")
@@ -620,10 +624,11 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
 # -- the loop ------------------------------------------------------------------
 
 
-def train(train_set, model_cfg: ModelConfig, train_cfg: TrainConfig, frame_cfg=None, on_epoch=None) -> Checkpoint:
+def train(train_set, model_cfg: ModelConfig, train_cfg: TrainConfig, frame_cfg, on_epoch=None) -> Checkpoint:
     """Fit one model on (FeatureSequence, label) pairs. on_epoch(epoch,
     mean_loss, params, feature_stats) runs after each epoch; a truthy return
-    stops early. Returns the checkpoint.
+    stops early. Returns the checkpoint, which stores frame_cfg: the frame
+    settings the features were computed with.
 
     The set is stacked once, to check it and to fit the standardizer, and
     the stack is dropped before training starts. Each batch then gathers its

@@ -189,7 +189,7 @@ def test_criterion_3_synthetic_learnability(synth_data, model2, capsys):
             history = []
 
             def stop_when_learned(epoch, mean_loss, params, stats, _cfg=cfg, _tc=tc):
-                interim = Checkpoint(model_cfg=_cfg, params=params, train_cfg=_tc, feature_stats=stats)
+                interim = Checkpoint(_cfg, params, _tc, FRAME, SeededRng(_tc.seed).get_state(), feature_stats=stats)
                 acc, _ = _accuracy(interim, synth_data["test_feats"], synth_data["test_labels"])
                 history.append(acc)
                 return acc >= 0.8

@@ -32,7 +32,7 @@ from roi_attend.dsp import (
 )
 from roi_attend.model import ModelConfig, Variant
 from roi_attend.roi import attention_json, detect_roi, dump_attention_json, extract_attention, render_svg
-from roi_attend.training import _config_pairs, _config_section, _config_text, load_checkpoint, save_checkpoint
+from roi_attend.training import _config_pairs, _config_section, _config_text, load_checkpoint
 
 TINY_SPEC = SyntheticSpec(
     n_clips_per_class=2, clip_len=4000, burst_len=800, n_actors=3, seed=7
@@ -295,6 +295,28 @@ class TestConfigSchemaPinned:
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+
+    # SHA-256 of `roi-attend --help` and of each command's --help at 80
+    # columns, as printed when the commands, their handlers and their help
+    # lines were three separate lists
+    PINNED_HELP = {
+        "roi-attend": "7892726e0bf56f375112831c5d25b1dd7112ef532e45673d4ac534963c0bd0d8",
+        "synth": "fb5469742df3fc76a6a8177687964b65f277b93865d1ce5be1e347d0a0eace37",
+        "features": "3de71badc603ccf12fecb413cfdb612ece11b9ca2a8e8d21abe46a7b0d43e792",
+        "train": "38a54b7c103c36cd4e997ea894ffaf7c44e075daa85ca07e2889a71cebec1f50",
+        "eval-loso": "5b3d505165a308fd2c12addfeb843d26ac268d29e9ba0c200dc84b74f300becc",
+        "explain": "fb48a75581c9527e2e16e2f91c49315dfbcdd4483ccf6f013af607a7fa005d70",
+        "gradcheck": "5d64b26437fe9016352fbf818d91f481b888274e2e8ae3d0ee45f4c13fe729f0",
+        "report": "70a48997b9e02b2b1469ca37c7791bbd9e170a3fd543c959eefaee0de00b0475",
+    }
+
+    @pytest.mark.parametrize("command", PINNED_HELP)
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            entrypoint(([] if command == "roi-attend" else [command]) + ["--help"])
+        assert exc.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.PINNED_HELP[command]
 
 
 NON_FINITE = [
@@ -965,13 +987,19 @@ class TestReportCommand:
         assert entrypoint(["report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={report_dir}"]) == 0
         summary = (eval_out / "summary.txt").read_bytes()
         assert (only_dir(report_dir, "report") / "summary.txt").read_bytes() == summary
-        # a run dir from before model_config.txt: --model.variant names the variant
+
+    def test_report_without_the_model_config_fails_before_any_write(self, corpus, tmp_path, capsys):
+        # the variant comes from the run dir alone: --model.variant does not stand in for it
+        eval_argv = ["eval-loso", f"--paths.corpus_dir={corpus}", f"--paths.output_dir={tmp_path}", "--folds=1", *FAST]
+        assert entrypoint(eval_argv) == 0
+        eval_out = only_dir(tmp_path, "eval-loso")
         (eval_out / "model_config.txt").unlink()
-        older = tmp_path / "older"
-        assert entrypoint([
-            "report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={older}", "--model.variant=uni_plain",
-        ]) == 0
-        assert (only_dir(older, "report") / "summary.txt").read_bytes() == summary
+        capsys.readouterr()
+        report_dir = tmp_path / "rebuilt"
+        argv = ["report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={report_dir}"]
+        assert entrypoint([*argv, "--model.variant=uni_plain"]) == 1
+        assert "model_config.txt" in capsys.readouterr().err
+        assert not report_dir.exists()
 
     def test_empty_folds_dir_is_runtime_failure(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -1098,19 +1126,6 @@ class TestExplainCommand:
         ckpt = load_checkpoint(ckpt_path.read_bytes())
         (amap,) = extract_attention(ckpt, features(read_wav_file(wav), ckpt.frame_cfg), 80, 160)
         assert text == dump_attention_json(attention_json(str(wav), amap, detect_roi(amap, ratio=2.0)))
-
-    def test_checkpoint_without_frame_settings_uses_frame_keys(self, corpus, attention_ckpt, tmp_path):
-        bare = tmp_path / "bare.roic"
-        bare.write_bytes(save_checkpoint(replace(load_checkpoint(attention_ckpt.read_bytes()), frame_cfg=None)))
-        wav = sorted(Path(corpus).glob("*.wav"))[0]
-        outputs = {}
-        for name, ckpt in (("stored", attention_ckpt), ("bare", bare)):
-            assert entrypoint([
-                "explain", f"--paths.checkpoint={ckpt}", f"--paths.wav={wav}",
-                f"--paths.output_dir={tmp_path / name}",
-            ]) == 0
-            outputs[name] = {p.name: p.read_bytes() for p in only_dir(tmp_path / name, "explain").iterdir()}
-        assert outputs["bare"] == outputs["stored"]
 
     def test_plain_checkpoint_is_usage_error(self, corpus, tmp_path, capsys):
         root = tmp_path / "plain"
@@ -1287,7 +1302,7 @@ class TestInterrupt:
     def test_keyboard_interrupt_exit_code(self, monkeypatch):
         def boom(cfg):
             raise KeyboardInterrupt
-        monkeypatch.setitem(cli._HANDLERS, "synth", boom)
+        monkeypatch.setitem(cli._COMMAND_TABLE, "synth", (boom, "raises KeyboardInterrupt"))
         assert entrypoint(["synth"]) == 130
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roi_attend.dsp import FeatureSequence
+from roi_attend.dsp import FeatureSequence, FrameConfig
 from roi_attend.evaluation import (
     AGGREGATION_MODES,
     ConfigMismatchError,
@@ -36,7 +36,7 @@ def zero_checkpoint(variant=Variant.UNI_PLAIN, input_dim=1, **kw):
     cfg = ModelConfig(variant=variant, input_dim=input_dim, enc_hidden=1, dec_hidden=1,
                       dropout_rate=0.0, **kw)
     params = ModelParams({k: np.zeros(s) for k, s in param_shapes(cfg).items()})
-    return Checkpoint(model_cfg=cfg, params=params, train_cfg=TrainConfig())
+    return Checkpoint(cfg, params, TrainConfig(), FrameConfig(), SeededRng(0).get_state())
 
 
 def sign_checkpoint():
@@ -129,7 +129,7 @@ class TestPredictAndFold:
         rng = SeededRng(7)
         params = init_params(cfg, rng)
         stats = {"mean": rng.normal(size=3), "std": rng.uniform(0.5, 2.0, size=3)}
-        ckpt = Checkpoint(model_cfg=cfg, params=params, train_cfg=TrainConfig(), feature_stats=stats)
+        ckpt = Checkpoint(cfg, params, TrainConfig(), FrameConfig(), rng.get_state(), feature_stats=stats)
         n = 2 * PREDICT_BATCH + 1
         seqs = [seq(rng.normal(size=(2, 3))) for _ in range(n)]
         before = [s.frames.copy() for s in seqs]

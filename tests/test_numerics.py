@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import warnings
@@ -158,6 +159,12 @@ class TestSeededRng:
             SeededRng(-1)
         with pytest.raises(ValueError):
             SeededRng(2**64)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_state_with_a_seed_out_of_range_rejected(self, seed):
+        state = json.loads(SeededRng(3).get_state())
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            SeededRng.from_state(json.dumps({**state, "seed": seed}, sort_keys=True))
 
     def test_is_a_generator_on_philox_keyed_by_the_seed(self):
         rng, ref = SeededRng(11), np.random.Generator(np.random.Philox(key=11))

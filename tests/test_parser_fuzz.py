@@ -54,7 +54,7 @@ def _checkpoint_blob() -> bytes:
         frame_cfg=FrameConfig(n_mfcc=2, n_mels=4),
         epoch=2,
         loss_history=[1.75, 1.5],
-        rng_state={"epoch": 2, "seed": 3},
+        rng_state=SeededRng(3).get_state(),
         feature_stats={"mean": np.zeros(2), "std": np.ones(2)},
         optimizer_t=4,
         optimizer_m=zeros,
@@ -355,7 +355,7 @@ def test_roic_layout_helpers_round_trip():
 @pytest.mark.parametrize("first", range(8))
 def test_roic_swapped_sections_rejected(first):
     sections = _roic_sections(ROIC)
-    assert len(sections) == 9  # every section, the optional ones too
+    assert len(sections) == 9  # every section, feature_stats too
     for second in range(first + 1, len(sections)):
         swapped = list(sections)
         swapped[first], swapped[second] = swapped[second], swapped[first]

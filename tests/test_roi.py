@@ -36,7 +36,7 @@ def zero_checkpoint(variant=Variant.BI_ATTENTION, input_dim=4, frame_cfg=FrameCo
     cfg = ModelConfig(variant=variant, input_dim=input_dim, enc_hidden=2, dec_hidden=2,
                       dropout_rate=0.0, **kw)
     params = ModelParams({k: np.zeros(s) for k, s in param_shapes(cfg).items()})
-    return Checkpoint(model_cfg=cfg, params=params, train_cfg=TrainConfig(), frame_cfg=frame_cfg)
+    return Checkpoint(cfg, params, TrainConfig(), frame_cfg, SeededRng(0).get_state())
 
 
 def spec_for(m):
@@ -119,8 +119,10 @@ class TestExtractAttention:
         assert len(maps) == 2
 
     def test_maps_carry_the_callers_geometry(self):
-        # the checkpoint's frame settings (here none) play no part
-        (m,) = extract_attention(zero_checkpoint(frame_cfg=None), feats(4), 100, 400)
+        # the checkpoint's frame settings (480-sample frames every 240 at 16 kHz) play no part
+        cfg = FrameConfig(frame_len_ms=30.0, step_ms=15.0)
+        assert (cfg.frame_step(16000), cfg.frame_len(16000)) == (240, 480)
+        (m,) = extract_attention(zero_checkpoint(frame_cfg=cfg), feats(4), 100, 400)
         assert (m.step, m.frame_len) == (100, 400)
         assert detect_roi(m, ratio=0.5).regions[0].end_sample == 3 * 100 + 400
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import struct
 import tracemalloc
@@ -67,6 +68,24 @@ def synthetic_train_set(n_per_class=10, seed=0):
     padded = [pad_to_length(c.clip, target) for c in clips]
     seqs = [extract_features(p, cfg, power_spectrogram(p, cfg)) for p in padded]
     return [(seq, int(c.label)) for seq, c in zip(seqs, clips)]
+
+
+def _sections(blob) -> list:
+    """[(name, payload)] of a checkpoint's sections, in file order."""
+    (count,) = struct.unpack_from("<I", blob, 8)
+    pos, out = 12, []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<I", blob, pos)
+        (size,) = struct.unpack_from("<Q", blob, pos + 4 + n)
+        out.append((blob[pos + 4 : pos + 4 + n], blob[pos + 12 + n : pos + 12 + n + size]))
+        pos += 12 + n + size
+    return out
+
+
+def _join(head, sections) -> bytes:
+    """A checkpoint from its magic and version, head, and its sections."""
+    body = b"".join(struct.pack(f"<I{len(n)}sQ", len(n), n, len(p)) + p for n, p in sections)
+    return head + struct.pack("<I", len(sections)) + body
 
 
 class TestCrossEntropy:
@@ -611,8 +630,8 @@ class TestTrainLoop:
         train_set = synthetic_train_set(n_per_class=2)
         cfg = tiny_cfg(Variant.UNI_PLAIN, input_dim=13)
         tc = TrainConfig(epochs=3, batch_size=4, seed=11)
-        a = train(train_set, cfg, tc)
-        b = train(train_set, cfg, tc)
+        a = train(train_set, cfg, tc, frame_cfg=FrameConfig())
+        b = train(train_set, cfg, tc, frame_cfg=FrameConfig())
         assert a.loss_history == b.loss_history
         for name in a.params.names():
             np.testing.assert_array_equal(a.params[name], b.params[name])
@@ -620,8 +639,8 @@ class TestTrainLoop:
     def test_different_seeds_differ(self):
         train_set = synthetic_train_set(n_per_class=2)
         cfg = tiny_cfg(Variant.UNI_PLAIN, input_dim=13)
-        a = train(train_set, cfg, TrainConfig(epochs=2, batch_size=4, seed=1))
-        b = train(train_set, cfg, TrainConfig(epochs=2, batch_size=4, seed=2))
+        a = train(train_set, cfg, TrainConfig(epochs=2, batch_size=4, seed=1), frame_cfg=FrameConfig())
+        b = train(train_set, cfg, TrainConfig(epochs=2, batch_size=4, seed=2), frame_cfg=FrameConfig())
         assert a.loss_history != b.loss_history
 
     def test_loss_decreases_on_synthetic_corpus(self):
@@ -630,7 +649,7 @@ class TestTrainLoop:
             variant=Variant.BI_ATTENTION, input_dim=13, enc_hidden=8, dec_hidden=8,
             dropout_rate=0.1,
         )
-        ckpt = train(train_set, cfg, TrainConfig(epochs=4, batch_size=16, seed=0))
+        ckpt = train(train_set, cfg, TrainConfig(epochs=4, batch_size=16, seed=0), frame_cfg=FrameConfig())
         assert len(ckpt.loss_history) == 4
         assert ckpt.loss_history[-1] < ckpt.loss_history[0]
         assert all(v >= 0 and math.isfinite(v) for v in ckpt.loss_history)
@@ -644,7 +663,8 @@ class TestTrainLoop:
             seen.append((epoch, mean_loss))
             return epoch >= 1
 
-        ckpt = train(train_set, cfg, TrainConfig(epochs=10, batch_size=4, seed=0), on_epoch=hook)
+        tc = TrainConfig(epochs=10, batch_size=4, seed=0)
+        ckpt = train(train_set, cfg, tc, frame_cfg=FrameConfig(), on_epoch=hook)
         assert len(seen) == 2
         assert ckpt.epoch == 2
         assert len(ckpt.loss_history) == 2
@@ -691,7 +711,7 @@ class TestTrainLoop:
 
         tracemalloc.start()
         try:
-            train(train_set, cfg, TrainConfig(epochs=2, batch_size=B, seed=35), on_epoch=hook)
+            train(train_set, cfg, TrainConfig(epochs=2, batch_size=B, seed=35), frame_cfg=FrameConfig(), on_epoch=hook)
         finally:
             tracemalloc.stop()
         largest = max(math.prod(shape) for shape in param_shapes(cfg).values())
@@ -719,7 +739,8 @@ class TestTrainLoop:
         corpus = [(FeatureSequence(rng.normal(size=(T, d)), np.zeros(T, dtype=bool)), k % 6) for k in range(2 * N)]
         cfg = ModelConfig(variant=Variant.BI_ATTENTION, input_dim=d, enc_hidden=4, dec_hidden=4, dropout_rate=0.1)
         tc = TrainConfig(epochs=3, batch_size=16, seed=41)
-        train(corpus[:N], cfg, dataclasses.replace(tc, epochs=1))  # one-time allocations, untraced
+        # one-time allocations, untraced
+        train(corpus[:N], cfg, dataclasses.replace(tc, epochs=1), frame_cfg=FrameConfig())
 
         def later_epoch_peak(train_set):
             seen = {}
@@ -732,7 +753,7 @@ class TestTrainLoop:
 
             tracemalloc.start()
             try:
-                train(train_set, cfg, tc, on_epoch=hook)
+                train(train_set, cfg, tc, frame_cfg=FrameConfig(), on_epoch=hook)
             finally:
                 tracemalloc.stop()
             return seen["peak"]
@@ -797,16 +818,9 @@ class TestCheckpointIO:
         blob = save_checkpoint(self._checkpoint(Variant.UNI_PLAIN))
         zero_d = struct.pack("<II", 1, 1) + b"x" + struct.pack("<I", 0) + struct.pack("<d", 0.5)
         optimizer = struct.pack("<I", 4) + b"adam" + struct.pack("<Q", 1) + zero_d + struct.pack("<I", 0)
-        head, pos, sections = blob[:12], 12, []
-        while pos < len(blob):  # reframe the container with the optimizer payload replaced
-            (n,) = struct.unpack_from("<I", blob, pos)
-            name = blob[pos + 4 : pos + 4 + n]
-            (size,) = struct.unpack_from("<Q", blob, pos + 4 + n)
-            payload = optimizer if name == b"optimizer" else blob[pos + 12 + n : pos + 12 + n + size]
-            sections.append(struct.pack("<I", n) + name + struct.pack("<Q", len(payload)) + payload)
-            pos += 12 + n + size
+        sections = [(n, optimizer if n == b"optimizer" else p) for n, p in _sections(blob)]
         with pytest.raises(CheckpointFormatError, match="has no dimensions"):
-            load_checkpoint(head + b"".join(sections))
+            load_checkpoint(_join(blob[:8], sections))
 
     # SHA-256 of one hand-built checkpoint (every section present, an MLP
     # scorer, Adam moments), computed when each array was copied by tobytes
@@ -980,11 +994,17 @@ class TestCheckpointIO:
             b"n_mels=26\nn_mfcc=13\npreemphasis=0.97\nstep_ms=10.0\n",
         }
         model_cfg = ModelConfig(dropout_rate=0)
+        rng = SeededRng(0)
+        params = init_params(model_cfg, rng)
         ckpt = Checkpoint(
             model_cfg=model_cfg,
-            params=init_params(model_cfg, SeededRng(0)),
+            params=params,
             train_cfg=TrainConfig(grad_clip=None, lr=1),
             frame_cfg=FrameConfig(),
+            rng_state=rng.get_state(),
+            feature_stats={"mean": np.zeros(13), "std": np.ones(13)},
+            optimizer_m=params.zeros_like(),
+            optimizer_v=params.zeros_like(),
         )
         data = save_checkpoint(ckpt)
         for name, text in sections.items():
@@ -1007,7 +1027,7 @@ class TestCheckpointIO:
     def test_sgd_checkpoint_roundtrip(self):
         train_set = synthetic_train_set(n_per_class=1)
         cfg = tiny_cfg(Variant.UNI_PLAIN, input_dim=13)
-        ckpt = train(train_set, cfg, TrainConfig(epochs=1, optimizer="sgd", seed=0))
+        ckpt = train(train_set, cfg, TrainConfig(epochs=1, optimizer="sgd", seed=0), frame_cfg=FrameConfig())
         back = load_checkpoint(save_checkpoint(ckpt))
         assert back.train_cfg.optimizer == "sgd"
         assert back.optimizer_m == {}
@@ -1031,7 +1051,55 @@ class TestCheckpointIO:
     def test_sgd_checkpoint_with_moments_rejected(self):
         train_set = synthetic_train_set(n_per_class=1)
         cfg = tiny_cfg(Variant.UNI_PLAIN, input_dim=13)
-        ckpt = train(train_set, cfg, TrainConfig(epochs=1, optimizer="sgd", seed=0))
+        ckpt = train(train_set, cfg, TrainConfig(epochs=1, optimizer="sgd", seed=0), frame_cfg=FrameConfig())
         bad = dataclasses.replace(ckpt, optimizer_m=ckpt.params.zeros_like(), optimizer_v=ckpt.params.zeros_like())
         with pytest.raises(CheckpointFormatError, match="SGD keeps none"):
             load_checkpoint(save_checkpoint(bad))
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_one_section_list_per_train_config(self, standardize):
+        train_set = synthetic_train_set(n_per_class=1)
+        tc = TrainConfig(epochs=1, batch_size=3, seed=13, standardize=standardize)
+        ckpt = train(train_set, tiny_cfg(input_dim=13), tc, frame_cfg=FrameConfig())
+        data = save_checkpoint(ckpt)
+        names = [name.decode() for name, _ in _sections(data)]
+        assert names == list(training._SECTIONS if standardize else training._SECTIONS[:-1])
+        assert save_checkpoint(load_checkpoint(data)) == data
+
+    # case -> the error it raises; each of these loaded while a checkpoint
+    # could leave sections out
+    UNWRITTEN_LAYOUTS = {
+        "no frame_config": "not in the writer's layout",
+        "no rng_state": "not in the writer's layout",
+        "standardize without feature_stats": "feature stats must be stored exactly when",
+        "feature_stats without standardize": "feature stats must be stored exactly when",
+        "adam without moments": "adam optimizer moments do not match",
+        "rng_state a dict": "rng_state cannot be restored",
+        "rng_state a JSON list": "rng_state cannot be restored",
+        "rng_state nested too deep": "rng_state cannot be restored",
+        "rng_state seed out of range": "rng_state cannot be restored",
+        "rng_state with a key more": "rng_state does not restore to the text it holds",
+        "rng_state section nested too deep": "rng_state is not valid JSON",
+    }
+
+    @pytest.mark.parametrize("case", UNWRITTEN_LAYOUTS)
+    def test_layouts_train_never_writes_rejected(self, case):
+        ckpt = self._checkpoint()
+        state = json.loads(ckpt.rng_state)
+        changes = {
+            "standardize without feature_stats": {"feature_stats": None},
+            "feature_stats without standardize": {"train_cfg": dataclasses.replace(ckpt.train_cfg, standardize=False)},
+            "adam without moments": {"optimizer_t": 0, "optimizer_m": {}, "optimizer_v": {}},
+            "rng_state a dict": {"rng_state": {"epoch": 2, "seed": 3}},
+            "rng_state a JSON list": {"rng_state": "[1,2]"},
+            "rng_state nested too deep": {"rng_state": "[" * 100_000},
+            "rng_state seed out of range": {"rng_state": json.dumps({**state, "seed": -1}, sort_keys=True)},
+            "rng_state with a key more": {"rng_state": json.dumps({**state, "epoch": 2}, sort_keys=True)},
+        }
+        data = save_checkpoint(dataclasses.replace(ckpt, **changes.get(case, {})))
+        if case.startswith("no "):
+            data = _join(data[:8], [s for s in _sections(data) if s[0] != case[3:].encode()])
+        elif case == "rng_state section nested too deep":
+            data = _join(data[:8], [(n, b"[" * 100_000 if n == b"rng_state" else p) for n, p in _sections(data)])
+        with pytest.raises(CheckpointFormatError, match=self.UNWRITTEN_LAYOUTS[case]):
+            load_checkpoint(data)
