@@ -348,8 +348,12 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
     features are not cached is read again and must hash to the same digest.
     So the pass holds one decoded clip, not the corpus.
 
-    A missing .roif file is a miss; one that exists but cannot be read fails
-    the pass; a malformed one, or one whose shape does not fit the clip, is
+    The cache directory is listed once, after the first pass, and only a
+    file whose name is in that listing is opened. A name missing from it is
+    a miss, and so is a listed file that is gone by the time it is read; a
+    missing directory lists as empty, and any other error from the listing
+    fails the command. A file that exists but cannot be read fails the pass;
+    a malformed one, or one whose shape does not fit the clip, is
     recomputed. The cache directory is made by the first write into it.
     Computed features are serialized here and published by a _CacheWriter
     thread; every file is published, or its error raised, before the pass
@@ -378,6 +382,12 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
         + _config_text(_config_pairs(frame_cfg))
         + f"target={target}\n".encode("ascii")
     )
+    listed = frozenset()
+    if cache_dir:
+        try:
+            listed = frozenset(os.listdir(cache_dir))
+        except FileNotFoundError:  # not made yet: every clip is a miss; any other OSError fails the command
+            pass
     feats = [] if keep else None
     with _CacheWriter() as writer:
         for rate, digest, entry in zip(rates, digests, manifest.entries):
@@ -386,12 +396,14 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
                 stem = os.path.splitext(os.path.basename(entry.path))[0]
                 name = f"{stem}.{hashlib.sha256(key_prefix + digest).hexdigest()[:16]}.roif"
                 cpath = os.path.join(cache_dir, name)
-                try:
-                    with open(cpath, "rb", buffering=0) as fh:
-                        cached = fh.readall()
-                except FileNotFoundError:  # not cached; any other OSError fails the command
-                    pass
-                else:
+                cached = None
+                if name in listed:
+                    try:
+                        with open(cpath, "rb", buffering=0) as fh:
+                            cached = fh.readall()
+                    except FileNotFoundError:  # gone since the listing; any other OSError fails the command
+                        pass
+                if cached is not None:
                     try:
                         seq = load_feature_cache(cached)
                         shape = (frame_cfg.frame_count(target, rate), frame_cfg.n_mfcc)

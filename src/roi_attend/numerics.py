@@ -152,7 +152,12 @@ class SeededRng(np.random.Generator):
         safe = json.loads(blob)
         if safe.get("bit_generator") != "Philox":
             raise ValueError("rng state is not a Philox state")
-        self.seed = check_seed(safe["seed"])
+        seed = check_seed(safe["seed"])
+        buffer_pos, has_uint32 = int(safe["buffer_pos"]), int(safe["has_uint32"])
+        if not 0 <= buffer_pos <= 4:  # 4: the 4-word buffer is used up
+            raise ValueError(f"buffer_pos {buffer_pos} is outside Philox's 4-word buffer")
+        if has_uint32 not in (0, 1):
+            raise ValueError(f"has_uint32 must be 0 or 1, not {has_uint32}")
         self.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {
@@ -160,10 +165,11 @@ class SeededRng(np.random.Generator):
                 "key": np.array(safe["key"], dtype=np.uint64),
             },
             "buffer": np.array(safe["buffer"], dtype=np.uint64),
-            "buffer_pos": int(safe["buffer_pos"]),
-            "has_uint32": int(safe["has_uint32"]),
+            "buffer_pos": buffer_pos,
+            "has_uint32": has_uint32,
             "uinteger": int(safe["uinteger"]),
         }
+        self.seed = seed
 
     @classmethod
     def from_state(cls, blob: str) -> "SeededRng":

@@ -47,8 +47,8 @@ class AttentionMap:
             raise ValueError("weights and pad_mask must be equal-length 1-D arrays")
         if self.step < 1 or self.frame_len < 1:
             raise ValueError("step and frame_len must be positive")
-        if self.weights.min() < 0 or abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError("attention weights must be non-negative and sum to 1")
+        if not np.isfinite(self.weights).all() or self.weights.min() < 0 or abs(self.weights.sum() - 1.0) > 1e-9:
+            raise ValueError("attention weights must be finite, non-negative and sum to 1")
 
     @property
     def x(self) -> int:

@@ -547,6 +547,105 @@ class TestFeaturesCommand:
         assert not list(cache.glob(Path(victim).stem + ".*"))
 
 
+class TestCacheListing:
+    """A pass lists the cache directory once and opens only the files named
+    in that listing."""
+
+    def features(self, corpus, cache, tmp_path):
+        return entrypoint([
+            "features", f"--paths.corpus_dir={corpus}",
+            f"--paths.cache_dir={cache}", f"--paths.output_dir={tmp_path / 'runs'}",
+        ])
+
+    def spy_on_work(self, monkeypatch):
+        """The clips whose features are computed."""
+        computed = []
+        monkeypatch.setattr(cli, "extract_features", lambda *a: computed.append(a) or extract_features(*a))
+        return computed
+
+    def after_listing(self, monkeypatch, cache, act):
+        """Run act() right after the pass lists the cache directory."""
+        real_listdir = os.listdir
+
+        def listdir(path):
+            names = real_listdir(path)
+            if Path(path) == cache:
+                act()
+            return names
+
+        monkeypatch.setattr(cli.os, "listdir", listdir)
+
+    def test_a_cold_pass_into_a_missing_directory_reads_no_cache_file(self, corpus, tmp_path, monkeypatch):
+        reads = []
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if mode == "rb" and str(file).endswith(".roif"):
+                reads.append(file)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", spy_open, raising=False)
+        cache = tmp_path / "cache"
+        assert self.features(corpus, cache, tmp_path) == 0
+        assert reads == [] and len(list(cache.glob("*.roif"))) == 12
+        assert self.features(corpus, cache, tmp_path) == 0
+        assert sorted(reads) == sorted(str(p) for p in cache.glob("*.roif"))  # the warm pass reads each once
+
+    def test_a_listed_file_gone_before_it_is_read_is_recomputed(self, corpus, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        assert self.features(corpus, cache, tmp_path) == 0
+        cold = cache_state(cache)
+        victim = sorted(cache.glob("*.roif"))[4]
+        self.after_listing(monkeypatch, cache, victim.unlink)
+        computed = self.spy_on_work(monkeypatch)
+        assert self.features(corpus, cache, tmp_path) == 0
+        assert len(computed) == 1
+        after = cache_state(cache)
+        assert after.keys() == cold.keys() and after[victim.name][2] == cold[victim.name][2]
+
+    def test_a_file_that_appears_after_the_listing_is_recomputed(self, corpus, tmp_path, monkeypatch):
+        filled = tmp_path / "filled"
+        assert self.features(corpus, filled, tmp_path) == 0
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        planted = {}
+
+        def plant():
+            for p in filled.glob("*.roif"):
+                shutil.copyfile(p, cache / p.name)
+                planted[p.name] = (cache / p.name).stat().st_ino
+
+        self.after_listing(monkeypatch, cache, plant)
+        computed = self.spy_on_work(monkeypatch)
+        assert self.features(corpus, cache, tmp_path) == 0
+        assert len(computed) == 12 and len(planted) == 12
+        after = cache_state(cache)
+        assert {n: b for n, (_, _, b) in after.items()} == {n: b for n, (_, _, b) in cache_state(filled).items()}
+        assert all(after[n][0] != ino for n, ino in planted.items())  # each renamed over, none written through
+
+    def test_a_cache_dir_that_is_a_file_fails_and_names_it(self, corpus, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "cache"
+        cache.write_bytes(b"not a directory")
+        computed = self.spy_on_work(monkeypatch)
+        assert self.features(corpus, cache, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "Not a directory" in err and str(cache) in err
+        assert computed == [] and cache.read_bytes() == b"not a directory"
+        assert not (tmp_path / "runs").exists()
+
+    def test_a_stray_temp_file_is_ignored_and_kept(self, corpus, tmp_path):
+        filled = tmp_path / "filled"
+        assert self.features(corpus, filled, tmp_path) == 0
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        # what an interrupted run leaves: a temp file under its final name's prefix
+        stray = cache / f".{sorted(filled.glob('*.roif'))[0].name}.0123456789abcdef.tmp"
+        stray.write_bytes(b"ROIF, cut short")
+        assert self.features(corpus, cache, tmp_path) == 0
+        assert stray.read_bytes() == b"ROIF, cut short"
+        assert sorted(p.name for p in cache.iterdir()) == sorted([stray.name, *cache_state(filled)])
+        assert all((cache / n).read_bytes() == b for n, (_, _, b) in cache_state(filled).items())
+
+
 def cache_state(cache):
     """name -> (inode, mtime, bytes) of every cached feature file."""
     return {

@@ -166,6 +166,16 @@ class TestSeededRng:
         with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
             SeededRng.from_state(json.dumps({**state, "seed": seed}, sort_keys=True))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("buffer_pos", -1, "buffer_pos -1 is outside"),
+        ("buffer_pos", 5, "buffer_pos 5 is outside"),
+        ("has_uint32", 7, "has_uint32 must be 0 or 1, not 7"),
+    ])
+    def test_state_outside_philox_rejected(self, field, value, message):
+        state = json.loads(SeededRng(3).get_state())
+        with pytest.raises(ValueError, match=message):
+            SeededRng.from_state(json.dumps({**state, field: value}, sort_keys=True))
+
     def test_is_a_generator_on_philox_keyed_by_the_seed(self):
         rng, ref = SeededRng(11), np.random.Generator(np.random.Philox(key=11))
         assert isinstance(rng, np.random.Generator)

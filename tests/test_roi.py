@@ -90,6 +90,9 @@ class TestAttentionMap:
             amap([1.0], frame_len=0)
         with pytest.raises(ValueError):
             amap([1.0], step=0)
+        for weights in ([np.nan, np.nan], [0.5, np.nan]):  # each comparison with NaN reads False
+            with pytest.raises(ValueError, match="must be finite"):
+                amap(weights)
 
 
 class TestExtractAttention:

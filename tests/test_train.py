@@ -1078,6 +1078,9 @@ class TestCheckpointIO:
         "rng_state a JSON list": "rng_state cannot be restored",
         "rng_state nested too deep": "rng_state cannot be restored",
         "rng_state seed out of range": "rng_state cannot be restored",
+        "rng_state buffer_pos -1": "rng_state cannot be restored",
+        "rng_state buffer_pos 5": "rng_state cannot be restored",
+        "rng_state has_uint32 7": "rng_state cannot be restored",
         "rng_state with a key more": "rng_state does not restore to the text it holds",
         "rng_state section nested too deep": "rng_state is not valid JSON",
     }
@@ -1094,6 +1097,9 @@ class TestCheckpointIO:
             "rng_state a JSON list": {"rng_state": "[1,2]"},
             "rng_state nested too deep": {"rng_state": "[" * 100_000},
             "rng_state seed out of range": {"rng_state": json.dumps({**state, "seed": -1}, sort_keys=True)},
+            "rng_state buffer_pos -1": {"rng_state": json.dumps({**state, "buffer_pos": -1}, sort_keys=True)},
+            "rng_state buffer_pos 5": {"rng_state": json.dumps({**state, "buffer_pos": 5}, sort_keys=True)},
+            "rng_state has_uint32 7": {"rng_state": json.dumps({**state, "has_uint32": 7}, sort_keys=True)},
             "rng_state with a key more": {"rng_state": json.dumps({**state, "epoch": 2}, sort_keys=True)},
         }
         data = save_checkpoint(dataclasses.replace(ckpt, **changes.get(case, {})))
