@@ -8,7 +8,6 @@ of a clip the classifier relied on.
 
 from .dataset import (
     EmotionLabel,
-    Manifest,
     SyntheticSpec,
     UtteranceMeta,
     build_manifest,

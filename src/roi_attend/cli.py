@@ -367,7 +367,7 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
     for name in skipped:
         print(f"skipping unparseable name: {name}", file=sys.stderr)
     lengths, rates, digests = [], [], []
-    for e in manifest.entries:
+    for e in manifest:
         hasher = hashlib.sha256()
         clip = read_wav_file(e.path, hasher=hasher)
         _check_rate(clip, frame_cfg)
@@ -390,7 +390,7 @@ def _corpus_features(corpus_dir: str, cache_dir: str, frame_cfg: FrameConfig, *,
             pass
     feats = [] if keep else None
     with _CacheWriter() as writer:
-        for rate, digest, entry in zip(rates, digests, manifest.entries):
+        for rate, digest, entry in zip(rates, digests, manifest):
             cpath = None
             if cache_dir:
                 stem = os.path.splitext(os.path.basename(entry.path))[0]
@@ -456,7 +456,7 @@ def _cmd_train(cfg: dict) -> int:
     train_cfg = _settings(cfg, "train")
     out = _run_dir("train", cfg)
     manifest, feats, _ = _corpus_features(corpus, cfg["paths.cache_dir"], frame_cfg)
-    train_set = [(f, int(e.emotion)) for e, f in zip(manifest.entries, feats)]
+    train_set = [(f, int(e.emotion)) for e, f in zip(manifest, feats)]
 
     def report_epoch(epoch, mean_loss, params, stats):
         print(f"epoch {epoch + 1}/{train_cfg.epochs} loss {mean_loss:.6f}")
@@ -525,7 +525,7 @@ def _cmd_eval_loso(cfg: dict) -> int:
     folds = loso_folds(manifest)
     if limit:
         folds = folds[:limit]
-    labelled = [(f, int(e.emotion)) for e, f in zip(manifest.entries, feats)]
+    labelled = [(f, int(e.emotion)) for e, f in zip(manifest, feats)]
 
     payloads = []
     for i, fold in enumerate(folds):
@@ -534,7 +534,7 @@ def _cmd_eval_loso(cfg: dict) -> int:
         tc = _settings(cfg, "train", seed=base_seed + i)
         train_set = [labelled[j] for j in fold.train_indices]
         test_set = [labelled[j] for j in fold.test_indices]
-        paths = [manifest.entries[j].path for j in fold.test_indices]
+        paths = [manifest[j].path for j in fold.test_indices]
         payloads.append((fold.held_out_subject, train_set, paths, test_set, model_cfg, tc, frame_cfg))
 
     out = _run_dir("eval-loso", cfg)
@@ -590,7 +590,7 @@ def _cmd_explain(cfg: dict) -> int:
         _write_atomic(out / f"attention-step{step_no}.json", dump_attention_json(payload))
         _write_atomic(out / f"roi-step{step_no}.svg", render_svg(clip.samples, amap, roi, spec))
         spans = ", ".join(f"[{r.start_sample}, {r.end_sample})" for r in roi.regions) or "none"
-        print(f"step {step_no}: {len(roi.regions)} region(s) {spans}, silence mass {roi.silence_mass:.4f}")
+        print(f"step {step_no}: {len(roi.regions)} region(s) {spans}, silence mass {amap.silence_mass():.4f}")
     print(f"results: {out}")
     return 0
 
@@ -600,16 +600,13 @@ def _cmd_gradcheck(cfg: dict) -> int:
     # case k runs with seed + k, so a seed whose last case passes 2**64 - 1 is a usage error
     _settings(cfg, "train", seed=seed + len(GRAD_CHECK_CASES) - 1)
     failed = False
-    for name, report, blocks in gradient_check_suite(seed=seed):
+    for name, _, blocks in gradient_check_suite(seed=seed):
         worst_block = max(blocks, key=blocks.get)
         err = blocks[worst_block]
         ok = err < GRAD_CHECK_TOL
         failed = failed or not ok
         status = "ok" if ok else "FAIL"
-        print(
-            f"{name}: worst block {worst_block} rel err {err:.3e} "
-            f"({status}, tol {GRAD_CHECK_TOL:.0e}; per-coordinate max {report.max_rel_err:.3e})"
-        )
+        print(f"{name}: worst block {worst_block} rel err {err:.3e} ({status}, tol {GRAD_CHECK_TOL:.0e})")
     return 1 if failed else 0
 
 

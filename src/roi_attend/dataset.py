@@ -22,7 +22,6 @@ from .numerics import SeededRng, check_seed
 __all__ = [
     "EmotionLabel",
     "UtteranceMeta",
-    "Manifest",
     "LosoFold",
     "SyntheticSpec",
     "SyntheticClip",
@@ -127,23 +126,11 @@ def parse_filename(name: str) -> UtteranceMeta:
     return UtteranceMeta(actor, sentence, emotion, level, path=name)
 
 
-@dataclass
-class Manifest:
-    entries: list[UtteranceMeta]
-
-    @property
-    def subjects(self) -> list[str]:
-        return sorted({e.actor_id for e in self.entries})
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def build_manifest(names) -> tuple[Manifest, list[str]]:
+def build_manifest(names) -> tuple[list[UtteranceMeta], list[str]]:
     """Parse a listing of wav paths; unparseable names are skipped, not fatal.
 
-    Returns (manifest, skipped_names). Duplicated paths and a fully empty
-    corpus are errors.
+    Returns (entries, skipped_names), entries in listing order. Duplicated
+    paths and a fully empty corpus are errors.
     """
     entries: list[UtteranceMeta] = []
     skipped: list[str] = []
@@ -158,10 +145,10 @@ def build_manifest(names) -> tuple[Manifest, list[str]]:
             skipped.append(name)
     if not entries:
         raise EmptyCorpusError("no parseable .wav names in listing")
-    return Manifest(entries), skipped
+    return entries, skipped
 
 
-def scan_corpus(root) -> tuple[Manifest, list[str]]:
+def scan_corpus(root) -> tuple[list[UtteranceMeta], list[str]]:
     """build_manifest over the sorted *.wav files directly under a directory."""
     names = sorted(
         os.path.join(root, n) for n in os.listdir(root) if n.endswith(".wav")
@@ -178,10 +165,10 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def manifest_csv(manifest: Manifest) -> str:
+def manifest_csv(entries: list[UtteranceMeta]) -> str:
     return "path,actor_id,sentence,emotion,level\n" + "".join(
         ",".join(map(_csv_field, (e.path, e.actor_id, e.sentence_code, e.emotion.code, e.level))) + "\n"
-        for e in manifest.entries
+        for e in entries
     )
 
 
@@ -192,15 +179,15 @@ class LosoFold:
     test_indices: list[int]
 
 
-def loso_folds(manifest: Manifest) -> list[LosoFold]:
+def loso_folds(entries: list[UtteranceMeta]) -> list[LosoFold]:
     """One fold per subject, ordered by ascending actor_id."""
-    subjects = manifest.subjects
+    subjects = sorted({e.actor_id for e in entries})
     if len(subjects) < 2:
         raise CannotSplitError(f"need at least 2 subjects for LOSO, got {len(subjects)}")
     folds = []
     for subject in subjects:
-        test = [i for i, e in enumerate(manifest.entries) if e.actor_id == subject]
-        train = [i for i, e in enumerate(manifest.entries) if e.actor_id != subject]
+        test = [i for i, e in enumerate(entries) if e.actor_id == subject]
+        train = [i for i, e in enumerate(entries) if e.actor_id != subject]
         folds.append(LosoFold(subject, train, test))
     return folds
 

@@ -63,15 +63,8 @@ class GradCheckReport:
 
     fd: np.ndarray
     analytic: np.ndarray
-    rel_err: np.ndarray
-    max_rel_err: float
     # roundoff scale of one fd entry: a one-ulp error in f, eps*max|f|, over h
     fd_noise: float
-
-
-# Relative-error denominator floor; keeps near-zero gradients from blowing
-# up the ratio.
-REL_ERR_FLOOR = 1e-8
 
 
 def grad_check(f, theta, analytic, h: float = 1e-5) -> GradCheckReport:
@@ -79,7 +72,6 @@ def grad_check(f, theta, analytic, h: float = 1e-5) -> GradCheckReport:
 
     f: scalar function of a 1-D parameter vector (must not mutate its input).
     theta: evaluation point. analytic: gradient of f at theta.
-    Relative error per coordinate uses denominator max(|fd|, |analytic|, 1e-8).
     """
     theta = np.array(theta, dtype=np.float64).ravel()
     analytic = np.asarray(analytic, dtype=np.float64).ravel()
@@ -102,15 +94,7 @@ def grad_check(f, theta, analytic, h: float = 1e-5) -> GradCheckReport:
             raise EvaluationError(f"grad_check: non-finite function value at coordinate {i}")
         fd[i] = (f_plus - f_minus) / (2.0 * h)
         f_max = max(f_max, abs(f_plus), abs(f_minus))
-    denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), REL_ERR_FLOOR)
-    rel = np.abs(fd - analytic) / denom
-    return GradCheckReport(
-        fd=fd,
-        analytic=analytic,
-        rel_err=rel,
-        max_rel_err=float(rel.max()) if rel.size else 0.0,
-        fd_noise=float(np.finfo(np.float64).eps) * f_max / h,
-    )
+    return GradCheckReport(fd=fd, analytic=analytic, fd_noise=float(np.finfo(np.float64).eps) * f_max / h)
 
 
 def check_seed(seed) -> int:

@@ -72,9 +72,6 @@ class RoiRegion:
 class RoiResult:
     regions: list
     threshold: float
-    ratio: float
-    salient: np.ndarray
-    silence_mass: float
 
 
 def extract_attention(ckpt: Checkpoint, features: FeatureSequence, step: int, frame_len: int):
@@ -151,13 +148,7 @@ def detect_roi(amap: AttentionMap, ratio: float) -> RoiResult:
             )
         )
         i = j
-    return RoiResult(
-        regions=regions,
-        threshold=threshold,
-        ratio=ratio,
-        salient=salient,
-        silence_mass=amap.silence_mass(),
-    )
+    return RoiResult(regions=regions, threshold=threshold)
 
 
 def attention_json(path: str, amap: AttentionMap, roi: RoiResult) -> dict:
@@ -172,7 +163,7 @@ def attention_json(path: str, amap: AttentionMap, roi: RoiResult) -> dict:
         "regions": [
             {"start": r.start_sample, "end": r.end_sample, "mass": r.mass} for r in roi.regions
         ],
-        "silence_mass": roi.silence_mass,
+        "silence_mass": amap.silence_mass(),
     }
 
 

@@ -512,12 +512,14 @@ def save_checkpoint(ckpt: Checkpoint) -> bytes:
 
 def load_checkpoint(data: bytes) -> Checkpoint:
     """Inverse of save_checkpoint. Malformed bytes or values (a bad or
-    non-finite number, an unknown variant, a field out of range, an optimizer
-    kind other than train_config's, shapes that do not fit the config, optimizer
-    moments that do not fit the params, an rng state SeededRng cannot restore
-    to the same text, feature stats present when train_config does not
-    standardize or absent when it does, or not finite, or with a std that is not
-    positive) raise CheckpointFormatError.
+    non-finite number, an unknown variant, a field out of range, a frame_config
+    n_mfcc other than model_config's input_dim, an optimizer kind other than
+    train_config's, shapes that do not fit the config, optimizer moments that do
+    not fit the params, an rng state SeededRng cannot restore to the same text,
+    an epoch other than the loss history's length or above train_config's
+    epochs, feature stats present when train_config does not standardize or
+    absent when it does, or not finite, or with a std that is not positive)
+    raise CheckpointFormatError.
 
     Params and feature stats are copied out; the optimizer moments, which only
     a resumed run reads, are read-only views of data."""
@@ -551,6 +553,10 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     if ("feature_stats" in sections) != train_cfg.standardize:
         raise CheckpointFormatError("feature stats must be stored exactly when train_config standardizes")
     frame_cfg = _config_section(sections, "frame_config", FrameConfig)
+    if frame_cfg.n_mfcc != model_cfg.input_dim:
+        raise CheckpointFormatError(
+            f"frame_config gives {frame_cfg.n_mfcc} coefficients, model_config's input_dim is {model_cfg.input_dim}"
+        )
 
     params = ModelParams(_whole_named_arrays(sections["params"], "params section"))
     params.validate_shapes(model_cfg)
@@ -592,6 +598,10 @@ def _load_checkpoint(data: bytes) -> Checkpoint:
     n_hist = hcur.u32()
     hist = np.frombuffer(hcur.take(8 * n_hist), dtype="<f8").tolist()
     hcur.finish()
+    if not epoch == n_hist <= train_cfg.epochs:  # train records one loss per epoch it runs
+        raise CheckpointFormatError(
+            f"epoch {epoch} with {n_hist} loss entries and {train_cfg.epochs} epochs is not what train writes"
+        )
 
     stats = None
     if train_cfg.standardize:
@@ -731,7 +741,7 @@ GRAD_CHECK_CASES = (
 )
 
 
-def gradient_check_suite(seed: int = 0, h: float = 1e-5):
+def gradient_check_suite(seed: int = 0):
     """Finite-difference check of the full backward pass, one case per variant
     plus masked-padding and deeper-scorer cases, the last of them with its
     attention weights scaled so that the gate sees the attention query's
@@ -769,6 +779,6 @@ def gradient_check_suite(seed: int = 0, h: float = 1e-5):
 
         _, grads = loss_and_grads(X, pad, y, params, cfg)
         analytic = np.concatenate([grads[k].ravel() for k in params.names()])
-        report = grad_check(f, theta, analytic, h=h)
+        report = grad_check(f, theta, analytic)
         results.append((name, report, block_relative_errors(cfg, report)))
     return results

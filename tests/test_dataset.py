@@ -118,7 +118,7 @@ class TestBuildManifest:
             ["1001_A_ANG_XX.wav", "1001_B_SAD_XX.wav", "1002_A_ANG_XX.wav"]
         )
         assert len(m) == 3
-        assert m.subjects == ["1001", "1002"]
+        assert sorted({e.actor_id for e in m}) == ["1001", "1002"]
         assert skipped == []
 
     def test_unparseable_names_are_warned_not_fatal(self):
@@ -147,7 +147,7 @@ class TestBuildManifest:
         names = ['a\rb/1001_A_ANG_XX.wav', 'c\nd/1002_B_SAD_LO.wav', 'e,"f"/1\r,"3_C_NEU_HI.wav']
         m, _ = build_manifest(names)
         rows = list(csv.reader(io.StringIO(manifest_csv(m), newline="")))
-        assert rows[1:] == [[e.path, e.actor_id, e.sentence_code, e.emotion.code, e.level] for e in m.entries]
+        assert rows[1:] == [[e.path, e.actor_id, e.sentence_code, e.emotion.code, e.level] for e in m]
         assert [row[0] for row in rows[1:]] == names
 
 
@@ -169,10 +169,10 @@ class TestLosoFolds:
         m = self._manifest()
         for fold in loso_folds(m):
             assert all(
-                m.entries[i].actor_id == fold.held_out_subject for i in fold.test_indices
+                m[i].actor_id == fold.held_out_subject for i in fold.test_indices
             )
             assert all(
-                m.entries[i].actor_id != fold.held_out_subject for i in fold.train_indices
+                m[i].actor_id != fold.held_out_subject for i in fold.train_indices
             )
 
     def test_partition_law(self):
@@ -272,7 +272,7 @@ class TestWriteSyntheticCorpus:
         m, skipped = scan_corpus(tmp_path)
         assert skipped == []
         assert len(m) == 6
-        assert m.subjects == ["9001", "9002"]
+        assert sorted({e.actor_id for e in m}) == ["9001", "9002"]
 
         clip = read_wav_file(paths[0])
         assert np.max(np.abs(clip.samples - clips[0].clip.samples)) <= 1.0 / 32768

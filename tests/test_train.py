@@ -21,7 +21,7 @@ from roi_attend.model import (
     init_params,
     param_shapes,
 )
-from roi_attend.numerics import REL_ERR_FLOOR, SeededRng, ShapeError, grad_check
+from roi_attend.numerics import SeededRng, ShapeError, grad_check
 from roi_attend.training import (
     GRAD_CHECK_TOL,
     Checkpoint,
@@ -440,8 +440,8 @@ class TestGradCheckGate:
         fd = report.fd.copy()
         fd[at] = self.ROUNDOFF_FD
         an = report.analytic[at]
-        # grad_check's per-coordinate ratio cannot tell roundoff from an error
-        assert abs(fd[at] - an) / max(abs(fd[at]), abs(an), REL_ERR_FLOOR) > GRAD_CHECK_TOL
+        # a per-coordinate ratio (floor 1e-8) cannot tell roundoff from an error
+        assert abs(fd[at] - an) / max(abs(fd[at]), abs(an), 1e-8) > GRAD_CHECK_TOL
         blocks = block_relative_errors(self.CFG, dataclasses.replace(report, fd=fd))
         assert max(blocks.values()) < GRAD_CHECK_TOL
 
@@ -1066,8 +1066,7 @@ class TestCheckpointIO:
         assert names == list(training._SECTIONS if standardize else training._SECTIONS[:-1])
         assert save_checkpoint(load_checkpoint(data)) == data
 
-    # case -> the error it raises; each of these loaded while a checkpoint
-    # could leave sections out
+    # case -> the error it raises; each of these once loaded
     UNWRITTEN_LAYOUTS = {
         "no frame_config": "not in the writer's layout",
         "no rng_state": "not in the writer's layout",
@@ -1083,6 +1082,10 @@ class TestCheckpointIO:
         "rng_state has_uint32 7": "rng_state cannot be restored",
         "rng_state with a key more": "rng_state does not restore to the text it holds",
         "rng_state section nested too deep": "rng_state is not valid JSON",
+        "epoch 5 with one loss entry": "is not what train writes",
+        "epoch 0 with three loss entries": "is not what train writes",
+        "epoch 3 of 2 epochs": "is not what train writes",
+        "n_mfcc other than input_dim": "coefficients, model_config's input_dim is",
     }
 
     @pytest.mark.parametrize("case", UNWRITTEN_LAYOUTS)
@@ -1101,6 +1104,10 @@ class TestCheckpointIO:
             "rng_state buffer_pos 5": {"rng_state": json.dumps({**state, "buffer_pos": 5}, sort_keys=True)},
             "rng_state has_uint32 7": {"rng_state": json.dumps({**state, "has_uint32": 7}, sort_keys=True)},
             "rng_state with a key more": {"rng_state": json.dumps({**state, "epoch": 2}, sort_keys=True)},
+            "epoch 5 with one loss entry": {"epoch": 5, "loss_history": [1.5]},
+            "epoch 0 with three loss entries": {"epoch": 0, "loss_history": [1.5, 1.25, 1.0]},
+            "epoch 3 of 2 epochs": {"epoch": 3, "loss_history": [1.5, 1.25, 1.0]},
+            "n_mfcc other than input_dim": {"frame_cfg": dataclasses.replace(ckpt.frame_cfg, n_mfcc=12)},
         }
         data = save_checkpoint(dataclasses.replace(ckpt, **changes.get(case, {})))
         if case.startswith("no "):
