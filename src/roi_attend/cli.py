@@ -488,7 +488,10 @@ def _summarize(folds_dir: Path, out: Path, cfg: dict) -> None:
         raise FileNotFoundError(f"no {FOLDS_MANIFEST} under {folds_dir} to list the fold-*.csv files to aggregate")
     # the writer ends each subject in "\n"; keep every other character
     with open(listing, encoding="utf-8", newline="") as fh:
-        subjects = [s for s in fh.read().split("\n") if s]
+        text = fh.read()
+    subjects = text.split("\n")[:-1]
+    if not text.endswith("\n") or "" in subjects or len(set(subjects)) < len(subjects):
+        raise ValueError(f"{listing}: eval-loso writes each subject once, non-empty, and ends each in a newline")
     matrices = []
     for subject in subjects:
         # keep line breaks inside quoted paths
@@ -521,6 +524,8 @@ def _cmd_eval_loso(cfg: dict) -> int:
     limit = cfg["eval.folds"]
     if limit < 0:
         raise UsageError(f"eval.folds must be >= 0, got {limit}")
+    if cfg["eval.parallel"] < 0:
+        raise UsageError(f"eval.parallel must be >= 0, got {cfg['eval.parallel']}")
     manifest, feats, _ = _corpus_features(corpus, cfg["paths.cache_dir"], frame_cfg)
     folds = loso_folds(manifest)
     if limit:

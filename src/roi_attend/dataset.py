@@ -19,25 +19,6 @@ import numpy as np
 from .dsp import AudioClip, write_wav_file
 from .numerics import SeededRng, check_seed
 
-__all__ = [
-    "EmotionLabel",
-    "UtteranceMeta",
-    "LosoFold",
-    "SyntheticSpec",
-    "SyntheticClip",
-    "FilenameParseError",
-    "DuplicatePathError",
-    "EmptyCorpusError",
-    "CannotSplitError",
-    "parse_filename",
-    "build_manifest",
-    "scan_corpus",
-    "loso_folds",
-    "generate_synthetic",
-    "write_synthetic_corpus",
-    "manifest_csv",
-]
-
 LEVELS = ("LO", "MD", "HI", "XX")
 
 

@@ -18,29 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "WavFormatError",
-    "UnsupportedWavError",
-    "TruncationRefusedError",
-    "TooShortError",
-    "FrameConfigError",
-    "AudioClip",
-    "FrameConfig",
-    "FeatureSequence",
-    "read_wav",
-    "read_wav_file",
-    "write_wav",
-    "write_wav_file",
-    "pad_to_length",
-    "frame_signal",
-    "mel_filterbank",
-    "mfcc",
-    "extract_features",
-    "power_spectrogram",
-    "save_feature_cache",
-    "load_feature_cache",
-]
-
 
 class WavFormatError(ValueError):
     """Byte stream is not a well-formed RIFF/WAVE file."""

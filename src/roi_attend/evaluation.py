@@ -18,24 +18,6 @@ from .dataset import EmotionLabel, _csv_field
 from .model import _forward_batch
 from .training import Checkpoint, apply_standardizer
 
-__all__ = [
-    "ConfigMismatchError",
-    "EmptyReportError",
-    "FoldCsvError",
-    "ConfusionMatrix",
-    "AggregateReport",
-    "AGGREGATION_MODES",
-    "REFERENCE_RECALL",
-    "predict_batch",
-    "evaluate_fold",
-    "aggregate",
-    "fold_csv",
-    "parse_fold_csv",
-    "matrix_csv",
-    "summary_text",
-    "per_emotion_report",
-]
-
 N_CLASSES = 6
 CODES = [lab.code for lab in EmotionLabel]
 FOLD_CSV_HEADER = ["path", "true", "pred"] + [f"p_{c}" for c in CODES]

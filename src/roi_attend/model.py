@@ -41,16 +41,6 @@ import numpy as np
 
 from .numerics import SeededRng, ShapeError, _sigmoid, softmax
 
-__all__ = [
-    "Variant",
-    "ModelConfig",
-    "ModelParams",
-    "NumericError",
-    "NoAttentionError",
-    "param_shapes",
-    "init_params",
-]
-
 
 class NumericError(RuntimeError):
     """NaN/Inf appeared in a layer output."""

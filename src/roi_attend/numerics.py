@@ -13,16 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "EvaluationError",
-    "GradCheckReport",
-    "SeededRng",
-    "check_seed",
-    "softmax",
-    "grad_check",
-]
-
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""

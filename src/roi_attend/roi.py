@@ -18,17 +18,6 @@ from .dsp import FeatureSequence
 from .model import NoAttentionError, _forward_batch
 from .training import Checkpoint, apply_standardizer
 
-__all__ = [
-    "AttentionMap",
-    "RoiRegion",
-    "RoiResult",
-    "extract_attention",
-    "expand_to_samples",
-    "detect_roi",
-    "attention_json",
-    "render_svg",
-]
-
 
 @dataclass
 class AttentionMap:

@@ -42,26 +42,6 @@ from .model import (
 )
 from .numerics import GradCheckReport, SeededRng, ShapeError, check_seed, grad_check
 
-__all__ = [
-    "TrainConfig",
-    "TrainingError",
-    "GRAD_CHECK_TOL",
-    "GRAD_CHECK_CASES",
-    "Checkpoint",
-    "CheckpointFormatError",
-    "CheckpointVersionError",
-    "cross_entropy",
-    "loss_and_grads",
-    "stack_dataset",
-    "fit_standardizer",
-    "apply_standardizer",
-    "train",
-    "save_checkpoint",
-    "load_checkpoint",
-    "block_relative_errors",
-    "gradient_check_suite",
-]
-
 PROB_FLOOR = 1e-12
 STD_FLOOR = 1e-8
 GRAD_CHECK_TOL = 1e-4

@@ -17,7 +17,7 @@ import _oracles
 from roi_attend import cli, training
 from roi_attend.cli import effective_config, entrypoint, run_id
 from roi_attend.dataset import SyntheticSpec, generate_synthetic, write_synthetic_corpus
-from roi_attend.evaluation import parse_fold_csv
+from roi_attend.evaluation import fold_csv, parse_fold_csv
 from roi_attend.dsp import (
     FeatureSequence,
     FrameConfig,
@@ -63,12 +63,14 @@ def corpus(tmp_path_factory):
 def run_module(*args, interpreter_flags=(), env=None):
     """Run `python -m roi_attend.cli` in a child interpreter that imports the
     same package as this process, whether or not PYTHONPATH names it. env adds
-    to or overrides this process's environment."""
+    to or overrides this process's environment. The child writes its output in
+    UTF-8, whatever the locale, and it is decoded as such."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
     return subprocess.run(
         [sys.executable, *interpreter_flags, "-m", "roi_attend.cli", *args],
-        capture_output=True, text=True, env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        capture_output=True, text=True, encoding="utf-8",
+        env={**os.environ, **(env or {}), "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
     )
 
 
@@ -144,7 +146,7 @@ class TestArgumentHandling:
 class TestConfigResolution:
     def test_file_overrides_defaults_and_flags_override_file(self, tmp_path):
         conf = tmp_path / "run.conf"
-        conf.write_text("# comment line\nsynth.n_clips_per_class = 3\ntrain.seed=9\n")
+        conf.write_text("# comment line\nsynth.n_clips_per_class = 3\ntrain.seed=9\n", encoding="utf-8")
         cfg = effective_config(str(conf), [])
         assert cfg["synth.n_clips_per_class"] == 3
         assert cfg["train.seed"] == 9
@@ -166,7 +168,7 @@ class TestConfigResolution:
 
     def test_config_file_rejects_malformed_lines(self, tmp_path):
         conf = tmp_path / "bad.conf"
-        conf.write_text("just words\n")
+        conf.write_text("just words\n", encoding="utf-8")
         assert entrypoint(["synth", "--config", str(conf)]) == 2
 
     def test_missing_config_file(self, capsys):
@@ -339,7 +341,7 @@ class TestConfigInputRejected:
     @pytest.mark.parametrize("setting", NON_FINITE)
     def test_non_finite_config_file_line(self, setting, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text(f"synth.seed=1\n{setting}\n")
+        conf.write_text(f"synth.seed=1\n{setting}\n", encoding="utf-8")
         assert entrypoint(["synth", "--config", str(conf), f"--paths.output_dir={tmp_path}"]) == 2
         assert setting.partition("=")[0] in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
@@ -362,7 +364,7 @@ class TestSynthCommand:
         out = only_dir(tmp_path, "synth")
         wavs = sorted(out.glob("*.wav"))
         assert len(wavs) == 12
-        regions = (out / "regions.csv").read_text().splitlines()
+        regions = (out / "regions.csv").read_text(encoding="utf-8").splitlines()
         assert regions[0] == "path,burst_start,burst_end"
         assert len(regions) == 13
         assert "wrote 12 clips" in capsys.readouterr().out
@@ -378,7 +380,7 @@ class TestFeaturesCommand:
         assert rc == 0
         roifs = sorted(cache.glob("*.roif"))
         assert len(roifs) == 12
-        manifest = (only_dir(tmp_path, "features") / "manifest.csv").read_text().splitlines()
+        manifest = (only_dir(tmp_path, "features") / "manifest.csv").read_text(encoding="utf-8").splitlines()
         assert manifest[0] == "path,actor_id,sentence,emotion,level"
         assert len(manifest) == 13
 
@@ -930,7 +932,7 @@ class TestTrainCommand:
         assert ckpt.epoch == 1
         assert ckpt.feature_stats is not None
         assert ckpt.frame_cfg is not None
-        hist = (out / "loss_history.csv").read_text().splitlines()
+        hist = (out / "loss_history.csv").read_text(encoding="utf-8").splitlines()
         assert hist[0] == "epoch,loss"
         assert len(hist) == 2
         epoch, loss = hist[1].split(",")
@@ -970,12 +972,12 @@ class TestEvalLosoCommand:
         out = only_dir(tmp_path, "eval-loso")
         folds = sorted(p.name for p in out.glob("fold-*.csv"))
         assert folds == ["fold-9001.csv", "fold-9002.csv", "fold-9003.csv"]
-        assert (out / "MANIFEST").read_text() == "9001\n9002\n9003\n"
+        assert (out / "MANIFEST").read_text(encoding="utf-8") == "9001\n9002\n9003\n"
         for mode in ("sum_then_normalize", "mean_of_normalized"):
-            table = (out / f"aggregate-{mode}.csv").read_text().splitlines()
+            table = (out / f"aggregate-{mode}.csv").read_text(encoding="utf-8").splitlines()
             assert table[0] == ",ANG,DIS,FEA,HAP,NEU,SAD"
             assert len(table) == 7
-        summary = (out / "summary.txt").read_text()
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
         assert "mode: sum_then_normalize" in summary
         assert "folds: 3" in summary
         assert "samples: 12" in summary
@@ -999,7 +1001,7 @@ class TestEvalLosoCommand:
         assert entrypoint(self._argv(corpus, parallel_root, ["--parallel=2"])) == 0
         serial = only_dir(serial_root, "eval-loso")
         parallel = only_dir(parallel_root, "eval-loso")
-        assert (parallel / "MANIFEST").read_text() == "9001\n9002\n9003\n"
+        assert (parallel / "MANIFEST").read_text(encoding="utf-8") == "9001\n9002\n9003\n"
         assert {p.name: p.read_bytes() for p in parallel.iterdir()} == {
             p.name: p.read_bytes() for p in serial.iterdir()
         }
@@ -1008,13 +1010,18 @@ class TestEvalLosoCommand:
         assert entrypoint(self._argv(corpus, tmp_path, ["--folds=1"])) == 0
         out = only_dir(tmp_path, "eval-loso")
         assert [p.name for p in sorted(out.glob("fold-*.csv"))] == ["fold-9001.csv"]
-        assert (out / "MANIFEST").read_text() == "9001\n"
-        summary = (out / "summary.txt").read_text()
+        assert (out / "MANIFEST").read_text(encoding="utf-8") == "9001\n"
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
         assert "folds: 1" in summary
 
     def test_negative_folds_rejected(self, corpus, tmp_path, capsys):
         assert entrypoint(self._argv(corpus, tmp_path, ["--folds=-1"])) == 2
         assert "eval.folds" in capsys.readouterr().err
+
+    def test_negative_parallel_rejected_before_any_work(self, corpus, tmp_path, capsys):
+        assert entrypoint(self._argv(corpus, tmp_path, ["--eval.parallel=-1"])) == 2
+        assert "eval.parallel" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_mode_rejected(self, corpus, tmp_path, capsys):
         assert entrypoint(self._argv(corpus, tmp_path, ["--eval.mode=median"])) == 2
@@ -1058,9 +1065,9 @@ class TestReportCommand:
             shutil.copy(wav, odd / f"{actors[actor]}_{rest}")
         assert entrypoint(["eval-loso", f"--paths.corpus_dir={odd}", f"--paths.output_dir={tmp_path}", *FAST]) == 0
         eval_out = only_dir(tmp_path, "eval-loso")
-        with open(eval_out / "MANIFEST", newline="") as fh:
+        with open(eval_out / "MANIFEST", encoding="utf-8", newline="") as fh:
             assert fh.read() == "A\x0cB\nC\u2028D\nE\rF\n"
-        assert "folds: 3" in (eval_out / "summary.txt").read_text()
+        assert "folds: 3" in (eval_out / "summary.txt").read_text(encoding="utf-8")
         assert entrypoint(["report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={tmp_path}"]) == 0
         report_out = only_dir(tmp_path, "report")
         assert (report_out / "summary.txt").read_bytes() == (eval_out / "summary.txt").read_bytes()
@@ -1071,7 +1078,7 @@ class TestReportCommand:
         eval_argv = ["eval-loso", f"--paths.corpus_dir={odd}", f"--paths.output_dir={tmp_path}", "--folds=1", *FAST]
         assert entrypoint(eval_argv) == 0
         eval_out = only_dir(tmp_path, "eval-loso")
-        with open(eval_out / "fold-9001.csv", newline="") as fh:
+        with open(eval_out / "fold-9001.csv", encoding="utf-8", newline="") as fh:
             paths, _, _, _ = parse_fold_csv(fh.read())
         assert paths and all(p.startswith(str(odd) + os.sep) for p in paths)
         read_back = []
@@ -1137,13 +1144,13 @@ class TestReportCommand:
         assert entrypoint(argv) == 0
         eval_out = only_dir(tmp_path, "eval-loso")
         assert (eval_out / "fold-9003.csv").exists()
-        assert (eval_out / "MANIFEST").read_text() == "9001\n9002\n"
+        assert (eval_out / "MANIFEST").read_text(encoding="utf-8") == "9001\n9002\n"
         report_dir = tmp_path / "rebuilt"
         assert entrypoint(["report", f"--paths.folds_dir={eval_out}", f"--paths.output_dir={report_dir}"]) == 0
         report_out = only_dir(report_dir, "report")
         names = ["summary.txt", "aggregate-sum_then_normalize.csv", "aggregate-mean_of_normalized.csv"]
         assert {n: (report_out / n).read_bytes() for n in names} == {n: (eval_out / n).read_bytes() for n in names}
-        assert "folds: 2\nsamples: 8\n" in (report_out / "summary.txt").read_text()
+        assert "folds: 2\nsamples: 8\n" in (report_out / "summary.txt").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
         "listing,flags,code,named",
@@ -1151,15 +1158,22 @@ class TestReportCommand:
             (None, [], 1, ["MANIFEST", "fold-*.csv"]),
             ("9001\n", [], 1, ["fold-9001.csv"]),
             ("9001\n", ["--eval.mode=median"], 2, ["eval.mode"]),
+            ("9002\n\n", [], 1, ["MANIFEST"]),
+            ("9002\n9002\n", [], 1, ["MANIFEST"]),
+            ("9002", [], 1, ["MANIFEST"]),
         ],
-        ids=["no-manifest", "missing-fold-file", "bad-mode"],
+        ids=["no-manifest", "missing-fold-file", "bad-mode", "blank-subject", "repeated-subject", "no-final-newline"],
     )
     def test_failed_report_names_the_cause_and_leaves_no_run_dir(self, tmp_path, capsys, listing, flags, code, named):
         folds = tmp_path / "folds"
         folds.mkdir()
-        (folds / "fold-9002.csv").write_text("path,true,pred\n")  # a file no MANIFEST line points at
+        # a valid fold and model config, so a bad MANIFEST is all that can fail the report
+        paths = ["a.wav", "b.wav", "c.wav"]
+        probs = np.full((3, 6), 1 / 6)
+        (folds / "fold-9002.csv").write_text(fold_csv(paths, [0, 1, 2], [0, 0, 2], probs), encoding="utf-8")
+        (folds / "model_config.txt").write_bytes(_config_text(_config_pairs(ModelConfig())))
         if listing is not None:
-            (folds / "MANIFEST").write_text(listing)
+            (folds / "MANIFEST").write_text(listing, encoding="utf-8")
         argv = ["report", f"--paths.folds_dir={folds}", f"--paths.output_dir={tmp_path}", *flags]
         assert entrypoint(argv) == code
         err = capsys.readouterr().err
@@ -1187,12 +1201,12 @@ class TestExplainCommand:
         ])
         assert rc == 0
         out = only_dir(tmp_path, "explain")
-        payload = json.loads((out / "attention-step1.json").read_text())
+        payload = json.loads((out / "attention-step1.json").read_text(encoding="utf-8"))
         assert payload["path"] == str(wav)
         assert payload["x"] == len(payload["weights"])
         assert payload["frame_len"] == 320
         np.testing.assert_allclose(sum(payload["weights"]), 1.0, atol=1e-9)
-        svg = (out / "roi-step1.svg").read_text()
+        svg = (out / "roi-step1.svg").read_text(encoding="utf-8")
         assert svg.count("<g id=") == 3
         assert '<g id="spectrogram">' in svg
         assert "step 1:" in capsys.readouterr().out
@@ -1209,10 +1223,10 @@ class TestExplainCommand:
         power, _, coeffs, mask = _oracles.frontend_reference(clip.samples, 16000, ckpt.frame_cfg)
         (amap,) = extract_attention(ckpt, FeatureSequence(coeffs, mask), 160, 320)
         roi = detect_roi(amap, ratio=2.0)
-        assert (out / "attention-step1.json").read_text() == dump_attention_json(
+        assert (out / "attention-step1.json").read_text(encoding="utf-8") == dump_attention_json(
             attention_json(str(wav), amap, roi)
         )
-        assert (out / "roi-step1.svg").read_text() == render_svg(clip.samples, amap, roi, spectrogram=power)
+        assert (out / "roi-step1.svg").read_text(encoding="utf-8") == render_svg(clip.samples, amap, roi, spectrogram=power)
 
     def test_ratio_alias_changes_threshold(self, corpus, attention_ckpt, tmp_path):
         wav = sorted(Path(corpus).glob("*.wav"))[0]
@@ -1221,7 +1235,7 @@ class TestExplainCommand:
             f"--paths.output_dir={tmp_path}", "--ratio=0.5",
         ]
         assert entrypoint(argv) == 0
-        payload = json.loads((only_dir(tmp_path, "explain") / "attention-step1.json").read_text())
+        payload = json.loads((only_dir(tmp_path, "explain") / "attention-step1.json").read_text(encoding="utf-8"))
         # every frame beats half the uniform share, so one region spans the clip
         assert len(payload["regions"]) == 1
 
@@ -1237,7 +1251,7 @@ class TestExplainCommand:
         assert entrypoint([
             "explain", f"--paths.checkpoint={ckpt_path}", f"--paths.wav={wav}", f"--paths.output_dir={tmp_path}",
         ]) == 0
-        text = (only_dir(tmp_path, "explain") / "attention-step1.json").read_text()
+        text = (only_dir(tmp_path, "explain") / "attention-step1.json").read_text(encoding="utf-8")
         assert json.loads(text)["frame_len"] == 160  # 20 ms at 8 kHz
         assert json.loads(text)["step"] == 80
         ckpt = load_checkpoint(ckpt_path.read_bytes())
@@ -1399,7 +1413,7 @@ class TestConfigurationErrorsStopBeforeWork:
         assert list(tmp_path.iterdir()) == []
         # two folds stop at 2**64 - 1, which is a valid seed
         assert entrypoint([*argv, "--folds=2"]) == 0
-        assert (only_dir(tmp_path, "eval-loso") / "MANIFEST").read_text() == "9001\n9002\n"
+        assert (only_dir(tmp_path, "eval-loso") / "MANIFEST").read_text(encoding="utf-8") == "9001\n9002\n"
 
     def test_gradcheck_last_case_seed_past_the_rng_range(self, monkeypatch, capsys):
         # n cases run with seeds base .. base + n - 1; no case may start when the last cannot

@@ -259,7 +259,7 @@ class TestWriteSyntheticCorpus:
         root = tmp_path / dirname
         clips = list(generate_synthetic(SyntheticSpec(n_clips_per_class=1, n_actors=2)))
         paths = write_synthetic_corpus(clips, root)
-        with open(root / "regions.csv", newline="") as fh:
+        with open(root / "regions.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["path", "burst_start", "burst_end"]] + [
             [path, str(sc.burst_start), str(sc.burst_end)] for path, sc in zip(paths, clips)
@@ -277,7 +277,7 @@ class TestWriteSyntheticCorpus:
         clip = read_wav_file(paths[0])
         assert np.max(np.abs(clip.samples - clips[0].clip.samples)) <= 1.0 / 32768
 
-        with open(tmp_path / "regions.csv") as fh:
+        with open(tmp_path / "regions.csv", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["path", "burst_start", "burst_end"]
         assert len(rows) == 7

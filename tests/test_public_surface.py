@@ -11,6 +11,9 @@ Each field of a dataclass defined in `roi_attend` must be read (an
 in KEPT_FIELDS with what keeps it. A result field that only tests read fails
 here. The match is by name alone: a field that shares its name with any other
 attribute the package reads (a method, another class's field) passes unread.
+
+No module of `roi_attend` assigns `__all__`: the root's imports are the one
+list of the public surface.
 """
 
 import ast
@@ -63,6 +66,19 @@ def test_every_export_is_loaded_by_the_package_or_kept():
 def test_every_kept_name_is_still_exported():
     gone = sorted(KEPT.keys() - _exports())
     assert not gone, f"KEPT names that roi_attend no longer exports: {gone}"
+
+
+def test_no_module_assigns_dunder_all():
+    """The public surface has two declarations: the names roi_attend/__init__.py
+    imports, and the underscore prefix that marks a module's private names. A
+    module __all__ would be a third list, which nothing checks against them."""
+    assigning = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    )
+    assert not assigning, f"modules of roi_attend that assign __all__: {assigning}"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

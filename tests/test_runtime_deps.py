@@ -43,7 +43,9 @@ def probe() -> dict:
     src = str(Path(roi_attend.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", PROBE], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+        [sys.executable, "-c", PROBE],
+        capture_output=True, text=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
